@@ -16,6 +16,7 @@ from .datafiles import format_result_row, load_database, read_updates
 from .engine import preprocess
 from .errors import (
     EngineError,
+    InvariantViolationError,
     NotHierarchicalError,
     QuerySyntaxError,
     RejectedDeleteError,
@@ -117,6 +118,12 @@ def cmd_run(args) -> int:
         return EXIT_NOT_HIERARCHICAL
 
     def verify() -> bool:
+        if mode == "dynamic":
+            try:
+                state.check_invariants()
+            except InvariantViolationError as exc:
+                print(f"invariant violated: {exc}", file=sys.stderr)
+                return False
         got = state.result_multiset()
         want = brute_force_eval(q, state.db_snapshot())
         return got == want
@@ -128,7 +135,6 @@ def cmd_run(args) -> int:
                 state.on_update(symbol, row, mult)
                 applied += 1
                 if args.verify and args.checkpoint_every and applied % args.checkpoint_every == 0:
-                    state.check_invariants()
                     if not verify():
                         print(f"verification failed after update {applied}", file=sys.stderr)
                         return EXIT_VERIFY
@@ -136,8 +142,6 @@ def cmd_run(args) -> int:
             print(f"rejected delete: {exc}", file=sys.stderr)
             return EXIT_REJECTED
     if args.verify:
-        if mode == "dynamic":
-            state.check_invariants()
         if not verify():
             print("verification failed on final state", file=sys.stderr)
             return EXIT_VERIFY

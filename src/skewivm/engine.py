@@ -18,7 +18,10 @@ from dataclasses import dataclass
 
 from . import enumeration
 from .errors import (
+    ArityMismatchError,
     EngineError,
+    InvalidMultiplicityError,
+    InvariantViolationError,
     MissingRelationError,
     NotHierarchicalError,
     RejectedDeleteError,
@@ -61,6 +64,9 @@ class ViewTree:
         # leaf name -> [(leaf, -1), (parent, child index), ..., (root, i)]
         self.leaf_paths: dict[str, list[tuple[ViewNode, int]]] = {}
         self._collect_paths(root, [])
+        # leaf name -> (leaf, [(node on the path, its delta plan), ...]);
+        # filled by the engine in dynamic mode
+        self.delta_paths: dict[str, tuple[ViewNode, list[tuple[ViewNode, JoinPlan]]]] = {}
 
     def _collect_paths(self, node: ViewNode, above: list[tuple[ViewNode, int]]) -> None:
         if node.is_leaf:
@@ -111,8 +117,9 @@ class EngineState:
         self.trees: list[ViewTree] = []
         self.triples: list[IndicatorTriple] = []
         self.base: dict[str, Relation] = {}
-        self._delta_plans: dict[int, dict[int, JoinPlan]] = {}
         self._mat_plans: dict[int, JoinPlan] = {}
+        # leaf name -> the result trees holding that leaf
+        self._trees_by_leaf: dict[str, list[ViewTree]] = {}
         self._triples_by_leaf: dict[str, list[tuple[IndicatorTriple, LightPart]]] = {}
         self._support_by_name: dict[str, IndicatorTriple] = {}
 
@@ -160,6 +167,7 @@ class EngineState:
             first = self.query.occurrences(sym)[0]
             rel = Relation(sym, first.schema, counters, base=True)
             for row, m in db[sym].items():
+                _check_multiplicity(sym, row, m)
                 if m <= 0:
                     raise EngineError(f"{sym}: nonpositive input multiplicity for {row}")
                 rel.delta(row, m)
@@ -179,10 +187,17 @@ class EngineState:
                 node.content = Relation(node.name, node.schema, counters)
 
     def _register_plans(self) -> None:
+        """Build every join plan once, register the indexes its scans read,
+        resolve each leaf-to-root path to its delta plans and each leaf
+        name to the result trees holding it."""
+        for tree in self.trees:
+            for leaf_name in tree.leaf_paths:
+                self._trees_by_leaf.setdefault(leaf_name, []).append(tree)
         trees = list(self.trees)
         for triple in self.triples:
             trees.extend([triple.all_tree, triple.light_tree])
         for tree in trees:
+            delta_plans: dict[tuple[int, int], JoinPlan] = {}
             for node in tree.nodes:
                 if node.is_leaf:
                     continue
@@ -190,12 +205,14 @@ class EngineState:
                 self._mat_plans[id(node)] = plan
                 self._register_scan_indexes(node, plan)
                 if self.mode == "dynamic":
-                    per_child = {}
                     for i in range(len(node.children)):
                         dplan = delta_plan(node, i)
-                        per_child[i] = dplan
+                        delta_plans[id(node), i] = dplan
                         self._register_scan_indexes(node, dplan)
-                    self._delta_plans[id(node)] = per_child
+            if self.mode == "dynamic":
+                for leaf_name, path in tree.leaf_paths.items():
+                    tree.delta_paths[leaf_name] = (path[0][0], [
+                        (node, delta_plans[id(node), i]) for node, i in path[1:]])
 
     @staticmethod
     def _register_scan_indexes(node: ViewNode, plan: JoinPlan) -> None:
@@ -264,11 +281,15 @@ class EngineState:
         indicator maintenance, then major/minor rebalancing as needed."""
         if self.mode != "dynamic":
             raise EngineError("static engine state cannot process updates")
-        if mult == 0:
-            return
         rel = self.base.get(symbol)
         if rel is None:
             raise MissingRelationError(symbol)
+        _check_multiplicity(symbol, row, mult)
+        if not isinstance(row, tuple) or len(row) != len(rel.schema):
+            raise ArityMismatchError(
+                f"{symbol}: {row!r} is not a tuple of arity {len(rel.schema)}")
+        if mult == 0:
+            return
         old = rel.get(row)
         if old + mult < 0:
             raise RejectedDeleteError(
@@ -312,45 +333,52 @@ class EngineState:
         return pre
 
     def _update_trees(self, atom: Atom, row: Row, mult: int, pre: dict) -> None:
-        """One occurrence's pass of the update algorithm: apply to all
+        """One occurrence's pass of the update algorithm: apply to the
         trees, maintain each affected indicator triple, forward indicator
         support changes back into the trees."""
         delta = {row: mult}
-        for tree in self.trees:
-            self._apply(tree, atom.name, delta)
+        self._apply_to_trees(atom.name, delta)
         for triple, lp in self._triples_by_leaf.get(atom.name, ()):
             key = tuple(row[p] for p in lp.key_positions)
             all_root = triple.all_root
             before = all_root.content.get(key)
             self._apply(triple.all_tree, atom.name, delta)
             change = all_root.content.get(key) - before
-            d_support = self._h_all_change(triple, key, change)
-            for tree in self.trees:
-                self._apply(tree, triple.support_name, d_support)
+            self._apply_to_trees(triple.support_name,
+                                 self._h_all_change(triple, key, change))
             if pre[(atom.key, triple.var)]:
-                for tree in self.trees:
-                    self._apply(tree, lp.name, delta)
+                self._apply_to_trees(lp.name, delta)
                 lp.content.delta(row, mult)
-                d_light = self._update_ind_tree(triple.light_tree, triple.light_root,
-                                                atom_leaf_name(lp), delta, key)
-                d_support = self._h_light_change(triple, key, d_light)
-                for tree in self.trees:
-                    self._apply(tree, triple.support_name, d_support)
+                self._light_change(triple, lp, delta, key)
+
+    def _apply_to_trees(self, leaf_name: str, delta: Multiset) -> None:
+        """Propagate ``delta`` through every result tree holding the leaf."""
+        if delta:
+            for tree in self._trees_by_leaf.get(leaf_name, ()):
+                self._apply(tree, leaf_name, delta)
+
+    def _light_change(self, triple: IndicatorTriple, lp: LightPart,
+                      delta: Multiset, key: Row) -> None:
+        """Propagate a change of a light part through the indicator light
+        tree, then forward any H support change into the result trees."""
+        d_light = self._update_ind_tree(triple.light_tree, triple.light_root,
+                                        lp.name, delta, key)
+        self._apply_to_trees(triple.support_name,
+                             self._h_light_change(triple, key, d_light))
 
     def _apply(self, tree: ViewTree, leaf_name: str, delta: Multiset) -> Multiset:
         """Leaf-to-root delta propagation; returns the root delta (empty when
         the tree does not contain the leaf or the delta dies out)."""
         if not delta:
             return {}
-        path = tree.leaf_paths.get(leaf_name)
+        path = tree.delta_paths.get(leaf_name)
         if path is None:
             return {}
-        leaf = path[0][0]
+        leaf, steps = path
         for row, m in delta.items():
             leaf.content.delta(row, m)
         current = delta
-        for node, child_idx in path[1:]:
-            plan = self._delta_plans[id(node)][child_idx]
+        for node, plan in steps:
             current = run_join(plan, node.children, current.items())
             if not current:
                 return {}
@@ -434,7 +462,7 @@ class EngineState:
             for triple, lp in self._triples_by_leaf.get(atom.name, ()):
                 key = tuple(row[p] for p in lp.key_positions)
                 in_light = lp.content.count(lp.key_positions, key)
-                if in_light == 0 and rel.count(lp.key_positions, key) < reinsert_below:
+                if in_light == 0 and 0 < rel.count(lp.key_positions, key) < reinsert_below:
                     self._minor_rebalancing(triple, lp, key, insert=True)
                 elif in_light >= evict_at:
                     self._minor_rebalancing(triple, lp, key, insert=False)
@@ -450,13 +478,8 @@ class EngineState:
             cnt = base_mult if insert else -base_mult
             delta = {row: cnt}
             lp.content.delta(row, cnt)
-            for tree in self.trees:
-                self._apply(tree, lp.name, delta)
-            d_light = self._update_ind_tree(triple.light_tree, triple.light_root,
-                                            atom_leaf_name(lp), delta, key)
-            d_support = self._h_light_change(triple, key, d_light)
-            for tree in self.trees:
-                self._apply(tree, triple.support_name, d_support)
+            self._apply_to_trees(lp.name, delta)
+            self._light_change(triple, lp, delta, key)
 
     # ------------------------------------------------------------------
     # reads
@@ -476,9 +499,12 @@ class EngineState:
     # ------------------------------------------------------------------
 
     def check_invariants(self, deep: bool = False) -> None:
-        if self.mode == "dynamic":
-            assert self.M // 4 <= self.N < self.M, \
-                f"size invariant broken: M={self.M} N={self.N}"
+        """Raise :class:`InvariantViolationError` unless the size invariant,
+        the relaxed partition conditions and every H support hold (with
+        ``deep``, also every view's content)."""
+        if self.mode == "dynamic" and not self.M // 4 <= self.N < self.M:
+            raise InvariantViolationError(
+                f"size invariant broken: M={self.M} N={self.N}")
         m_eps = self._theta()
         light_cap = iceil(1.5 * m_eps)
         heavy_floor = 0.5 * m_eps
@@ -488,19 +514,21 @@ class EngineState:
                 light_keys = _key_degrees(lp.content.entries, lp.key_positions)
                 base_keys = _key_degrees(base.entries, lp.key_positions)
                 for key, deg in light_keys.items():
-                    assert deg < light_cap, \
-                        f"{lp.name}: light key {key} has degree {deg} >= {light_cap}"
+                    if deg >= light_cap:
+                        raise InvariantViolationError(
+                            f"{lp.name}: light key {key} has degree {deg} >= {light_cap}")
+                    if key not in base_keys:
+                        raise InvariantViolationError(
+                            f"{lp.name}: light key {key} not in base")
                 for key, deg in base_keys.items():
-                    if key not in light_keys:
-                        assert deg >= heavy_floor, \
-                            f"{lp.name}: heavy key {key} has base degree {deg} < {heavy_floor}"
-                for key in light_keys:
-                    assert key in base_keys, f"{lp.name}: light key {key} not in base"
+                    if key not in light_keys and deg < heavy_floor:
+                        raise InvariantViolationError(
+                            f"{lp.name}: heavy key {key} has base degree {deg} < {heavy_floor}")
             all_supp = set(triple.all_root.content.entries)
             light_supp = set(triple.light_root.content.entries)
             h_supp = set(triple.h_content.entries)
-            assert h_supp == all_supp - light_supp, \
-                f"{triple.h_name}: support mismatch"
+            if h_supp != all_supp - light_supp:
+                raise InvariantViolationError(f"{triple.h_name}: support mismatch")
         if deep:
             self._check_contents()
 
@@ -519,8 +547,9 @@ class EngineState:
                     outer = node.children[plan.start_index]
                     expected = run_join(plan, node.children,
                                         list(outer.content.entries.items()))
-                assert node.content.entries == expected, \
-                    f"{node.name}: content diverged from recomputation"
+                if node.content.entries != expected:
+                    raise InvariantViolationError(
+                        f"{node.name}: content diverged from recomputation")
 
     def _leaf_source_entries(self, node: ViewNode) -> Multiset:
         if node.kind == ATOM:
@@ -578,13 +607,16 @@ def _key_degrees(entries: Multiset, positions: tuple[int, ...]) -> dict[Row, int
     return out
 
 
+def _check_multiplicity(symbol: str, row: Row, m: object) -> None:
+    """Reject a multiplicity that is not an ``int``; ``bool`` is an ``int``
+    subclass but no multiplicity."""
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise InvalidMultiplicityError(
+            f"{symbol}: multiplicity {m!r} of {row} is not an int")
+
+
 def _freeze(entries: Multiset) -> tuple:
     return tuple(sorted(entries.items(), key=repr))
-
-
-def atom_leaf_name(lp: LightPart) -> str:
-    """Dispatch name of a light part's leaf inside the indicator light tree."""
-    return lp.name
 
 
 def preprocess(query: ConjunctiveQuery | str, db: dict[str, Multiset],

@@ -16,7 +16,7 @@ they share view contents and own only cursor state.
 
 from __future__ import annotations
 
-from .errors import CallBeforeOpenError, IteratorInvalidatedError
+from .errors import CallBeforeOpenError, InvariantViolationError, IteratorInvalidatedError
 from .viewtree import HEAVY_REF, ViewNode
 
 Row = tuple
@@ -279,7 +279,9 @@ def union_next(members: list):
             nxt = last.next()
             # a tuple of member i still pending in the prefix implies the
             # member's cursor has tuples left
-            assert nxt is not None
+            if nxt is None:
+                raise InvariantViolationError(
+                    f"union member {i} holds {t} but its cursor is exhausted")
         else:
             nxt = last.next()
             if nxt is None:

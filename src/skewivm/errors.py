@@ -78,8 +78,16 @@ class UnregisteredIndexError(StorageError):
     pass
 
 
+class InvalidMultiplicityError(StorageError):
+    """A multiplicity is not an ``int`` (``bool`` included)."""
+
+
 class MissingRelationError(EngineError):
     pass
+
+
+class InvariantViolationError(EngineError):
+    """A maintained view or partition disagrees with its definition."""
 
 
 class TooLargeError(EngineError):

@@ -5,6 +5,9 @@ map and keeps, for every registered proper sub-schema, an index from
 sub-tuple keys to the matching entries.  All primitives are constant time
 (amortized) and each one bumps the owning :class:`~skewivm.metrics.Counters`
 by exactly one, which is what the counter-based complexity tests measure.
+The join fold in :func:`skewivm.viewtree.run_join` reads entries and index
+buckets directly and adds the same primitives to the counter in bulk: one
+per lookup, one per bucket fetch plus one per scanned row.
 
 Base relations only ever hold strictly positive multiplicities; views may go
 negative transiently while a delta propagates.
@@ -157,9 +160,6 @@ class Relation:
         bucket = index.get(key)
         return len(bucket) if bucket else 0
 
-    def has_key(self, positions: tuple[int, ...], key: Row) -> bool:
-        return self.count(positions, key) > 0
-
     # -- bulk --------------------------------------------------------------
 
     def clear(self) -> None:
@@ -178,9 +178,6 @@ class Relation:
             for positions, index in self.indexes.items():
                 self.counters.storage_ops += 1
                 index.setdefault(tuple(row[p] for p in positions), {})[row] = None
-
-    def copy_from(self, other: "Relation") -> None:
-        self.load(other.entries)
 
     def rebuilt_indexes(self) -> dict[tuple[int, ...], dict[Row, dict[Row, None]]]:
         """Fresh index structures recomputed from `entries` (test oracle)."""

@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable
 
+from .errors import UnregisteredIndexError
 from .query import Atom, ConjunctiveQuery, is_free_connex, is_q_hierarchical
 from .storage import Relation
 from .vorder import VariableOrder
@@ -101,10 +104,6 @@ class IndicatorTriple:
     h_content: Relation | None = None  # All-counts restricted to heavy keys
     all_tree: object = None  # ViewTree wrappers, attached by the engine
     light_tree: object = None
-
-    def key_of(self, atom: Atom, row: tuple) -> tuple:
-        pos = [atom.schema.index(v) for v in self.keys]
-        return tuple(row[p] for p in pos)
 
 
 @dataclass
@@ -278,6 +277,16 @@ def clone_tree(node: ViewNode) -> ViewNode:
 # ---------------------------------------------------------------------------
 
 
+def _projection(positions: tuple[int, ...]):
+    """Row -> tuple of the values at ``positions``.  Contiguous positions
+    (none and one included, where ``itemgetter`` of indexes would fail or
+    return a bare value) become a slice."""
+    lo = positions[0] if positions else 0
+    if positions == tuple(range(lo, lo + len(positions))):
+        return itemgetter(slice(lo, lo + len(positions)))
+    return itemgetter(*positions)
+
+
 @dataclass(frozen=True)
 class JoinStep:
     """One sibling to fold into the accumulator during a join."""
@@ -287,7 +296,15 @@ class JoinStep:
     child_positions: tuple[int, ...]  # key positions in the child schema
     acc_positions: tuple[int, ...]  # matching positions in the accumulator
     new_positions: tuple[int, ...]  # child positions appended to the accumulator
-    negated: bool = False
+    is_set: bool = False  # the child has set semantics: nonzero counts as 1
+    # resolved from the positions: accumulator row -> child key, child row
+    # -> appended values
+    key_of: Callable = field(init=False, repr=False, compare=False)
+    extend: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key_of", _projection(self.acc_positions))
+        object.__setattr__(self, "extend", _projection(self.new_positions))
 
 
 @dataclass(frozen=True)
@@ -296,6 +313,10 @@ class JoinPlan:
     steps: tuple[JoinStep, ...]
     acc_schema: tuple[str, ...]
     out_positions: tuple[int, ...]  # projection of acc onto the view schema
+    project: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "project", _projection(self.out_positions))
 
 
 def _plan_steps(children: list[ViewNode], start: int,
@@ -318,7 +339,8 @@ def _plan_steps(children: list[ViewNode], start: int,
             acc_pos = tuple(acc.index(cs[p]) for p in child_pos)
             new_pos = tuple(p for p, v in enumerate(cs) if v not in acc)
             acc.extend(cs[p] for p in new_pos)
-        steps.append(JoinStep(i, mode, child_pos, acc_pos, new_pos))
+        steps.append(JoinStep(i, mode, child_pos, acc_pos, new_pos,
+                              child.semantics == "set"))
     out_positions = tuple(acc.index(v) for v in view_schema)
     return JoinPlan(start, tuple(steps), tuple(acc), out_positions)
 
@@ -360,34 +382,54 @@ def delta_plan(node: ViewNode, child_index: int) -> JoinPlan:
 def run_join(plan: JoinPlan, children: list[ViewNode],
              start_rows) -> dict[tuple, int]:
     """Fold ``start_rows`` (an iterable of (row, mult) over the plan's start
-    schema) through the plan's steps, returning the aggregated projection."""
-    out: dict[tuple, int] = {}
-    rows = [(row, m) for row, m in start_rows]
+    schema) through the plan's steps, returning the aggregated projection.
+
+    The fold reads the children's entries and index buckets directly and
+    adds to ``Counters.storage_ops`` in bulk what the storage primitives
+    would count one by one: a lookup is one ``get``, an index scan is one
+    bucket fetch plus one per matching row, and a scan with no shared
+    positions is one per entry of the child."""
+    rows = list(start_rows)
     for step in plan.steps:
-        child = children[step.child_index]
-        rel = child.content
-        next_rows = []
+        if not rows:
+            return {}
+        rel = children[step.child_index].content
+        entries = rel.entries
+        key_of, is_set = step.key_of, step.is_set
+        ops = len(rows)
+        next_rows: list = []
+        append = next_rows.append
         if step.mode == "lookup":
+            get = entries.get
             for row, m in rows:
-                key = tuple(row[p] for p in step.acc_positions)
-                cm = rel.get(key)
-                if child.semantics == "set" and cm:
-                    cm = 1
+                cm = get(key_of(row))
                 if cm:
-                    next_rows.append((row, m * cm))
-        else:
+                    append((row, m if is_set else m * cm))
+        elif step.child_positions:
+            index = rel.indexes.get(step.child_positions)
+            if index is None:
+                raise UnregisteredIndexError(
+                    f"{rel.name}: no index on positions {step.child_positions}")
+            bucket_of, extend = index.get, step.extend
             for row, m in rows:
-                key = tuple(row[p] for p in step.acc_positions)
-                for crow, cm in rel.scan(step.child_positions, key):
-                    if child.semantics == "set" and cm:
-                        cm = 1
-                    next_rows.append(
-                        (row + tuple(crow[p] for p in step.new_positions), m * cm))
+                bucket = bucket_of(key_of(row))
+                if bucket:
+                    ops += len(bucket)
+                    for crow in bucket:
+                        append((row + extend(crow),
+                                m if is_set else m * entries[crow]))
+        else:
+            ops *= len(entries)
+            extend = step.extend
+            for row, m in rows:
+                for crow, cm in entries.items():
+                    append((row + extend(crow), m if is_set else m * cm))
+        rel.counters.storage_ops += ops
         rows = next_rows
+    out: dict[tuple, int] = {}
+    project = plan.project
     for row, m in rows:
-        if m == 0:
-            continue
-        key = tuple(row[p] for p in plan.out_positions)
+        key = project(row)
         new = out.get(key, 0) + m
         if new:
             out[key] = new
@@ -397,15 +439,16 @@ def run_join(plan: JoinPlan, children: list[ViewNode],
 
 
 def materialize_node(node: ViewNode, plan: JoinPlan) -> None:
-    """Recompute ``node.content`` from the children (leaves untouched)."""
+    """Recompute ``node.content`` from the children (leaves untouched); the
+    full scan of the outer child counts one op per entry."""
     outer = node.children[plan.start_index]
     rel = outer.content
-
-    def start():
-        for row, m in rel.scan((), ()):
-            yield row, (1 if outer.semantics == "set" and m else m)
-
-    node.content.load(run_join(plan, node.children, start()))
+    rel.counters.storage_ops += len(rel.entries)
+    if outer.semantics == "set":
+        start = [(row, 1) for row in rel.entries]
+    else:
+        start = rel.entries.items()
+    node.content.load(run_join(plan, node.children, start))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ import pytest
 
 from skewivm.cli import main
 from skewivm.datafiles import load_database, parse_update_line
-from skewivm.errors import EngineError, MissingRelationError
+from skewivm.engine import EngineState
+from skewivm.errors import EngineError, InvariantViolationError, MissingRelationError
 from skewivm.query import parse_query
 from skewivm.storage import Interner
 
@@ -141,6 +142,21 @@ def test_run_updates_with_verify(demo, tmp_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert rc == 0
     assert "a3,c9,2" in out and "a1,c2,1" not in out
+
+
+def test_run_verify_reports_invariant_violation_exit_3(demo, tmp_path, capsys,
+                                                        monkeypatch):
+    upd = tmp_path / "u.txt"
+    upd.write_text("+ R, a3, b1\n")
+
+    def broken(self, deep=False):
+        raise InvariantViolationError("H_B: support mismatch")
+
+    monkeypatch.setattr(EngineState, "check_invariants", broken)
+    rc = main(["run", "--query", QUERY, "--data", str(demo), "--updates", str(upd),
+               "--verify"])
+    assert rc == 3
+    assert "invariant violated: H_B: support mismatch" in capsys.readouterr().err
 
 
 def test_run_over_delete_exit_4(demo, tmp_path, capsys):

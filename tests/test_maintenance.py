@@ -2,12 +2,26 @@
 
 from __future__ import annotations
 
+import os
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from skewivm.engine import preprocess
-from skewivm.errors import EngineError, RejectedDeleteError
+from skewivm.enumeration import union_next
+from skewivm.errors import (
+    ArityMismatchError,
+    EngineError,
+    InvalidMultiplicityError,
+    InvariantViolationError,
+    MissingRelationError,
+    RejectedDeleteError,
+)
 from skewivm.oracle import brute_force_eval
 from skewivm.query import parse_query
 from skewivm.storage import iceil
@@ -231,3 +245,118 @@ def test_preprocess_validations():
     st = preprocess(q, {"R": {}, "S": {}}, 0.5, mode="dynamic")
     with pytest.raises(EngineError):
         st.on_update("Zebra", (1,), 1)
+
+
+# ---------------------------------------------------------------------------
+# input validation at the API boundary
+# ---------------------------------------------------------------------------
+
+
+def _chain2_state():
+    db = {"R": {(1, 7): 1, (2, 7): 2, (3, 4): 1}, "S": {(7, 5): 1, (4, 4): 3}}
+    return preprocess(parse("chain2"), db, 0.5, mode="dynamic")
+
+
+def _observable(st):
+    return st.N, st.db_snapshot(), st.generation, st.fingerprint()
+
+
+@pytest.mark.parametrize("symbol,row,mult,error", [
+    ("R", (1,), 1, ArityMismatchError),
+    ("R", (1,), 0, ArityMismatchError),
+    ("R", (1, 7, 9), -1, ArityMismatchError),
+    ("R", [1, 7], 1, ArityMismatchError),
+    ("R", (1, 7), 1.5, InvalidMultiplicityError),
+    ("R", (1, 7), True, InvalidMultiplicityError),
+    ("R", (1, 7), "1", InvalidMultiplicityError),
+    ("Zebra", (1, 7), 1, MissingRelationError),
+    ("R", (1, 7), -2, RejectedDeleteError),
+])
+def test_rejected_update_changes_nothing(symbol, row, mult, error):
+    st = _chain2_state()
+    before = _observable(st)
+    with pytest.raises(error):
+        st.on_update(symbol, row, mult)
+    assert _observable(st) == before
+    st.check_invariants(deep=True)
+
+
+@pytest.mark.parametrize("mult", (1.5, True, None))
+def test_preprocess_rejects_non_int_multiplicities(mult):
+    with pytest.raises(InvalidMultiplicityError):
+        preprocess(parse("chain2"), {"R": {(1, 2): mult}, "S": {}}, 0.5)
+
+
+def test_deleting_a_light_keys_last_tuple_starts_no_minor_rebalance():
+    db = {"R": {**{(i, 7): 1 for i in range(12)}, (1, 1): 1, (2, 3): 1},
+          "S": {(7, 1): 1, (1, 1): 1, (3, 5): 1, (3, 6): 1}}
+    st = preprocess(parse("chain2"), db, 0.5, mode="dynamic")
+    (triple,) = st.triples
+    lp_r = next(lp for lp in triple.light_parts if lp.atom.symbol == "R")
+    assert lp_r.content.count(lp_r.key_positions, (1,)) == 1  # key 1 is light
+    minors, majors = st.counters.minor_rebalances, st.counters.major_rebalances
+    st.on_update("R", (1, 1), -1)
+    assert st.counters.major_rebalances == majors
+    assert st.counters.minor_rebalances == minors
+    st.check_invariants(deep=True)
+
+
+# ---------------------------------------------------------------------------
+# invariant checks raise a typed error, also under python -O
+# ---------------------------------------------------------------------------
+
+
+def test_corrupted_view_raises_invariant_violation():
+    st = _chain2_state()
+    node = next(n for t in st.trees for n in t.nodes if not n.is_leaf)
+    node.content.entries[(99,) * len(node.schema)] = 1
+    st.check_invariants()  # the shallow check reads no tree view
+    with pytest.raises(InvariantViolationError, match=re.escape(node.name)):
+        st.check_invariants(deep=True)
+
+
+def test_corrupted_h_support_raises_invariant_violation():
+    st = _chain2_state()
+    (triple,) = st.triples
+    triple.h_content.entries[(99,)] = 1
+    with pytest.raises(InvariantViolationError, match=re.escape(triple.h_name)):
+        st.check_invariants()
+
+
+def test_union_of_exhausted_member_raises_invariant_violation():
+    class Member:
+        def __init__(self, rows, held):
+            self.rows, self.held = list(rows), held
+            self.node = SimpleNamespace(enum=SimpleNamespace(out_schema=("A",)))
+
+        def next(self):
+            return self.rows.pop(0) if self.rows else None
+
+        def lookup(self, assign):
+            return self.held.get(assign["A"], 0)
+
+    # member 1 claims to hold (1,) but its cursor has nothing left
+    with pytest.raises(InvariantViolationError):
+        union_next([Member([((1,), 1)], {1: 1}), Member([], {1: 1})])
+
+
+def test_invariant_checks_survive_python_O():
+    script = (
+        "from skewivm.engine import preprocess\n"
+        "from skewivm.errors import InvariantViolationError\n"
+        "from skewivm.query import parse_query\n"
+        "st = preprocess(parse_query('Q(A,C) = R(A,B), S(B,C).'),\n"
+        "                {'R': {(1, 7): 1}, 'S': {(7, 5): 1}}, 0.5)\n"
+        "st.check_invariants(deep=True)\n"
+        "st.trees[0].root.content.entries[(9, 9)] = 1\n"
+        "try:\n"
+        "    st.check_invariants(deep=True)\n"
+        "except InvariantViolationError:\n"
+        "    print('caught')\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "caught"
