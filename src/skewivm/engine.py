@@ -25,15 +25,13 @@ from .errors import (
     MissingRelationError,
     NotHierarchicalError,
     RejectedDeleteError,
+    UnhashableValueError,
 )
 from .metrics import Counters
 from .query import Atom, ConjunctiveQuery, connected_components, hierarchy_violation, parse_query
 from .storage import Relation, iceil, strict_partition
 from .vorder import VariableOrder, canonical_vo
 from .viewtree import (
-    ATOM,
-    HEAVY_REF,
-    LIGHT,
     IndicatorTriple,
     JoinPlan,
     LightPart,
@@ -64,9 +62,9 @@ class ViewTree:
         # leaf name -> [(leaf, -1), (parent, child index), ..., (root, i)]
         self.leaf_paths: dict[str, list[tuple[ViewNode, int]]] = {}
         self._collect_paths(root, [])
-        # leaf name -> (leaf, [(node on the path, its delta plan), ...]);
-        # filled by the engine in dynamic mode
-        self.delta_paths: dict[str, tuple[ViewNode, list[tuple[ViewNode, JoinPlan]]]] = {}
+        # leaf name -> [(node above the leaf, its delta plan), ..., (root,
+        # plan)]; filled by the engine in dynamic mode
+        self.delta_paths: dict[str, list[tuple[ViewNode, JoinPlan]]] = {}
 
     def _collect_paths(self, node: ViewNode, above: list[tuple[ViewNode, int]]) -> None:
         if node.is_leaf:
@@ -116,12 +114,17 @@ class EngineState:
         self.components: list[Component] = []
         self.trees: list[ViewTree] = []
         self.triples: list[IndicatorTriple] = []
+        # the result trees, then each triple's All and L trees
+        self.forest: list[ViewTree] = []
         self.base: dict[str, Relation] = {}
+        # atom name -> the relation its ATOM leaves read: the base relation
+        # for a symbol's first occurrence, one relation of its own for each
+        # later occurrence of a self-join
+        self.atom_rels: dict[str, Relation] = {}
         self._mat_plans: dict[int, JoinPlan] = {}
         # leaf name -> the result trees holding that leaf
         self._trees_by_leaf: dict[str, list[ViewTree]] = {}
         self._triples_by_leaf: dict[str, list[tuple[IndicatorTriple, LightPart]]] = {}
-        self._support_by_name: dict[str, IndicatorTriple] = {}
 
     # ------------------------------------------------------------------
     # construction
@@ -147,6 +150,9 @@ class EngineState:
             self.components.append(Component(comp.head_vars, trees, ctx.triples))
             self.trees.extend(trees)
             self.triples.extend(ctx.triples)
+        self.forest = list(self.trees)
+        for triple in self.triples:
+            self.forest.extend([triple.all_tree, triple.light_tree])
 
         self._attach_relations(db)
         self._register_plans()
@@ -162,9 +168,11 @@ class EngineState:
         self._load_all()
 
     def _attach_relations(self, db: dict[str, Multiset]) -> None:
+        """Create the base relations, light parts and H supports, give every
+        leaf the one of them it reads and every view a relation of its own."""
         counters = self.counters
         for sym in self.query.symbols():
-            first = self.query.occurrences(sym)[0]
+            first, *later = self.query.occurrences(sym)
             rel = Relation(sym, first.schema, counters, base=True)
             for row, m in db[sym].items():
                 _check_multiplicity(sym, row, m)
@@ -172,19 +180,24 @@ class EngineState:
                     raise EngineError(f"{sym}: nonpositive input multiplicity for {row}")
                 rel.delta(row, m)
             self.base[sym] = rel
-        all_trees = list(self.trees)
+            self.atom_rels[first.name] = rel
+            for atom in later:
+                self.atom_rels[atom.name] = Relation(atom.name, atom.schema, counters)
+                self.atom_rels[atom.name].load(rel.entries)
+        sources = dict(self.atom_rels)
         for triple in self.triples:
-            all_trees.extend([triple.all_tree, triple.light_tree])
-            triple.h_content = Relation(f"{triple.h_name}", triple.keys, counters)
+            triple.h_content = Relation(triple.h_name, triple.keys, counters)
+            sources[triple.support_name] = triple.h_content
             for lp in triple.light_parts:
-                lp.content = Relation(f"{lp.name}@canon", lp.atom.schema, counters)
+                lp.content = Relation(lp.name, lp.atom.schema, counters)
                 lp.content.register_index(lp.key_positions)
                 self.base[lp.atom.symbol].register_index(lp.key_positions)
                 self._triples_by_leaf.setdefault(lp.atom.name, []).append((triple, lp))
-            self._support_by_name[triple.support_name] = triple
-        for tree in all_trees:
+                sources[lp.name] = lp.content
+        for tree in self.forest:
             for node in tree.nodes:
-                node.content = Relation(node.name, node.schema, counters)
+                node.content = (sources[node.leaf_name] if node.is_leaf
+                                else Relation(node.name, node.schema, counters))
 
     def _register_plans(self) -> None:
         """Build every join plan once, register the indexes its scans read,
@@ -193,10 +206,7 @@ class EngineState:
         for tree in self.trees:
             for leaf_name in tree.leaf_paths:
                 self._trees_by_leaf.setdefault(leaf_name, []).append(tree)
-        trees = list(self.trees)
-        for triple in self.triples:
-            trees.extend([triple.all_tree, triple.light_tree])
-        for tree in trees:
+        for tree in self.forest:
             delta_plans: dict[tuple[int, int], JoinPlan] = {}
             for node in tree.nodes:
                 if node.is_leaf:
@@ -211,8 +221,8 @@ class EngineState:
                         self._register_scan_indexes(node, dplan)
             if self.mode == "dynamic":
                 for leaf_name, path in tree.leaf_paths.items():
-                    tree.delta_paths[leaf_name] = (path[0][0], [
-                        (node, delta_plans[id(node), i]) for node, i in path[1:]])
+                    tree.delta_paths[leaf_name] = [
+                        (node, delta_plans[id(node), i]) for node, i in path[1:]]
 
     @staticmethod
     def _register_scan_indexes(node: ViewNode, plan: JoinPlan) -> None:
@@ -232,35 +242,11 @@ class EngineState:
                 lp.content.load(strict_partition(self.base[lp.atom.symbol],
                                                  lp.key_positions, theta))
         for triple in self.triples:
-            self._refresh_tree_leaves(triple.all_tree)
-            self._refresh_tree_leaves(triple.light_tree)
             self._materialize_tree(triple.all_tree)
             self._materialize_tree(triple.light_tree)
             self._rebuild_h(triple)
         for tree in self.trees:
-            self._refresh_tree_leaves(tree)
             self._materialize_tree(tree)
-
-    def _refresh_tree_leaves(self, tree: ViewTree) -> None:
-        for node in tree.nodes:
-            if not node.is_leaf:
-                continue
-            if node.kind == ATOM:
-                sym = node.leaf_name.split("#", 1)[0]
-                node.content.load(self.base[sym].entries)
-            elif node.kind == LIGHT:
-                lp = self._lightpart_by_name(node.leaf_name)
-                node.content.load(lp.content.entries)
-            elif node.kind == HEAVY_REF:
-                triple = self._support_by_name[node.leaf_name]
-                node.content.load({k: 1 for k in triple.h_content.entries})
-
-    def _lightpart_by_name(self, name: str) -> LightPart:
-        for pairs in self._triples_by_leaf.values():
-            for _, lp in pairs:
-                if lp.name == name:
-                    return lp
-        raise KeyError(name)
 
     def _materialize_tree(self, tree: ViewTree) -> None:
         for node in tree.root.postorder():
@@ -269,7 +255,7 @@ class EngineState:
 
     def _rebuild_h(self, triple: IndicatorTriple) -> None:
         light_support = triple.light_root.content.entries
-        triple.h_content.load({k: m for k, m in triple.all_root.content.entries.items()
+        triple.h_content.load({k: 1 for k in triple.all_root.content.entries
                                if k not in light_support})
 
     # ------------------------------------------------------------------
@@ -288,6 +274,11 @@ class EngineState:
         if not isinstance(row, tuple) or len(row) != len(rel.schema):
             raise ArityMismatchError(
                 f"{symbol}: {row!r} is not a tuple of arity {len(rel.schema)}")
+        try:
+            hash(row)
+        except TypeError:
+            raise UnhashableValueError(
+                f"{symbol}: {row!r} holds an unhashable value") from None
         if mult == 0:
             return
         old = rel.get(row)
@@ -306,6 +297,11 @@ class EngineState:
             self.N -= 1
 
         for atom in occurrences:
+            # a later self-join occurrence turns new just before its own
+            # pass: each pass sees earlier occurrences new, later ones old
+            occurrence_rel = self.atom_rels[atom.name]
+            if occurrence_rel is not rel:
+                occurrence_rel.delta(row, mult)
             self._update_trees(atom, row, mult, pre)
 
         if self.N == self.M:
@@ -321,7 +317,7 @@ class EngineState:
     def _light_path_conditions(self, occurrences: list[Atom], row: Row) -> dict:
         """Pre-update evaluation of the light-path test per governed part:
         the update belongs to the light part when its key is new to the
-        relation or already present in the light copy."""
+        relation or already present in the light part."""
         pre = {}
         rel = self.base[occurrences[0].symbol]
         for atom in occurrences:
@@ -333,22 +329,21 @@ class EngineState:
         return pre
 
     def _update_trees(self, atom: Atom, row: Row, mult: int, pre: dict) -> None:
-        """One occurrence's pass of the update algorithm: apply to the
-        trees, maintain each affected indicator triple, forward indicator
-        support changes back into the trees."""
+        """One occurrence's pass of the update algorithm, after the
+        occurrence's relation took the update: apply to the trees, maintain
+        each affected indicator triple, forward indicator support changes
+        back into the trees."""
         delta = {row: mult}
         self._apply_to_trees(atom.name, delta)
         for triple, lp in self._triples_by_leaf.get(atom.name, ()):
             key = tuple(row[p] for p in lp.key_positions)
-            all_root = triple.all_root
-            before = all_root.content.get(key)
-            self._apply(triple.all_tree, atom.name, delta)
-            change = all_root.content.get(key) - before
+            d_all = self._update_ind_tree(triple.all_tree, triple.all_root,
+                                          atom.name, delta, key)
             self._apply_to_trees(triple.support_name,
-                                 self._h_all_change(triple, key, change))
+                                 self._h_all_change(triple, key, d_all))
             if pre[(atom.key, triple.var)]:
-                self._apply_to_trees(lp.name, delta)
                 lp.content.delta(row, mult)
+                self._apply_to_trees(lp.name, delta)
                 self._light_change(triple, lp, delta, key)
 
     def _apply_to_trees(self, leaf_name: str, delta: Multiset) -> None:
@@ -368,15 +363,14 @@ class EngineState:
 
     def _apply(self, tree: ViewTree, leaf_name: str, delta: Multiset) -> Multiset:
         """Leaf-to-root delta propagation; returns the root delta (empty when
-        the tree does not contain the leaf or the delta dies out)."""
+        the tree does not contain the leaf or the delta dies out).  The
+        caller has already written ``delta`` into the relation the leaf
+        reads."""
         if not delta:
             return {}
-        path = tree.delta_paths.get(leaf_name)
-        if path is None:
+        steps = tree.delta_paths.get(leaf_name)
+        if steps is None:
             return {}
-        leaf, steps = path
-        for row, m in delta.items():
-            leaf.content.delta(row, m)
         current = delta
         for node, plan in steps:
             current = run_join(plan, node.children, current.items())
@@ -399,41 +393,27 @@ class EngineState:
             return -1
         return 0
 
-    # H = All restricted to keys outside the light support (set semantics
-    # via its support); the two maintenance entry points mirror the two
-    # children of the heavy indicator's defining join.
+    # H = the support of All outside the support of L, as a set ({key: 1});
+    # the two maintenance entry points mirror the two children of the heavy
+    # indicator's defining join.  Each takes a support transition (+1/-1/0)
+    # of All or L at ``key`` and returns the delta it made to H.
 
-    def _h_all_change(self, triple: IndicatorTriple, key: Row, change: int) -> Multiset:
-        if change == 0:
+    def _h_all_change(self, triple: IndicatorTriple, key: Row, d_all: int) -> Multiset:
+        if d_all == 0 or triple.light_root.content.get(key) != 0:
             return {}
-        if triple.light_root.content.get(key) != 0:
-            return {}
-        h = triple.h_content
-        before = h.get(key)
-        h.delta(key, change)
-        return self._support_delta(key, before, h.get(key))
+        triple.h_content.delta(key, d_all)
+        return {key: d_all}
 
     def _h_light_change(self, triple: IndicatorTriple, key: Row, d_light: int) -> Multiset:
         if d_light == 0:
             return {}
-        h = triple.h_content
-        before = h.get(key)
-        if d_light > 0:
-            if before:
-                h.delta(key, -before)
-        else:
-            allm = triple.all_root.content.get(key)
-            if allm:
-                h.delta(key, allm - before)
-        return self._support_delta(key, before, h.get(key))
-
-    @staticmethod
-    def _support_delta(key: Row, before: int, after: int) -> Multiset:
-        if before == 0 and after != 0:
-            return {key: 1}
-        if before != 0 and after == 0:
-            return {key: -1}
-        return {}
+        # a key entering L leaves H if H has it; one leaving L enters H if
+        # All has it
+        holder = triple.h_content if d_light > 0 else triple.all_root.content
+        if holder.get(key) == 0:
+            return {}
+        triple.h_content.delta(key, -d_light)
+        return {key: -d_light}
 
     # -- rebalancing -----------------------------------------------------
 
@@ -446,11 +426,9 @@ class EngineState:
             for lp in triple.light_parts:
                 lp.content.load(strict_partition(self.base[lp.atom.symbol],
                                                  lp.key_positions, theta))
-            self._refresh_tree_leaves(triple.light_tree)
             self._materialize_tree(triple.light_tree)
             self._rebuild_h(triple)
         for tree in self.trees:
-            self._refresh_tree_leaves(tree)
             self._materialize_tree(tree)
 
     def _minor_checks(self, occurrences: list[Atom], row: Row) -> None:
@@ -533,42 +511,32 @@ class EngineState:
             self._check_contents()
 
     def _check_contents(self) -> None:
-        """Every view equals its from-children recomputation, and every leaf
-        copy equals its canonical source."""
-        trees = list(self.trees)
-        for triple in self.triples:
-            trees.extend([triple.all_tree, triple.light_tree])
-        for tree in trees:
+        """Every later self-join occurrence's relation equals its base
+        relation, and every view equals its from-children recomputation."""
+        for atom in self.query.atoms:
+            if self.atom_rels[atom.name].entries != self.base[atom.symbol].entries:
+                raise InvariantViolationError(
+                    f"{atom.name}: occurrence relation diverged from {atom.symbol}")
+        for tree in self.forest:
             for node in tree.root.postorder():
                 if node.is_leaf:
-                    expected = self._leaf_source_entries(node)
-                else:
-                    plan = self._mat_plans[id(node)]
-                    outer = node.children[plan.start_index]
-                    expected = run_join(plan, node.children,
-                                        list(outer.content.entries.items()))
+                    continue
+                plan = self._mat_plans[id(node)]
+                outer = node.children[plan.start_index]
+                expected = run_join(plan, node.children,
+                                    list(outer.content.entries.items()))
                 if node.content.entries != expected:
                     raise InvariantViolationError(
                         f"{node.name}: content diverged from recomputation")
 
-    def _leaf_source_entries(self, node: ViewNode) -> Multiset:
-        if node.kind == ATOM:
-            return dict(self.base[node.leaf_name.split("#", 1)[0]].entries)
-        if node.kind == LIGHT:
-            return dict(self._lightpart_by_name(node.leaf_name).content.entries)
-        triple = self._support_by_name[node.leaf_name]
-        return {k: 1 for k in triple.h_content.entries}
-
     def fingerprint(self) -> dict:
         """Exact content map for state-equality comparisons."""
         out: dict = {"M": self.M, "N": self.N}
-        trees = list(self.trees)
         for triple in self.triples:
-            trees.extend([triple.all_tree, triple.light_tree])
             out[triple.h_content.name] = _freeze(triple.h_content.entries)
             for lp in triple.light_parts:
                 out[lp.content.name] = _freeze(lp.content.entries)
-        for tree in trees:
+        for tree in self.forest:
             for node in tree.nodes:
                 out[node.name] = _freeze(node.content.entries)
         return out

@@ -82,6 +82,10 @@ class InvalidMultiplicityError(StorageError):
     """A multiplicity is not an ``int`` (``bool`` included)."""
 
 
+class UnhashableValueError(StorageError):
+    """A row holds a value that cannot be hashed, so it cannot be stored."""
+
+
 class MissingRelationError(EngineError):
     pass
 

@@ -7,8 +7,9 @@ rule, auxiliary aggregation views for dynamic maintenance, indicator triples
 splitter that forks into a light strategy over partitioned relations and
 heavy strategies gated by set-semantics indicators.
 
-Nodes built here carry no data; the engine attaches a Relation to every node
-and materializes bottom-up.
+Nodes built here carry no data.  The engine gives every leaf, as its content,
+the relation it reads (a base relation, a light part or an H support) and
+every view a relation of its own, which it materializes bottom-up.
 """
 
 from __future__ import annotations
@@ -81,13 +82,13 @@ class ViewNode:
 
 @dataclass
 class LightPart:
-    """The light copy of one atom occurrence, partitioned on ``keys``."""
+    """The light part of one atom occurrence, partitioned on ``keys``."""
 
     atom: Atom
     keys: tuple[str, ...]
     name: str
     key_positions: tuple[int, ...]  # positions of keys in the atom schema
-    content: Relation | None = None  # canonical copy, owned by the triple
+    content: Relation | None = None  # the light part itself; its leaves read it
 
 
 @dataclass
@@ -99,9 +100,9 @@ class IndicatorTriple:
     all_root: ViewNode
     light_root: ViewNode
     light_parts: list[LightPart]
-    support_name: str  # leaf name of the set-semantics H copies in trees
+    support_name: str  # leaf name of the xH leaves, which read h_content
     h_name: str
-    h_content: Relation | None = None  # All-counts restricted to heavy keys
+    h_content: Relation | None = None  # H as a set: {key: 1} per heavy key
     all_tree: object = None  # ViewTree wrappers, attached by the engine
     light_tree: object = None
 

@@ -132,19 +132,6 @@ class VariableOrder:
                 return False
         return True
 
-    def pretty(self) -> str:
-        lines: list[str] = []
-
-        def walk(node: Node, depth: int) -> None:
-            label = node if isinstance(node, str) else str(node)
-            lines.append("  " * depth + str(label))
-            for k in self.kids(node):
-                walk(k, depth + 1)
-
-        for r in self.roots:
-            walk(r, 0)
-        return "\n".join(lines)
-
 
 # ---------------------------------------------------------------------------
 # Canonical and free-top orders

@@ -21,6 +21,7 @@ from skewivm.errors import (
     InvariantViolationError,
     MissingRelationError,
     RejectedDeleteError,
+    UnhashableValueError,
 )
 from skewivm.oracle import brute_force_eval
 from skewivm.query import parse_query
@@ -178,10 +179,18 @@ def test_minor_rebalancing_light_to_heavy_and_back():
     assert lp_r.content.count(lp_r.key_positions, (7,)) == 1
 
 
-def test_repeated_symbol_fan_out():
-    q = parse_query("Q(A) = R(A,B), R(B,C).")
+@pytest.mark.parametrize("eps", (0.0, 0.5, 1.0))
+@pytest.mark.parametrize("text", (
+    "Q(A) = R(A,B), R(B,C).",
+    "Q(A) = R(A), R(A).",
+    "Q(A,B) = R(A,B), R(A,B), R(A,B).",
+), ids=("RAB-RBC", "RA-RA", "RAB-RAB-RAB"))
+def test_repeated_symbol_fan_out(text, eps):
+    # each pass of a self-join update must see the occurrences before it
+    # new and those after it old
+    q = parse_query(text)
     rng = random.Random(97)
-    st = preprocess(q, {"R": {}}, 0.5, mode="dynamic")
+    st = preprocess(q, {"R": {}}, eps, mode="dynamic")
     run_trace(st, q, rng, steps=120, dom=5)
     st.check_invariants(deep=True)
     assert st.result_multiset() == brute_force_eval(q, st.db_snapshot())
@@ -271,6 +280,7 @@ def _observable(st):
     ("R", (1, 7), "1", InvalidMultiplicityError),
     ("Zebra", (1, 7), 1, MissingRelationError),
     ("R", (1, 7), -2, RejectedDeleteError),
+    ("R", ([1], 7), 1, UnhashableValueError),
 ])
 def test_rejected_update_changes_nothing(symbol, row, mult, error):
     st = _chain2_state()
@@ -321,6 +331,15 @@ def test_corrupted_h_support_raises_invariant_violation():
     triple.h_content.entries[(99,)] = 1
     with pytest.raises(InvariantViolationError, match=re.escape(triple.h_name)):
         st.check_invariants()
+
+
+def test_diverged_occurrence_relation_raises_invariant_violation():
+    q = parse_query("Q(A) = R(A,B), R(B,C).")
+    st = preprocess(q, {"R": {(1, 2): 1, (2, 3): 1}}, 0.5, mode="dynamic")
+    st.check_invariants(deep=True)
+    st.atom_rels["R#1"].entries[(9, 9)] = 1
+    with pytest.raises(InvariantViolationError, match="R#1"):
+        st.check_invariants(deep=True)
 
 
 def test_union_of_exhausted_member_raises_invariant_violation():

@@ -8,6 +8,9 @@ from skewivm.engine import preprocess
 from skewivm.oracle import brute_force_eval
 from skewivm.query import connected_components, parse_query
 from skewivm.viewtree import (
+    ATOM,
+    HEAVY_REF,
+    LIGHT,
     ViewNode,
     aux_view,
     make_context,
@@ -16,7 +19,7 @@ from skewivm.viewtree import (
 )
 from skewivm.vorder import canonical_vo
 
-from conftest import parse, rand_db, random_hierarchical_query
+from conftest import parse, rand_db, random_hierarchical_query, run_trace
 
 
 def shape(node: ViewNode):
@@ -158,10 +161,37 @@ def test_set_semantics_nodes_hold_only_multiplicity_one():
     q = parse("chain2")
     db = rand_db(q, rng, per_rel=60, dom=5)
     st = preprocess(q, db, 0.25, mode="dynamic")
-    for tree in st.trees:
+
+    def check(step=None):
+        for tree in st.forest:
+            for node in tree.nodes:
+                if node.semantics == "set":
+                    assert set(node.content.entries.values()) <= {1}, node.name
+        for triple in st.triples:
+            assert set(triple.h_content.entries.values()) <= {1}, triple.h_name
+
+    check()
+    run_trace(st, q, rng, steps=150, dom=5, on_step=check)
+
+
+def test_every_leaf_reads_its_canonical_relation():
+    q = parse_query("Q(A) = R(A,B), R(B,C).")
+    db = rand_db(q, random.Random(73), per_rel=30, dom=5)
+    st = preprocess(q, db, 0.5, mode="dynamic")
+    assert st.atom_rels["R#0"] is st.base["R"]
+    assert st.atom_rels["R#1"] is not st.base["R"]
+    sources = dict(st.atom_rels)
+    for triple in st.triples:
+        sources[triple.support_name] = triple.h_content
+        for lp in triple.light_parts:
+            sources[lp.name] = lp.content
+    kinds = set()
+    for tree in st.forest:
         for node in tree.nodes:
-            if node.semantics == "set":
-                assert set(node.content.entries.values()) <= {1}
+            if node.is_leaf:
+                assert node.content is sources[node.leaf_name], node.name
+                kinds.add(node.kind)
+    assert kinds == {ATOM, LIGHT, HEAVY_REF}
 
 
 def test_empty_database_all_views_empty():
