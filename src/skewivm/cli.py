@@ -1,7 +1,8 @@
 """Command-line entry points: analyze, run, bench.
 
-Exit codes: 0 success, 1 query syntax error, 2 non-hierarchical query,
-3 verification failure, 4 rejected delete.
+Exit codes: 0 success, 1 query syntax error or data error (a bad relation
+file, input multiplicity, epsilon or update line), 2 non-hierarchical
+query, 3 verification failure, 4 rejected delete.
 """
 
 from __future__ import annotations
@@ -116,6 +117,9 @@ def cmd_run(args) -> int:
     except NotHierarchicalError as exc:
         print(f"not hierarchical: {exc}", file=sys.stderr)
         return EXIT_NOT_HIERARCHICAL
+    except EngineError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_SYNTAX
 
     def verify() -> bool:
         if mode == "dynamic":
@@ -130,17 +134,24 @@ def cmd_run(args) -> int:
 
     applied = 0
     if args.updates:
-        try:
-            for symbol, row, mult in read_updates(args.updates, q, interner):
-                state.on_update(symbol, row, mult)
-                applied += 1
-                if args.verify and args.checkpoint_every and applied % args.checkpoint_every == 0:
-                    if not verify():
-                        print(f"verification failed after update {applied}", file=sys.stderr)
-                        return EXIT_VERIFY
-        except RejectedDeleteError as exc:
-            print(f"rejected delete: {exc}", file=sys.stderr)
-            return EXIT_REJECTED
+        updates = read_updates(args.updates, q, interner)
+        while True:
+            try:
+                update = next(updates, None)
+                if update is None:
+                    break
+                state.on_update(*update)
+            except RejectedDeleteError as exc:
+                print(f"rejected delete: {exc}", file=sys.stderr)
+                return EXIT_REJECTED
+            except EngineError as exc:
+                print(f"data error: {exc}", file=sys.stderr)
+                return EXIT_SYNTAX
+            applied += 1
+            if args.verify and args.checkpoint_every and applied % args.checkpoint_every == 0:
+                if not verify():
+                    print(f"verification failed after update {applied}", file=sys.stderr)
+                    return EXIT_VERIFY
     if args.verify:
         if not verify():
             print("verification failed on final state", file=sys.stderr)

@@ -56,9 +56,10 @@ class ViewTree:
     def __init__(self, root: ViewNode, tag: str):
         self.root = root
         self.tag = tag
-        for node in root.walk():
+        # children before their parent, the order views are computed in
+        self.nodes = root.postorder()
+        for node in self.nodes:
             node.name = f"{node.name}@{tag}"
-        self.nodes = root.walk()
         # leaf name -> [(leaf, -1), (parent, child index), ..., (root, i)]
         self.leaf_paths: dict[str, list[tuple[ViewNode, int]]] = {}
         self._collect_paths(root, [])
@@ -68,8 +69,9 @@ class ViewTree:
 
     def _collect_paths(self, node: ViewNode, above: list[tuple[ViewNode, int]]) -> None:
         if node.is_leaf:
-            assert node.leaf_name not in self.leaf_paths, \
-                f"duplicate leaf {node.leaf_name} in tree {self.tag}"
+            if node.leaf_name in self.leaf_paths:
+                raise InvariantViolationError(
+                    f"duplicate leaf {node.leaf_name} in tree {self.tag}")
             path = [(node, -1)]
             path.extend(reversed(above))
             self.leaf_paths[node.leaf_name] = path
@@ -165,7 +167,9 @@ class EngineState:
         if not (self.M // 4 <= self.N < self.M):
             raise EngineError(f"threshold base {self.M} violates the size "
                               f"invariant for N={self.N}")
-        self._load_all()
+        for triple in self.triples:
+            self._materialize_tree(triple.all_tree)
+        self._repartition()
 
     def _attach_relations(self, db: dict[str, Multiset]) -> None:
         """Create the base relations, light parts and H supports, give every
@@ -235,21 +239,22 @@ class EngineState:
     def _theta(self) -> float:
         return float(self.M) ** self.epsilon
 
-    def _load_all(self) -> None:
+    def _repartition(self) -> None:
+        """Strictly repartition every light part at the current threshold
+        and recompute the L trees, H and the result trees from the leaves."""
         theta = self._theta()
         for triple in self.triples:
             for lp in triple.light_parts:
                 lp.content.load(strict_partition(self.base[lp.atom.symbol],
                                                  lp.key_positions, theta))
         for triple in self.triples:
-            self._materialize_tree(triple.all_tree)
             self._materialize_tree(triple.light_tree)
             self._rebuild_h(triple)
         for tree in self.trees:
             self._materialize_tree(tree)
 
     def _materialize_tree(self, tree: ViewTree) -> None:
-        for node in tree.root.postorder():
+        for node in tree.nodes:
             if not node.is_leaf:
                 materialize_node(node, self._mat_plans[id(node)])
 
@@ -418,18 +423,10 @@ class EngineState:
     # -- rebalancing -----------------------------------------------------
 
     def _major_rebalancing(self) -> None:
-        """Strictly repartition every light part at the new threshold and
-        recompute every affected view from the leaves."""
+        """Repartition at the new threshold; the All trees do not depend on
+        the partition and stay as they are."""
         self.counters.major_rebalances += 1
-        theta = self._theta()
-        for triple in self.triples:
-            for lp in triple.light_parts:
-                lp.content.load(strict_partition(self.base[lp.atom.symbol],
-                                                 lp.key_positions, theta))
-            self._materialize_tree(triple.light_tree)
-            self._rebuild_h(triple)
-        for tree in self.trees:
-            self._materialize_tree(tree)
+        self._repartition()
 
     def _minor_checks(self, occurrences: list[Atom], row: Row) -> None:
         m_eps = self._theta()
@@ -518,7 +515,7 @@ class EngineState:
                 raise InvariantViolationError(
                     f"{atom.name}: occurrence relation diverged from {atom.symbol}")
         for tree in self.forest:
-            for node in tree.root.postorder():
+            for node in tree.nodes:
                 if node.is_leaf:
                     continue
                 plan = self._mat_plans[id(node)]

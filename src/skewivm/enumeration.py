@@ -4,8 +4,13 @@ Iterators follow the open/next/close model.  Opening a tree ranges its root
 view over the tuples agreeing with the parent context; a view whose schema
 already covers every free variable below it is enumerated directly; a view
 with a heavy-indicator child is *grounded* into one shallow-copy iterator
-per heavy key, and those buckets are merged by the union algorithm.  Sibling
-subtrees combine through the product algorithm within the current context.
+per heavy key, and those buckets are merged by the union algorithm.
+
+Sibling subtrees under one view row, and the components of the result,
+combine through one product routine: :func:`_odometer` restarts an exhausted
+slot under the shared context and advances the slot before it, and
+:func:`_product_row` composes the output tuple and multiplies the slots'
+multiplicities.
 
 A union emits each distinct tuple once: a tuple drawn from the first n-1
 members is emitted only when absent from member n (whose own cursor will
@@ -47,9 +52,7 @@ def annotate(root: ViewNode, free: frozenset[str],
     info.sigma_vars = tuple(root.schema[p] for p in info.sigma_positions)
     root.content.register_index(info.sigma_positions)
 
-    subtree_vars = set(root.schema)
-    for c in root.children:
-        subtree_vars |= _vars_below(c)
+    subtree_vars = {v for n in root.postorder() for v in n.schema}
     info.fvars = frozenset(free & subtree_vars)
     info.out_schema = tuple(sorted(info.fvars))
 
@@ -58,7 +61,7 @@ def annotate(root: ViewNode, free: frozenset[str],
         # direct enumeration needs every non-output schema variable pinned by
         # the context, otherwise projections could repeat
         if root.is_leaf and not pinned:
-            raise AssertionError(f"{root.name}: leaf not pinned by context")
+            raise InvariantViolationError(f"{root.name}: leaf not pinned by context")
         info.covering = True
         info.out_positions = tuple(root.schema.index(v) for v in info.out_schema)
         return
@@ -80,28 +83,55 @@ def annotate(root: ViewNode, free: frozenset[str],
             annotate(c, free, child_ctx)
     info.slots = tuple(i for i, c in enumerate(root.children)
                        if i != info.heavy_idx)
-    # composition: each output variable comes from the view row or from
-    # exactly one child's output
+    info.compose = _compose_table(
+        root.name, info.out_schema, root.schema,
+        [root.children[i].enum.out_schema for i in info.slots])
+
+
+def _compose_table(name: str, out_schema: tuple[str, ...], row_schema: tuple,
+                   slot_schemas: list[tuple[str, ...]]) -> tuple[tuple[int, int], ...]:
+    """Where each output variable comes from: ``(-1, p)`` for position p of
+    the row, ``(slot, p)`` for position p of that slot's output."""
     compose: list[tuple[int, int]] = []
-    for v in info.out_schema:
-        if v in root.schema:
-            compose.append((-1, root.schema.index(v)))
-        else:
-            for slot_pos, i in enumerate(info.slots):
-                child_info = root.children[i].enum
-                if v in child_info.out_schema:
-                    compose.append((slot_pos, child_info.out_schema.index(v)))
-                    break
-            else:  # pragma: no cover - construction guarantees coverage
-                raise AssertionError(f"{root.name}: no source for output var {v}")
-    info.compose = tuple(compose)
+    for v in out_schema:
+        if v in row_schema:
+            compose.append((-1, row_schema.index(v)))
+            continue
+        for slot, schema in enumerate(slot_schemas):
+            if v in schema:
+                compose.append((slot, schema.index(v)))
+                break
+        else:  # pragma: no cover - construction guarantees coverage
+            raise InvariantViolationError(f"{name}: no source for output var {v}")
+    return tuple(compose)
 
 
-def _vars_below(node: ViewNode) -> set[str]:
-    out = set(node.schema)
-    for c in node.children:
-        out |= _vars_below(c)
-    return out
+def _odometer(slots: list, outs: list, ctx: dict) -> bool:
+    """Roll the product of ``slots`` forward until every slot has a current
+    output: an exhausted slot is reopened under ``ctx`` and the slot before
+    it advances.  False once the first slot is exhausted."""
+    while True:
+        hole = next((i for i, o in enumerate(outs) if o is None), None)
+        if hole is None:
+            return True
+        if hole == 0:
+            return False
+        slot = slots[hole]
+        slot.close()
+        slot.open(ctx)
+        outs[hole] = slot.next()
+        outs[hole - 1] = slots[hole - 1].next()
+
+
+def _product_row(slots: list, outs: list, row: Row, compose) -> tuple[Row, int]:
+    """The product tuple of ``row`` and the slots' current outputs, with the
+    product of their multiplicities; then advance the last slot."""
+    t = tuple(row[src] if slot < 0 else outs[slot][0][src] for slot, src in compose)
+    m = 1
+    for o in outs:
+        m *= o[1]
+    outs[-1] = slots[-1].next()
+    return (t, m)
 
 
 class TreeIter:
@@ -116,6 +146,7 @@ class TreeIter:
         self.buckets: list[TreeIter] | None = None
         self.children: list[TreeIter] | None = None
         self.child_outs: list | None = None
+        self.child_ctx: dict | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -162,10 +193,10 @@ class TreeIter:
         if self.current is None:
             self.child_outs = None
             return
-        merged = {**self.ctx, **dict(zip(self.node.schema, self.current[0]))}
+        self.child_ctx = {**self.ctx, **dict(zip(self.node.schema, self.current[0]))}
         for ch in self.children:
             ch.close()
-            ch.open(merged)
+            ch.open(self.child_ctx)
         self.child_outs = [ch.next() for ch in self.children]
 
     def close(self) -> None:
@@ -192,37 +223,14 @@ class TreeIter:
             row, m = self.current
             self.current = next(self._range, None)
             return (tuple(row[p] for p in info.out_positions), m)
-        return self._product_next()
-
-    def _product_next(self):
-        info = self.node.enum
-        while True:
-            if self.current is None:
-                return None
-            outs = self.child_outs
-            hole = next((i for i, o in enumerate(outs) if o is None), None)
-            if hole is None:
-                row = self.current[0]
-                t = tuple(row[src] if slot < 0 else outs[slot][0][src]
-                          for slot, src in info.compose)
-                m = 1
-                for o in outs:
-                    m *= o[1]
-                outs[-1] = self.children[-1].next()
-                return (t, m)
-            if hole == 0:
-                # product exhausted for this view row: advance the row
-                self.current = next(self._range, None)
-                self._reopen_children()
-                continue
-            # odometer rollover: restart the exhausted child, advance the
-            # one above it
-            merged = {**self.ctx, **dict(zip(self.node.schema, self.current[0]))}
-            ch = self.children[hole]
-            ch.close()
-            ch.open(merged)
-            outs[hole] = ch.next()
-            outs[hole - 1] = self.children[hole - 1].next()
+        while self.current is not None:
+            if _odometer(self.children, self.child_outs, self.child_ctx):
+                return _product_row(self.children, self.child_outs,
+                                    self.current[0], info.compose)
+            # product exhausted for this view row: advance the row
+            self.current = next(self._range, None)
+            self._reopen_children()
+        return None
 
     # -- constant-time membership under an assignment ------------------------
 
@@ -305,11 +313,14 @@ class ComponentIter:
     def __init__(self, roots: list[ViewNode]):
         self.members = [TreeIter(r) for r in roots]
         self.out_schema = self.members[0].node.enum.out_schema
-        assert all(m.node.enum.out_schema == self.out_schema for m in self.members)
-
-    def open(self) -> None:
         for m in self.members:
-            m.open({})
+            if m.node.enum.out_schema != self.out_schema:
+                raise InvariantViolationError(
+                    f"{m.node.name}: output schema differs from its forest's")
+
+    def open(self, ctx: dict) -> None:
+        for m in self.members:
+            m.open(ctx)
 
     def close(self) -> None:
         for m in self.members:
@@ -335,46 +346,22 @@ class ResultIterator:
         self.generation = state.generation
         self.components = [ComponentIter(c.roots) for c in state.components]
         for c in self.components:
-            c.open()
+            c.open({})
         self._outs = [c.next() for c in self.components]
-        self._sources = []
-        for v in state.query.head_vars:
-            for i, c in enumerate(self.components):
-                if v in c.out_schema:
-                    self._sources.append((i, c.out_schema.index(v)))
-                    break
-        self._done = False
+        self._compose = _compose_table(
+            "result", state.query.head_vars, (),
+            [c.out_schema for c in self.components])
 
     def next(self):
         if self.generation != self.state.generation:
             raise IteratorInvalidatedError("engine state changed under an open iterator")
         counters = self.state.counters
         before = counters.storage_ops
-        out = self._next_inner()
+        outs = self._outs
+        out = (_product_row(self.components, outs, (), self._compose)
+               if _odometer(self.components, outs, {}) else None)
         counters.record_next(counters.storage_ops - before)
         return out
-
-    def _next_inner(self):
-        if self._done:
-            return None
-        while True:
-            outs = self._outs
-            hole = next((i for i, o in enumerate(outs) if o is None), None)
-            if hole is None:
-                row = tuple(outs[i][0][p] for i, p in self._sources)
-                m = 1
-                for o in outs:
-                    m *= o[1]
-                outs[-1] = self.components[-1].next()
-                return (row, m)
-            if hole == 0:
-                self._done = True
-                return None
-            comp = self.components[hole]
-            comp.close()
-            comp.open()
-            outs[hole] = comp.next()
-            outs[hole - 1] = self.components[hole - 1].next()
 
     def __iter__(self):
         while True:

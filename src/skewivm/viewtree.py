@@ -56,15 +56,6 @@ class ViewNode:
     def is_leaf(self) -> bool:
         return not self.children
 
-    def walk(self) -> list["ViewNode"]:
-        out = []
-        stack = [self]
-        while stack:
-            n = stack.pop()
-            out.append(n)
-            stack.extend(reversed(n.children))
-        return out
-
     def postorder(self) -> list["ViewNode"]:
         out: list[ViewNode] = []
 

@@ -167,6 +167,27 @@ def test_run_over_delete_exit_4(demo, tmp_path, capsys):
     assert rc == 4
 
 
+@pytest.mark.parametrize("extra, bad_data, bad_update, message", [
+    ([], "c,d,-1\n", None, "nonpositive input multiplicity"),
+    (["--epsilon", "2"], None, None, "epsilon 2.0 outside [0, 1]"),
+    ([], None, "+ R,a\n", "1 values for arity-2 relation R"),
+], ids=["csv-multiplicity", "epsilon", "update-arity"])
+def test_run_data_error_exit_1(demo, tmp_path, capsys, extra, bad_data, bad_update,
+                               message):
+    if bad_data is not None:
+        with open(demo / "S.csv", "a") as fh:
+            fh.write(bad_data)
+    args = ["run", "--query", QUERY, "--data", str(demo)] + extra
+    if bad_update is not None:
+        upd = tmp_path / "u.txt"
+        upd.write_text("+ R, a3, b1\n" + bad_update)
+        args += ["--updates", str(upd)]
+    rc = main(args)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("data error: ") and message in err
+
+
 def test_run_sorted_enumeration_deterministic(demo, capsys):
     args = ["run", "--query", QUERY, "--data", str(demo), "--enumerate", "--sorted"]
     main(args)

@@ -7,8 +7,8 @@ import random
 import pytest
 
 from skewivm.engine import preprocess
-from skewivm.enumeration import TreeIter, annotate, union_next
-from skewivm.errors import IteratorInvalidatedError
+from skewivm.enumeration import ComponentIter, TreeIter, annotate, union_next
+from skewivm.errors import InvariantViolationError, IteratorInvalidatedError
 from skewivm.metrics import Counters
 from skewivm.oracle import brute_force_eval
 from skewivm.query import parse_query
@@ -245,6 +245,10 @@ def test_engine_handles_nested_and_product_shapes():
         "Q(A,C,X,Z) = R(A,B), S(B,C), T(X,Y), U(Y,Z).",
         "Q() = R(A).",
         "Q(A) = R(A,B), S(A,B).",
+        # rollover in the middle slot of a three-component product
+        "Q(A,B,C) = R(A), S(B), T(C).",
+        # a product of components with several trees each
+        "Q(A,C,X) = R(A,B), S(B,C), T(X,Y).",
     ]
     rng = random.Random(5)
     for text in cases:
@@ -258,3 +262,17 @@ def test_engine_handles_nested_and_product_shapes():
                                for _ in range(rng.randint(5, 40))}
                 st = preprocess(q, db, eps, mode=mode)
                 assert st.result_multiset() == brute_force_eval(q, db), (text, eps, mode)
+
+
+def test_unpinned_leaf_raises_invariant_violation():
+    node = ViewNode("R", ("A", "B"), "base-atom", leaf_name="R#0")
+    node.content = Relation("R", ("A", "B"), Counters())
+    with pytest.raises(InvariantViolationError, match="not pinned"):
+        annotate(node, frozenset({"A"}))
+
+
+def test_forest_with_differing_output_schemas_raises_invariant_violation():
+    roots = [_covering_member(name, {}, schema).node
+             for name, schema in (("T1", ("X",)), ("T2", ("Y",)))]
+    with pytest.raises(InvariantViolationError, match="output schema"):
+        ComponentIter(roots)

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from skewivm.engine import preprocess
+from skewivm.engine import ViewTree, preprocess
 from skewivm.enumeration import union_next
 from skewivm.errors import (
     ArityMismatchError,
@@ -26,6 +26,7 @@ from skewivm.errors import (
 from skewivm.oracle import brute_force_eval
 from skewivm.query import parse_query
 from skewivm.storage import iceil
+from skewivm.viewtree import ATOM, JOIN, ViewNode
 
 from conftest import parse, run_trace
 
@@ -342,6 +343,16 @@ def test_diverged_occurrence_relation_raises_invariant_violation():
         st.check_invariants(deep=True)
 
 
+def _root_with_duplicate_leaf() -> ViewNode:
+    leaves = [ViewNode(f"R{i}", ("A",), ATOM, leaf_name="R#0") for i in range(2)]
+    return ViewNode("V", ("A",), JOIN, leaves)
+
+
+def test_duplicate_leaf_name_raises_invariant_violation():
+    with pytest.raises(InvariantViolationError, match="duplicate leaf R#0"):
+        ViewTree(_root_with_duplicate_leaf(), "t0")
+
+
 def test_union_of_exhausted_member_raises_invariant_violation():
     class Member:
         def __init__(self, rows, held):
@@ -372,10 +383,17 @@ def test_invariant_checks_survive_python_O():
         "    st.check_invariants(deep=True)\n"
         "except InvariantViolationError:\n"
         "    print('caught')\n"
+        "from skewivm.engine import ViewTree\n"
+        "from skewivm.viewtree import ATOM, JOIN, ViewNode\n"
+        "leaves = [ViewNode(f'R{i}', ('A',), ATOM, leaf_name='R#0') for i in range(2)]\n"
+        "try:\n"
+        "    ViewTree(ViewNode('V', ('A',), JOIN, leaves), 't0')\n"
+        "except InvariantViolationError:\n"
+        "    print('caught')\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "caught"
+    assert out.stdout.split() == ["caught", "caught"]

@@ -98,9 +98,9 @@ def test_deep4_dynamic_counts():
     assert keys["A"] == ("A",) and keys["B"] == ("A", "B")
     light = roots[0]
     assert light.schema == ("C", "D", "E", "F")
-    assert {n.leaf_name for n in light.walk() if n.is_leaf} == \
+    assert {n.leaf_name for n in light.postorder() if n.is_leaf} == \
         {"R#0^A", "S#0^A", "T#0^A", "U#0^A"}
-    heavy_names = [{n.leaf_name for n in r.walk() if n.is_leaf} for r in roots[1:]]
+    heavy_names = [{n.leaf_name for n in r.postorder() if n.is_leaf} for r in roots[1:]]
     assert {"xH_A", "R#0^AB", "S#0^AB", "T#0", "U#0"} in heavy_names
     assert {"xH_A", "xH_B", "R#0", "S#0", "T#0", "U#0"} in heavy_names
 
