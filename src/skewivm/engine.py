@@ -3,9 +3,13 @@
 The maintained object is a tuple (epsilon, threshold base M, result view
 trees, indicator triples).  Preprocessing at database size N fixes
 M = 2N + 1 and partitions with threshold M^epsilon; updates keep the size
-invariant floor(M/4) <= N < M by doubling or halving M with a full *major*
+invariant floor(M/4) <= N < M by doubling or halving M with a *major*
 rebalancing, and keep the relaxed partition conditions per key by migrating
-single keys between light and heavy with *minor* rebalancing.
+single keys between light and heavy with *minor* rebalancing.  A major
+brings every light part to its strict partition at the new threshold: it
+moves the keys whose side differs through the same per-tuple path as a
+minor, and rebuilds the partition-dependent views from scratch only when
+moving would cost more than the paper's preprocessing bound.
 
 A single engine state is strictly single-threaded: updates take exclusive
 access, and any open iterator is invalidated by a generation counter.
@@ -29,8 +33,8 @@ from .errors import (
 )
 from .metrics import Counters
 from .query import Atom, ConjunctiveQuery, connected_components, hierarchy_violation, parse_query
-from .storage import Relation, iceil, strict_partition
-from .vorder import VariableOrder, canonical_vo
+from .storage import Relation, iceil, key_degrees, strict_partition
+from .vorder import VariableOrder, canonical_vo, dynamic_width, static_width
 from .viewtree import (
     IndicatorTriple,
     JoinPlan,
@@ -127,6 +131,8 @@ class EngineState:
         # leaf name -> the result trees holding that leaf
         self._trees_by_leaf: dict[str, list[ViewTree]] = {}
         self._triples_by_leaf: dict[str, list[tuple[IndicatorTriple, LightPart]]] = {}
+        # (static width w, dynamic width delta), computed at the first major
+        self._widths: tuple[int, int] | None = None
 
     # ------------------------------------------------------------------
     # construction
@@ -239,14 +245,20 @@ class EngineState:
     def _theta(self) -> float:
         return float(self.M) ** self.epsilon
 
-    def _repartition(self) -> None:
-        """Strictly repartition every light part at the current threshold
-        and recompute the L trees, H and the result trees from the leaves."""
+    def _strict_parts(self) -> list[tuple[IndicatorTriple, LightPart, Multiset]]:
+        """Every light part with its strict partition at the current
+        threshold."""
         theta = self._theta()
-        for triple in self.triples:
-            for lp in triple.light_parts:
-                lp.content.load(strict_partition(self.base[lp.atom.symbol],
-                                                 lp.key_positions, theta))
+        return [(triple, lp, strict_partition(self.base[lp.atom.symbol],
+                                              lp.key_positions, theta))
+                for triple in self.triples for lp in triple.light_parts]
+
+    def _repartition(self, parts: list | None = None) -> None:
+        """Load every light part with its strict partition (``parts`` from
+        :meth:`_strict_parts`, or computed here) and recompute the L trees,
+        H and the result trees from the leaves."""
+        for _, lp, light in self._strict_parts() if parts is None else parts:
+            lp.content.load(light)
         for triple in self.triples:
             self._materialize_tree(triple.light_tree)
             self._rebuild_h(triple)
@@ -423,10 +435,36 @@ class EngineState:
     # -- rebalancing -----------------------------------------------------
 
     def _major_rebalancing(self) -> None:
-        """Repartition at the new threshold; the All trees do not depend on
+        """Bring every light part to its strict partition at the new
+        threshold, which also settles the keys minor rebalancing left in the
+        relaxed band.  A light part holds all of a key's base tuples or none,
+        so the difference is a set of keys to insert or evict; these move
+        one tuple at a time, at O(M^(delta*eps)) each.  When the k tuples to
+        move would cost more than a rebuild, k * M^(delta*eps) >
+        M^(1+(w-1)*eps), the light parts are loaded and the views that
+        depend on them recomputed instead.  The All trees do not depend on
         the partition and stay as they are."""
         self.counters.major_rebalances += 1
-        self._repartition()
+        parts = self._strict_parts()
+        moves = []
+        tuples = 0
+        for triple, lp, light in parts:
+            new = key_degrees(light, lp.key_positions)
+            old = key_degrees(lp.content.entries, lp.key_positions)
+            for keys, other, insert in ((new, old, True), (old, new, False)):
+                for key, degree in keys.items():
+                    if key not in other:
+                        moves.append((triple, lp, key, insert))
+                        tuples += degree
+        if self._widths is None:
+            self._widths = (static_width(self.query), dynamic_width(self.query))
+        w, delta = self._widths
+        eps = self.epsilon
+        if tuples * self.M ** (delta * eps) > self.M ** (1 + (w - 1) * eps):
+            self._repartition(parts)
+            return
+        for move in moves:
+            self._move_key(*move)
 
     def _minor_checks(self, occurrences: list[Atom], row: Row) -> None:
         m_eps = self._theta()
@@ -444,9 +482,14 @@ class EngineState:
 
     def _minor_rebalancing(self, triple: IndicatorTriple, lp: LightPart,
                            key: Row, insert: bool) -> None:
+        """Migrate one key that crossed its relaxed degree bound."""
+        self.counters.minor_rebalances += 1
+        self._move_key(triple, lp, key, insert)
+
+    def _move_key(self, triple: IndicatorTriple, lp: LightPart,
+                  key: Row, insert: bool) -> None:
         """Move every base tuple matching ``key`` into or out of the light
         part, one signed single-tuple delta at a time."""
-        self.counters.minor_rebalances += 1
         rel = self.base[lp.atom.symbol]
         rows = list(rel.scan(lp.key_positions, key))
         for row, base_mult in rows:
@@ -486,8 +529,8 @@ class EngineState:
         for triple in self.triples:
             for lp in triple.light_parts:
                 base = self.base[lp.atom.symbol]
-                light_keys = _key_degrees(lp.content.entries, lp.key_positions)
-                base_keys = _key_degrees(base.entries, lp.key_positions)
+                light_keys = key_degrees(lp.content.entries, lp.key_positions)
+                base_keys = key_degrees(base.entries, lp.key_positions)
                 for key, deg in light_keys.items():
                     if deg >= light_cap:
                         raise InvariantViolationError(
@@ -562,14 +605,6 @@ class EngineState:
     def dot(self) -> str:
         named = [(t.tag, t.root) for t in self.trees]
         return forest_dot(named, self.triples)
-
-
-def _key_degrees(entries: Multiset, positions: tuple[int, ...]) -> dict[Row, int]:
-    out: dict[Row, int] = {}
-    for row in entries:
-        key = tuple(row[p] for p in positions)
-        out[key] = out.get(key, 0) + 1
-    return out
 
 
 def _check_multiplicity(symbol: str, row: Row, m: object) -> None:

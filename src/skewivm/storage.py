@@ -190,25 +190,30 @@ class Relation:
         return out
 
 
+def key_degrees(rows: Iterable[Row], positions: tuple[int, ...]) -> dict[Row, int]:
+    """Number of distinct ``rows`` per key, the projection on ``positions``.
+    Counts no ops; a caller that reads a relation counts them itself."""
+    degrees: dict[Row, int] = {}
+    for row in rows:
+        key = tuple(row[p] for p in positions)
+        degrees[key] = degrees.get(key, 0) + 1
+    return degrees
+
+
 def strict_partition(rel: Relation, positions: tuple[int, ...],
                      theta: float) -> dict[Row, int]:
     """Entries of the strict light part of ``rel`` on ``positions``.
 
     A key is light iff strictly fewer than ``theta`` distinct tuples of
     ``rel`` carry it; the returned dict holds exactly those tuples with their
-    multiplicities.  Used at preprocessing time and by major rebalancing.
+    multiplicities.  Two passes over ``rel``, one op per entry each.  Used at
+    preprocessing time and by major rebalancing.
     """
-    degrees: dict[Row, int] = {}
-    for row in rel.entries:
-        rel.counters.storage_ops += 1
-        key = tuple(row[p] for p in positions)
-        degrees[key] = degrees.get(key, 0) + 1
-    light: dict[Row, int] = {}
-    for row, m in rel.entries.items():
-        rel.counters.storage_ops += 1
-        if degrees[tuple(row[p] for p in positions)] < theta:
-            light[row] = m
-    return light
+    entries = rel.entries
+    rel.counters.storage_ops += 2 * len(entries)
+    degrees = key_degrees(entries, positions)
+    return {row: m for row, m in entries.items()
+            if degrees[tuple(row[p] for p in positions)] < theta}
 
 
 def iceil(x: float) -> int:

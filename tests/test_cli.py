@@ -188,6 +188,24 @@ def test_run_data_error_exit_1(demo, tmp_path, capsys, extra, bad_data, bad_upda
     assert err.startswith("data error: ") and message in err
 
 
+def test_run_missing_updates_file_exit_1(demo, tmp_path, capsys):
+    rc = main(["run", "--query", QUERY, "--data", str(demo),
+               "--updates", str(tmp_path / "missing.txt")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("data error: ") and "missing.txt" in err
+
+
+def test_run_verify_above_oracle_cap_is_skipped(tmp_path, capsys):
+    (tmp_path / "R.csv").write_text("".join(f"a{i},b{i % 7}\n" for i in range(2001)))
+    (tmp_path / "S.csv").write_text("b1,c1\n")
+    rc = main(["run", "--query", QUERY, "--data", str(tmp_path), "--verify", "--json"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err.startswith("verification skipped: ")
+    assert json.loads(captured.out)["n"] == 2002
+
+
 def test_run_sorted_enumeration_deterministic(demo, capsys):
     args = ["run", "--query", QUERY, "--data", str(demo), "--enumerate", "--sorted"]
     main(args)

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from skewivm.engine import ViewTree, preprocess
+from skewivm.engine import EngineState, ViewTree, preprocess
 from skewivm.enumeration import union_next
 from skewivm.errors import (
     ArityMismatchError,
@@ -178,6 +178,117 @@ def test_minor_rebalancing_light_to_heavy_and_back():
         st.check_invariants()
     assert st.base["R"].count(lp_r.key_positions, (7,)) == 1
     assert lp_r.content.count(lp_r.key_positions, (7,)) == 1
+
+
+# ---------------------------------------------------------------------------
+# major rebalancing: move the keys that change side, rebuild above the bound
+# ---------------------------------------------------------------------------
+
+
+def _spy(monkeypatch, name, state):
+    """Record the arguments of every call of an ``EngineState`` method on
+    ``state``."""
+    calls = []
+    original = getattr(EngineState, name)
+
+    def spy(self, *args):
+        if self is state:
+            calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(EngineState, name, spy)
+    return calls
+
+
+def _light_part(st, symbol):
+    (triple,) = st.triples
+    return next(lp for lp in triple.light_parts if lp.atom.symbol == symbol)
+
+
+def _assert_fresh(st, q, eps):
+    fresh = preprocess(q, st.db_snapshot(), eps, mode="dynamic", m_override=st.M)
+    assert st.fingerprint() == fresh.fingerprint()
+
+
+def test_major_at_eps_one_moves_nothing_and_costs_linear_ops(monkeypatch):
+    # at eps=1 every degree is at most N < M, the threshold, so no key can
+    # change side: the major costs the two strict-partition passes, not a
+    # rebuild of the light join's 2 * 100 * 100 rows
+    q = parse("chain2")
+    db = {"R": {(i, i % 2): 1 for i in range(200)},
+          "S": {(i % 2, i): 1 for i in range(200)}}
+    st = preprocess(q, db, 1.0, mode="dynamic")
+    moved = _spy(monkeypatch, "_move_key", st)
+    rebuilt = _spy(monkeypatch, "_repartition", st)
+    i = 0
+    while st.counters.major_rebalances == 0:
+        before = st.counters.storage_ops
+        st.on_update("R", (1000 + i, 1000 + i), 1)
+        i += 1
+    ops = st.counters.storage_ops - before
+    assert (st.N, st.M) == (801, 1602)
+    assert moved == [] and rebuilt == []
+    assert ops <= 3 * st.N, ops
+    _assert_fresh(st, q, 1.0)
+
+
+def test_major_evicts_on_doubling_and_readmits_on_halving(monkeypatch):
+    # a key left light in the relaxed band is evicted by a doubling, and a
+    # heavy key below the halved threshold is re-admitted; both move as
+    # per-tuple deltas, with no rebuild and no minor rebalancing
+    q = parse("chain2")
+    fillers = [(100 + i, 200 + i) for i in range(84)]
+    db = {"R": {**{(i, 7): 1 for i in range(9)}, **{row: 1 for row in fillers[:39]}},
+          "S": {(7, 0): 1, (7, 1): 1}}
+    st = preprocess(q, db, 0.5, mode="dynamic")
+    assert (st.N, st.M) == (50, 101)  # threshold 10.05, evict at 16
+    lp_r = _light_part(st, "R")
+    rebuilt = _spy(monkeypatch, "_repartition", st)
+    for i in range(9, 15):
+        st.on_update("R", (i, 7), 1)
+    assert lp_r.content.count(lp_r.key_positions, (7,)) == 15  # in the band
+
+    minors = st.counters.minor_rebalances
+    for row in fillers[39:]:
+        st.on_update("R", row, 1)
+    assert (st.N, st.M, st.counters.major_rebalances) == (101, 202, 1)  # threshold 14.2
+    assert lp_r.content.count(lp_r.key_positions, (7,)) == 0  # evicted
+    assert st.counters.minor_rebalances == minors
+    _assert_fresh(st, q, 0.5)
+
+    for i in range(6):  # degree 9 stays above the reinsert bound 8
+        st.on_update("R", (i, 7), -1)
+    for row in fillers[:46]:
+        st.on_update("R", row, -1)
+    assert (st.N, st.M, st.counters.major_rebalances) == (49, 100, 2)  # threshold 10
+    assert lp_r.content.count(lp_r.key_positions, (7,)) == 9  # re-admitted
+    assert st.counters.minor_rebalances == minors
+    assert rebuilt == []
+    _assert_fresh(st, q, 0.5)
+    st.check_invariants(deep=True)
+
+
+def test_major_rebuilds_when_moving_costs_more(monkeypatch):
+    # semi has w = delta = 1, so at eps=0.5 a major rebuilds once more than
+    # M^0.5 tuples would move: here 8 heavy keys of degree 24 turn light
+    # when the threshold grows from 20 to 28.3
+    q = parse("semi")
+    db = {"R": {(a, b): 1 for b in range(8) for a in range(24)},
+          "S": {(b,): 1 for b in range(8)}}
+    st = preprocess(q, db, 0.5, mode="dynamic", m_override=400)
+    lp_r = _light_part(st, "R")
+    assert lp_r.content.size == 0
+    moved = _spy(monkeypatch, "_move_key", st)
+    rebuilt = _spy(monkeypatch, "_repartition", st)
+    i = 0
+    while st.counters.major_rebalances == 0:
+        st.on_update("S", (100 + i,), 1)
+        i += 1
+    assert (st.N, st.M) == (400, 800)
+    assert len(rebuilt) == 1 and moved == []
+    assert lp_r.content.size == 192
+    _assert_fresh(st, q, 0.5)
+    st.check_invariants(deep=True)
 
 
 @pytest.mark.parametrize("eps", (0.0, 0.5, 1.0))
