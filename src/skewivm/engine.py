@@ -245,20 +245,32 @@ class EngineState:
     def _theta(self) -> float:
         return float(self.M) ** self.epsilon
 
-    def _strict_parts(self) -> list[tuple[IndicatorTriple, LightPart, Multiset]]:
+    def _strict_parts(self) -> list[tuple[IndicatorTriple, LightPart, Multiset | None]]:
         """Every light part with its strict partition at the current
-        threshold."""
+        threshold, or with ``None`` when the part already holds every tuple
+        of a base relation smaller than the threshold: every key is light,
+        so the part is its own strict partition, known in O(1) rather than
+        by two passes.  (At preprocessing a light part is still empty, so
+        only a part of an empty relation is skipped, which costs no ops
+        either way.)"""
         theta = self._theta()
-        return [(triple, lp, strict_partition(self.base[lp.atom.symbol],
-                                              lp.key_positions, theta))
-                for triple in self.triples for lp in triple.light_parts]
+        parts = []
+        for triple in self.triples:
+            for lp in triple.light_parts:
+                rel = self.base[lp.atom.symbol]
+                if len(rel.entries) < theta and len(lp.content.entries) == len(rel.entries):
+                    parts.append((triple, lp, None))
+                else:
+                    parts.append((triple, lp, strict_partition(rel, lp.key_positions, theta)))
+        return parts
 
     def _repartition(self, parts: list | None = None) -> None:
         """Load every light part with its strict partition (``parts`` from
         :meth:`_strict_parts`, or computed here) and recompute the L trees,
         H and the result trees from the leaves."""
         for _, lp, light in self._strict_parts() if parts is None else parts:
-            lp.content.load(light)
+            if light is not None:
+                lp.content.load(light)
         for triple in self.triples:
             self._materialize_tree(triple.light_tree)
             self._rebuild_h(triple)
@@ -443,12 +455,17 @@ class EngineState:
         move would cost more than a rebuild, k * M^(delta*eps) >
         M^(1+(w-1)*eps), the light parts are loaded and the views that
         depend on them recomputed instead.  The All trees do not depend on
-        the partition and stay as they are."""
+        the partition and stay as they are.  A light part that already holds
+        all of a base relation smaller than the new threshold is skipped in
+        O(1): every key is light, so nothing moves (at eps=1 this holds for
+        every part, and a major costs no ops)."""
         self.counters.major_rebalances += 1
         parts = self._strict_parts()
         moves = []
         tuples = 0
         for triple, lp, light in parts:
+            if light is None:
+                continue
             new = key_degrees(light, lp.key_positions)
             old = key_degrees(lp.content.entries, lp.key_positions)
             for keys, other, insert in ((new, old, True), (old, new, False)):

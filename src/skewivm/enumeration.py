@@ -6,6 +6,17 @@ already covers every free variable below it is enumerated directly; a view
 with a heavy-indicator child is *grounded* into one shallow-copy iterator
 per heavy key, and those buckets are merged by the union algorithm.
 
+Contexts and tuples are positional.  A node's context is a tuple laid out by
+``enum.ctx_order``: its parent's scope followed by the parent's current row.
+A node's *scope* (``enum.scope``) is the context it ranges its view under:
+the context itself, or for a bucket the context followed by the heavy key.
+A variable may occur more than once in a layout; its values agree, and every
+projection reads its first occurrence.  :func:`annotate` compiles each
+projection once per node into an ``itemgetter``: the range key, the output
+tuple of a covering view, the lookup key, the share of a looked-up tuple
+each child holds and the product's output.  Opening, advancing and looking
+up then build no dicts.
+
 Sibling subtrees under one view row, and the components of the result,
 combine through one product routine: :func:`_odometer` restarts an exhausted
 slot under the shared context and advances the slot before it, and
@@ -21,19 +32,22 @@ they share view contents and own only cursor state.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from .errors import CallBeforeOpenError, InvariantViolationError, IteratorInvalidatedError
-from .viewtree import HEAVY_REF, ViewNode
+from .viewtree import HEAVY_REF, ViewNode, projection
 
 Row = tuple
 
 
 class EnumInfo:
-    """Static per-node facts used by the iterators (computed once)."""
+    """Static per-node facts and compiled projections used by the iterators
+    (computed once)."""
 
-    __slots__ = ("ctx_vars", "sigma_positions", "sigma_vars", "fvars",
-                 "out_schema", "covering", "out_positions", "heavy_idx",
-                 "h_sigma_positions", "h_sigma_vars", "slots", "compose",
-                 "b_sigma_positions", "b_sigma_vars")
+    __slots__ = ("ctx_order", "scope", "out_schema", "covering", "set_semantics",
+                 "heavy_idx", "h_positions", "h_key", "range_positions",
+                 "range_key", "out_of", "part", "key", "fixed_key", "slots",
+                 "child_t", "compose")
 
     def __init__(self) -> None:
         self.heavy_idx = None
@@ -41,150 +55,174 @@ class EnumInfo:
 
 
 def annotate(root: ViewNode, free: frozenset[str],
-             ctx_vars: frozenset[str] = frozenset()) -> None:
+             ctx_order: tuple[str, ...] = ()) -> None:
     """Fill ``node.enum`` for every node reachable during enumeration and
     register the sigma-range indexes the iterators will use."""
     info = EnumInfo()
     root.enum = info
-    info.ctx_vars = ctx_vars
-    shared = ctx_vars & set(root.schema)
-    info.sigma_positions = root.content.positions(shared)
-    info.sigma_vars = tuple(root.schema[p] for p in info.sigma_positions)
-    root.content.register_index(info.sigma_positions)
+    info.ctx_order = info.scope = ctx_order
+    info.set_semantics = root.semantics == "set"
+    schema, ctx_vars = root.schema, set(ctx_order)
+    info.range_positions = root.content.positions(ctx_vars & set(schema))
+    root.content.register_index(info.range_positions)
 
     subtree_vars = {v for n in root.postorder() for v in n.schema}
-    info.fvars = frozenset(free & subtree_vars)
-    info.out_schema = tuple(sorted(info.fvars))
+    fvars = free & subtree_vars
+    info.out_schema = tuple(sorted(fvars))
 
-    pinned = set(root.schema) <= (ctx_vars | info.fvars)
-    if root.is_leaf or (info.fvars <= set(root.schema) and pinned):
+    pinned = set(schema) <= (ctx_vars | fvars)
+    if root.is_leaf or (fvars <= set(schema) and pinned):
         # direct enumeration needs every non-output schema variable pinned by
         # the context, otherwise projections could repeat
         if root.is_leaf and not pinned:
             raise InvariantViolationError(f"{root.name}: leaf not pinned by context")
         info.covering = True
-        info.out_positions = tuple(root.schema.index(v) for v in info.out_schema)
+        info.out_of = projection(tuple(schema.index(v) for v in info.out_schema))
+        _compile_keys(info, root)
         return
 
-    child_ctx = frozenset(ctx_vars | set(root.schema))
     for i, c in enumerate(root.children):
         if c.kind == HEAVY_REF:
             info.heavy_idx = i
-            h_shared = ctx_vars & set(c.schema)
-            info.h_sigma_positions = c.content.positions(h_shared)
-            info.h_sigma_vars = tuple(c.schema[p] for p in info.h_sigma_positions)
-            c.content.register_index(info.h_sigma_positions)
+            info.h_positions = c.content.positions(ctx_vars & set(c.schema))
+            info.h_key = _getter(ctx_order, c.schema, info.h_positions)
+            c.content.register_index(info.h_positions)
             # a grounded bucket ranges over the context plus the heavy key
-            b_shared = (ctx_vars | set(c.schema)) & set(root.schema)
-            info.b_sigma_positions = root.content.positions(b_shared)
-            info.b_sigma_vars = tuple(root.schema[p] for p in info.b_sigma_positions)
-            root.content.register_index(info.b_sigma_positions)
-        else:
-            annotate(c, free, child_ctx)
-    info.slots = tuple(i for i, c in enumerate(root.children)
-                       if i != info.heavy_idx)
-    info.compose = _compose_table(
-        root.name, info.out_schema, root.schema,
-        [root.children[i].enum.out_schema for i in info.slots])
+            info.scope = ctx_order + c.schema
+            info.range_positions = root.content.positions(set(info.scope) & set(schema))
+            root.content.register_index(info.range_positions)
+    _compile_keys(info, root)
+    info.slots = tuple(i for i, c in enumerate(root.children) if i != info.heavy_idx)
+    for i in info.slots:
+        annotate(root.children[i], free, info.scope + schema)
+    slot_schemas = [root.children[i].enum.out_schema for i in info.slots]
+    info.child_t = tuple(projection(tuple(info.out_schema.index(v) for v in s))
+                         for s in slot_schemas)
+    info.compose = _compose(root.name, info.out_schema, schema, slot_schemas)
 
 
-def _compose_table(name: str, out_schema: tuple[str, ...], row_schema: tuple,
-                   slot_schemas: list[tuple[str, ...]]) -> tuple[tuple[int, int], ...]:
-    """Where each output variable comes from: ``(-1, p)`` for position p of
-    the row, ``(slot, p)`` for position p of that slot's output."""
-    compose: list[tuple[int, int]] = []
+def _getter(layout: tuple[str, ...], schema: tuple[str, ...], positions: tuple[int, ...]):
+    """Tuple over ``layout`` -> the values of ``schema`` at ``positions``."""
+    return projection(tuple(layout.index(schema[p]) for p in positions))
+
+
+def _compile_keys(info: EnumInfo, node: ViewNode) -> None:
+    """The range key over the scope, and the lookup key: ``part`` takes from
+    the scope the schema variables outside the output schema, once per
+    open, and ``key`` reads the view key off ``part + t`` for an output
+    tuple ``t``; ``fixed_key`` marks a key that takes nothing from ``t``."""
+    scope, out = info.scope, info.out_schema
+    info.range_key = _getter(scope, node.schema, info.range_positions)
+    bound = tuple(v for v in node.schema if v not in out)
+    if not set(bound) <= set(scope):
+        raise InvariantViolationError(f"{node.name}: view key not bound by context")
+    info.part = projection(tuple(scope.index(v) for v in bound))
+    info.key = projection(tuple(bound.index(v) if v in bound else len(bound) + out.index(v)
+                                for v in node.schema))
+    info.fixed_key = len(bound) == len(node.schema)
+
+
+def _compose(name: str, out_schema: tuple[str, ...], row_schema: tuple,
+             slot_schemas: list[tuple[str, ...]]):
+    """Projection of ``row + out_1 + ... + out_k`` (the view row followed by
+    the slots' output tuples) onto ``out_schema``."""
+    flat = row_schema + sum(slot_schemas, ())
     for v in out_schema:
-        if v in row_schema:
-            compose.append((-1, row_schema.index(v)))
-            continue
-        for slot, schema in enumerate(slot_schemas):
-            if v in schema:
-                compose.append((slot, schema.index(v)))
-                break
-        else:  # pragma: no cover - construction guarantees coverage
+        if v not in flat:  # pragma: no cover - construction guarantees coverage
             raise InvariantViolationError(f"{name}: no source for output var {v}")
-    return tuple(compose)
+    return projection(tuple(flat.index(v) for v in out_schema))
 
 
-def _odometer(slots: list, outs: list, ctx: dict) -> bool:
+def _odometer(slots: list, outs: list, ctx: tuple) -> bool:
     """Roll the product of ``slots`` forward until every slot has a current
     output: an exhausted slot is reopened under ``ctx`` and the slot before
     it advances.  False once the first slot is exhausted."""
-    while True:
-        hole = next((i for i, o in enumerate(outs) if o is None), None)
-        if hole is None:
-            return True
+    while None in outs:
+        hole = outs.index(None)
         if hole == 0:
             return False
         slot = slots[hole]
         slot.close()
-        slot.open(ctx)
+        slot._open(ctx)
         outs[hole] = slot.next()
         outs[hole - 1] = slots[hole - 1].next()
+    return True
 
 
 def _product_row(slots: list, outs: list, row: Row, compose) -> tuple[Row, int]:
     """The product tuple of ``row`` and the slots' current outputs, with the
     product of their multiplicities; then advance the last slot."""
-    t = tuple(row[src] if slot < 0 else outs[slot][0][src] for slot, src in compose)
     m = 1
-    for o in outs:
-        m *= o[1]
+    for t, mult in outs:
+        row += t
+        m *= mult
     outs[-1] = slots[-1].next()
-    return (t, m)
+    return (compose(row), m)
 
 
 class TreeIter:
     """Cursor state for one view tree (or one grounded bucket of it)."""
 
+    __slots__ = ("node", "skip_heavy", "opened", "_ctx", "_part", "_key",
+                 "_range", "current", "buckets", "children", "_shares",
+                 "child_outs", "child_ctx")
+
     def __init__(self, node: ViewNode, skip_heavy: bool = False):
         self.node = node
         self.skip_heavy = skip_heavy
-        self.ctx: dict | None = None
         self.opened = False
+        self._ctx: tuple | None = None
+        self._part: tuple | None = None
+        self._key: tuple | None = None
+        self._range = None
         self.current = None
         self.buckets: list[TreeIter] | None = None
         self.children: list[TreeIter] | None = None
+        self._shares: tuple = ()
         self.child_outs: list | None = None
-        self.child_ctx: dict | None = None
+        self.child_ctx: tuple | None = None
+
+    @property
+    def ctx(self) -> dict | None:
+        """The context as a variable -> value map (for inspection)."""
+        if self._ctx is None:
+            return None
+        info = self.node.enum
+        return dict(zip(info.scope if self.skip_heavy else info.ctx_order, self._ctx))
 
     # -- lifecycle ---------------------------------------------------------
 
-    def open(self, ctx: dict) -> None:
+    def open(self, ctx: Mapping) -> None:
+        """Open under ``ctx``, which maps every variable of ``enum.ctx_order``
+        to its value."""
+        self._open(tuple(ctx[v] for v in self.node.enum.ctx_order))
+
+    def _open(self, ctx: tuple) -> None:
         info = self.node.enum
-        self.ctx = ctx
+        self._ctx = ctx
         self.opened = True
-        self.buckets = None
-        self.children = None
-        self.child_outs = None
+        self.buckets = self.children = self.child_outs = None
         if info.heavy_idx is not None and not self.skip_heavy:
             self._ground(ctx)
             return
-        self._open_range()
+        self._part = info.part(ctx)
+        if info.fixed_key:
+            self._key = info.key(self._part)
+        self._range = self.node.content.scan(info.range_positions, info.range_key(ctx))
+        self.current = next(self._range, None)
         if info.covering:
             return
         self.children = [TreeIter(self.node.children[i]) for i in info.slots]
+        self._shares = tuple(zip(self.children, info.child_t))
         self._reopen_children()
 
-    def _open_range(self) -> None:
-        info = self.node.enum
-        if self.skip_heavy:
-            positions, sigma_vars = info.b_sigma_positions, info.b_sigma_vars
-        else:
-            positions, sigma_vars = info.sigma_positions, info.sigma_vars
-        key = tuple(self.ctx[v] for v in sigma_vars)
-        self._range = self.node.content.scan(positions, key)
-        self.current = next(self._range, None)
-
-    def _ground(self, ctx: dict) -> None:
+    def _ground(self, ctx: tuple) -> None:
         info = self.node.enum
         hleaf = self.node.children[info.heavy_idx]
-        key = tuple(ctx[v] for v in info.h_sigma_vars)
         self.buckets = []
-        for hrow, _ in hleaf.content.scan(info.h_sigma_positions, key):
-            h_assign = dict(zip(hleaf.schema, hrow))
+        for hrow, _ in hleaf.content.scan(info.h_positions, info.h_key(ctx)):
             bucket = TreeIter(self.node, skip_heavy=True)
-            bucket.open({**ctx, **h_assign})
+            bucket._open(ctx + hrow)
             self.buckets.append(bucket)
 
     def _reopen_children(self) -> None:
@@ -193,10 +231,10 @@ class TreeIter:
         if self.current is None:
             self.child_outs = None
             return
-        self.child_ctx = {**self.ctx, **dict(zip(self.node.schema, self.current[0]))}
+        self.child_ctx = ctx = self._ctx + self.current[0]
         for ch in self.children:
             ch.close()
-            ch.open(self.child_ctx)
+            ch._open(ctx)
         self.child_outs = [ch.next() for ch in self.children]
 
     def close(self) -> None:
@@ -205,7 +243,7 @@ class TreeIter:
         self.children = None
         self.child_outs = None
         self.current = None
-        self.ctx = None
+        self._ctx = None
 
     # -- next ----------------------------------------------------------------
 
@@ -222,7 +260,7 @@ class TreeIter:
                 return None
             row, m = self.current
             self.current = next(self._range, None)
-            return (tuple(row[p] for p in info.out_positions), m)
+            return (info.out_of(row), m)
         while self.current is not None:
             if _odometer(self.children, self.child_outs, self.child_ctx):
                 return _product_row(self.children, self.child_outs,
@@ -232,24 +270,35 @@ class TreeIter:
             self._reopen_children()
         return None
 
-    # -- constant-time membership under an assignment ------------------------
+    # -- constant-time membership of an output tuple --------------------------
 
-    def lookup(self, assign: dict) -> int:
-        """Multiplicity of the output tuple described by ``assign`` in the
-        relation this (sub)iterator represents; 0 when absent."""
-        info = self.node.enum
-        merged = {**self.ctx, **assign} if self.ctx else assign
+    def lookup(self, t: Row) -> int:
+        """Multiplicity of ``t``, a tuple over ``enum.out_schema``, in the
+        relation this (sub)iterator represents; 0 when absent.
+
+        Each view key comes from one compiled projection of ``part + t``:
+        a schema variable in the output schema takes its value from ``t``,
+        any other from this iterator's scope (``part``, taken at open; the
+        key itself when it takes nothing from ``t``).  A child is looked up
+        with its share of ``t``, a bucket with ``t``.  Reads the view's
+        entries directly and counts the one get."""
         if self.buckets is not None:
-            return sum(b.lookup(merged) for b in self.buckets)
-        key = tuple(merged[v] for v in self.node.schema)
-        m = self.node.content.get(key)
+            total = 0
+            for b in self.buckets:
+                total += b.lookup(t)
+            return total
+        info = self.node.enum
+        content = self.node.content
+        content.counters.storage_ops += 1
+        key = self._key
+        m = content.entries.get(info.key(self._part + t) if key is None else key, 0)
         if info.covering:
-            return (1 if m else 0) if self.node.semantics == "set" else m
+            return (1 if m else 0) if info.set_semantics else m
         if m == 0:
             return 0  # the context row itself is absent from this view
         total = 1
-        for ch in self.children:
-            cm = ch.lookup(merged)
+        for ch, share in self._shares:
+            cm = ch.lookup(share(t))
             if cm == 0:
                 return 0
             total *= cm
@@ -275,14 +324,15 @@ def union_next(members: list):
     Iterative fold of the two-member rule: a tuple from the union of the
     first i members is emitted only if member i+1 does not contain it;
     otherwise member i+1's next tuple is emitted with lookups into the
-    earlier members added to its multiplicity.
+    earlier members added to its multiplicity.  Every member shares one
+    output schema, so the tuples pass to ``lookup`` as they are.
     """
     r = members[0].next()
     for i in range(1, len(members)):
         last = members[i]
         if r is not None:
-            t, _ = r
-            if last.lookup(_as_assign(last, t)) == 0:
+            t = r[0]
+            if last.lookup(t) == 0:
                 continue  # not in member i: the prefix tuple survives
             nxt = last.next()
             # a tuple of member i still pending in the prefix implies the
@@ -294,17 +344,11 @@ def union_next(members: list):
             nxt = last.next()
             if nxt is None:
                 continue
-        t2, m2 = nxt
-        total = m2
-        assign = _as_assign(last, t2)
+        t2, total = nxt
         for j in range(i):
-            total += members[j].lookup(assign)
+            total += members[j].lookup(t2)
         r = (t2, total)
     return r
-
-
-def _as_assign(member, t: Row) -> dict:
-    return dict(zip(member.node.enum.out_schema, t))
 
 
 class ComponentIter:
@@ -318,9 +362,9 @@ class ComponentIter:
                 raise InvariantViolationError(
                     f"{m.node.name}: output schema differs from its forest's")
 
-    def open(self, ctx: dict) -> None:
+    def _open(self, ctx: tuple) -> None:
         for m in self.members:
-            m.open(ctx)
+            m._open(ctx)
 
     def close(self) -> None:
         for m in self.members:
@@ -346,11 +390,10 @@ class ResultIterator:
         self.generation = state.generation
         self.components = [ComponentIter(c.roots) for c in state.components]
         for c in self.components:
-            c.open({})
+            c._open(())
         self._outs = [c.next() for c in self.components]
-        self._compose = _compose_table(
-            "result", state.query.head_vars, (),
-            [c.out_schema for c in self.components])
+        self._compose = _compose("result", state.query.head_vars, (),
+                                 [c.out_schema for c in self.components])
 
     def next(self):
         if self.generation != self.state.generation:
@@ -359,7 +402,7 @@ class ResultIterator:
         before = counters.storage_ops
         outs = self._outs
         out = (_product_row(self.components, outs, (), self._compose)
-               if _odometer(self.components, outs, {}) else None)
+               if _odometer(self.components, outs, ()) else None)
         counters.record_next(counters.storage_ops - before)
         return out
 

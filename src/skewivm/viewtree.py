@@ -269,7 +269,7 @@ def clone_tree(node: ViewNode) -> ViewNode:
 # ---------------------------------------------------------------------------
 
 
-def _projection(positions: tuple[int, ...]):
+def projection(positions: tuple[int, ...]):
     """Row -> tuple of the values at ``positions``.  Contiguous positions
     (none and one included, where ``itemgetter`` of indexes would fail or
     return a bare value) become a slice."""
@@ -295,8 +295,8 @@ class JoinStep:
     extend: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "key_of", _projection(self.acc_positions))
-        object.__setattr__(self, "extend", _projection(self.new_positions))
+        object.__setattr__(self, "key_of", projection(self.acc_positions))
+        object.__setattr__(self, "extend", projection(self.new_positions))
 
 
 @dataclass(frozen=True)
@@ -308,7 +308,7 @@ class JoinPlan:
     project: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "project", _projection(self.out_positions))
+        object.__setattr__(self, "project", projection(self.out_positions))
 
 
 def _plan_steps(children: list[ViewNode], start: int,

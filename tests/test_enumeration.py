@@ -276,3 +276,137 @@ def test_forest_with_differing_output_schemas_raises_invariant_violation():
              for name, schema in (("T1", ("X",)), ("T2", ("Y",)))]
     with pytest.raises(InvariantViolationError, match="output schema"):
         ComponentIter(roots)
+
+
+# ---------------------------------------------------------------------------
+# compiled lookup against the dict-merge lookup it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_lookup(it: TreeIter, assign: dict) -> int:
+    """The lookup before keys were compiled: the iterator's context merged
+    with the assignment at every level, each view key built variable by
+    variable and read with ``Relation.get``."""
+    ctx = it.ctx
+    merged = {**ctx, **assign} if ctx else assign
+    if it.buckets is not None:
+        return sum(_reference_lookup(b, merged) for b in it.buckets)
+    key = tuple(merged[v] for v in it.node.schema)
+    m = it.node.content.get(key)
+    if it.node.enum.covering:
+        return (1 if m else 0) if it.node.semantics == "set" else m
+    if m == 0:
+        return 0
+    total = 1
+    for ch in it.children:
+        cm = _reference_lookup(ch, merged)
+        if cm == 0:
+            return 0
+        total *= cm
+    return total
+
+
+def _looked_up(result) -> list[TreeIter]:
+    """Every iterator a union looks up: each component's trees and every
+    grounded bucket below them."""
+    def buckets(it):
+        for b in it.buckets or ():
+            yield b
+            yield from buckets(b)
+        for ch in it.children or ():
+            yield from buckets(ch)
+
+    return [x for comp in result.components for member in comp.members
+            for x in (member, *buckets(member))]
+
+
+def _held(it: TreeIter) -> list[tuple]:
+    """The tuples ``it`` holds, read from a fresh iterator in its place."""
+    twin = TreeIter(it.node, it.skip_heavy)
+    twin._open(it._ctx)
+    out = []
+    while (item := twin.next()) is not None:
+        out.append(item[0])
+    return out
+
+
+LOOKUP_QUERIES = [(name, SUITE[name], eps) for name in SUITE for eps in EPS_GRID] + [
+    ("self-join", "Q(A,C) = R(A,B), R(B,C).", 0.25),
+    ("product", "Q(A,C,X) = R(A,B), S(B,C), T(X,Y).", 0.25),
+]
+
+
+@pytest.mark.parametrize("name,text,eps", LOOKUP_QUERIES,
+                         ids=[f"{n}-{e}" for n, _, e in LOOKUP_QUERIES])
+def test_compiled_lookup_matches_dict_merge_reference(name, text, eps):
+    q = parse_query(text)
+    rng = random.Random(f"{name}/{eps}")
+    db = rand_db(q, rng, per_rel=30, dom=5)
+    values = sorted({v for rel in db.values() for row in rel for v in row}) + [99]
+    st = preprocess(q, db, eps, mode="dynamic")
+    result = st.enumerate_result()
+    checked = 0
+    for _ in range(2):  # at open, then half way through the result
+        for it in _looked_up(result):
+            schema = it.node.enum.out_schema
+            held = _held(it)
+            probes = list(held)
+            for t in held[:20]:
+                for i in range(len(t)):
+                    probes.append(t[:i] + (rng.choice(values),) + t[i + 1:])
+            probes.extend(tuple(rng.choice(values) for _ in schema) for _ in range(10))
+            for t in probes:
+                before = st.counters.storage_ops
+                got = it.lookup(t)
+                ops = st.counters.storage_ops - before
+                before = st.counters.storage_ops
+                want = _reference_lookup(it, dict(zip(schema, t)))
+                assert (got, ops) == (want, st.counters.storage_ops - before), (it.node.name, t)
+                checked += 1
+        for _ in range(len(st.result_multiset()) // 2):
+            result.next()
+    assert checked
+
+
+# ---------------------------------------------------------------------------
+# enumeration cost, pinned
+# ---------------------------------------------------------------------------
+
+# (storage ops of opening and draining a result iterator, its largest
+# next()) on the conftest-seeded database, as measured with the dict-merge
+# lookup before enumeration was compiled
+ENUM_OPS = {
+    ('chain2', 0.0): (1921, 93),
+    ('chain2', 0.25): (1921, 93),
+    ('chain2', 0.5): (35, 1),
+    ('chain2', 1.0): (35, 1),
+    ('semi', 0.0): (431, 79),
+    ('semi', 0.25): (377, 79),
+    ('semi', 0.5): (6, 1),
+    ('semi', 1.0): (6, 1),
+    ('fc3', 0.0): (616, 85),
+    ('fc3', 0.25): (252, 18),
+    ('fc3', 0.5): (252, 18),
+    ('fc3', 1.0): (252, 18),
+    ('fc4', 0.0): (1712, 171),
+    ('fc4', 0.25): (325, 19),
+    ('fc4', 0.5): (325, 19),
+    ('fc4', 1.0): (325, 19),
+    ('deep4', 0.0): (9132, 182),
+    ('deep4', 0.25): (3336, 68),
+    ('deep4', 0.5): (105, 1),
+    ('deep4', 1.0): (105, 1),
+    ('star3', 0.0): (10097, 121),
+    ('star3', 0.25): (10097, 121),
+    ('star3', 0.5): (198, 1),
+    ('star3', 1.0): (198, 1),
+}
+
+
+@pytest.mark.parametrize("name,eps", list(ENUM_OPS), ids=[f"{n}-{e}" for n, e in ENUM_OPS])
+def test_enumeration_ops_are_pinned(name, eps, rng):
+    q = parse(name)
+    st = preprocess(q, rand_db(q, rng, per_rel=40, dom=6), eps)
+    before = st.counters.storage_ops
+    st.result_multiset()
+    assert (st.counters.storage_ops - before, st.counters.max_next_ops) == ENUM_OPS[name, eps]

@@ -268,6 +268,63 @@ def test_major_evicts_on_doubling_and_readmits_on_halving(monkeypatch):
     st.check_invariants(deep=True)
 
 
+def _major_ops(monkeypatch, state) -> list[int]:
+    """Storage ops of each major rebalancing of ``state`` from now on."""
+    ops = []
+    original = EngineState._major_rebalancing
+
+    def spy(self):
+        before = self.counters.storage_ops
+        original(self)
+        if self is state:
+            ops.append(self.counters.storage_ops - before)
+
+    monkeypatch.setattr(EngineState, "_major_rebalancing", spy)
+    return ops
+
+
+def test_major_at_eps_one_costs_no_ops_at_any_size(monkeypatch):
+    # at eps=1 every base relation is smaller than the threshold M and every
+    # light part holds all of it, so a major skips each part without a
+    # partition pass, whatever N is
+    q = parse("chain2")
+    for n in (100, 400):
+        db = {"R": {(i, i % 2): 1 for i in range(n)},
+              "S": {(i % 2, i): 1 for i in range(n)}}
+        st = preprocess(q, db, 1.0, mode="dynamic")
+        ops = _major_ops(monkeypatch, st)
+        i = 0
+        while not ops:
+            st.on_update("R", (1000 + i, 1000 + i), 1)
+            i += 1
+        assert (st.N, st.M) == (4 * n + 1, 8 * n + 2)
+        assert ops == [0], (n, ops)
+        _assert_fresh(st, q, 1.0)
+
+
+def test_major_readmits_a_heavy_key_of_a_relation_below_the_threshold(monkeypatch):
+    # S is smaller than the new threshold, but its light part lacks the
+    # heavy key 7: the part is not skipped, and the doubling re-admits 7
+    q = parse("chain2")
+    fillers = [(100 + i, 200 + i) for i in range(80)]
+    db = {"R": {**{(i, 7): 1 for i in range(9)}, **{row: 1 for row in fillers[:29]}},
+          "S": {(7, j): 1 for j in range(12)}}
+    st = preprocess(q, db, 0.5, mode="dynamic")
+    assert (st.N, st.M) == (50, 101)  # threshold 10.05: 7 is heavy in S
+    lp_s = _light_part(st, "S")
+    assert lp_s.content.size == 0
+    rebuilt = _spy(monkeypatch, "_repartition", st)
+    for row in fillers[29:]:
+        st.on_update("R", row, 1)
+        if st.counters.major_rebalances:
+            break
+    assert (st.N, st.M, st.counters.major_rebalances) == (101, 202, 1)  # threshold 14.2
+    assert lp_s.content.count(lp_s.key_positions, (7,)) == 12  # re-admitted
+    assert rebuilt == []
+    _assert_fresh(st, q, 0.5)
+    st.check_invariants(deep=True)
+
+
 def test_major_rebuilds_when_moving_costs_more(monkeypatch):
     # semi has w = delta = 1, so at eps=0.5 a major rebuilds once more than
     # M^0.5 tuples would move: here 8 heavy keys of degree 24 turn light
@@ -473,8 +530,8 @@ def test_union_of_exhausted_member_raises_invariant_violation():
         def next(self):
             return self.rows.pop(0) if self.rows else None
 
-        def lookup(self, assign):
-            return self.held.get(assign["A"], 0)
+        def lookup(self, t):
+            return self.held.get(t[0], 0)
 
     # member 1 claims to hold (1,) but its cursor has nothing left
     with pytest.raises(InvariantViolationError):
