@@ -92,6 +92,7 @@ def cmd_analyze(args) -> int:
         "kappa": kappa_measure(vo, free),
     }
     state = preprocess(q, {sym: {} for sym in q.symbols()}, args.epsilon, mode="dynamic")
+    report["views"] = state.view_counts()
     report["plan"] = state.plan_json()
     if args.dot:
         parts = [_vo_dot(vo, "canonical"), _vo_dot(free_top(vo), "free_top"), state.dot()]

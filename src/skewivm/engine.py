@@ -1,7 +1,9 @@
 """Engine state: preprocessing, single-tuple updates, and rebalancing.
 
 The maintained object is a tuple (epsilon, threshold base M, result view
-trees, indicator triples).  Preprocessing at database size N fixes
+trees, indicator triples).  The trees share their views: they are interned
+into one DAG (:class:`ViewDag`) that holds each distinct view once, and a
+leaf delta reaches every view above the leaf in one pass.  Preprocessing at database size N fixes
 M = 2N + 1 and partitions with threshold M^epsilon; updates keep the size
 invariant floor(M/4) <= N < M by doubling or halving M with a *major*
 rebalancing, and keep the relaxed partition conditions per key by migrating
@@ -18,6 +20,7 @@ access, and any open iterator is invalidated by a generation counter.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import enumeration
@@ -36,15 +39,17 @@ from .query import Atom, ConjunctiveQuery, connected_components, hierarchy_viola
 from .storage import Relation, iceil, key_degrees, strict_partition
 from .vorder import VariableOrder, canonical_vo, dynamic_width, static_width
 from .viewtree import (
+    HEAVY_REF,
+    LIGHT,
     IndicatorTriple,
     JoinPlan,
     LightPart,
     ViewNode,
     delta_plan,
     forest_dot,
+    intern,
     make_context,
     materialize_node,
-    materialize_plan,
     run_join,
     tau,
     tree_to_dict,
@@ -55,33 +60,76 @@ Multiset = dict[Row, int]
 
 
 class ViewTree:
-    """A rooted view tree plus the leaf-to-root paths used by deltas."""
+    """One rooted tree of the interned forest: its root, its nodes in
+    postorder and its leaves by leaf name.  Its nodes may be shared with
+    other trees, which hold the same views."""
 
     def __init__(self, root: ViewNode, tag: str):
         self.root = root
         self.tag = tag
         # children before their parent, the order views are computed in
         self.nodes = root.postorder()
+        self.leaves: dict[str, ViewNode] = {}
         for node in self.nodes:
-            node.name = f"{node.name}@{tag}"
-        # leaf name -> [(leaf, -1), (parent, child index), ..., (root, i)]
-        self.leaf_paths: dict[str, list[tuple[ViewNode, int]]] = {}
-        self._collect_paths(root, [])
-        # leaf name -> [(node above the leaf, its delta plan), ..., (root,
-        # plan)]; filled by the engine in dynamic mode
-        self.delta_paths: dict[str, list[tuple[ViewNode, JoinPlan]]] = {}
+            if node.is_leaf:
+                if node.leaf_name in self.leaves:
+                    raise InvariantViolationError(
+                        f"duplicate leaf {node.leaf_name} in tree {tag}")
+                self.leaves[node.leaf_name] = node
 
-    def _collect_paths(self, node: ViewNode, above: list[tuple[ViewNode, int]]) -> None:
-        if node.is_leaf:
-            if node.leaf_name in self.leaf_paths:
-                raise InvariantViolationError(
-                    f"duplicate leaf {node.leaf_name} in tree {self.tag}")
-            path = [(node, -1)]
-            path.extend(reversed(above))
-            self.leaf_paths[node.leaf_name] = path
-            return
-        for i, c in enumerate(node.children):
-            self._collect_paths(c, above + [(node, i)])
+
+class ViewDag:
+    """The interned forest as one DAG: every distinct node once, named
+    ``name@tag`` after the first tree that holds it, and per leaf name the
+    steps that carry a delta from that leaf to every view above it, across
+    all trees.
+
+    A tree holds a leaf name once, so a view has at most one child above a
+    given leaf and the views above a leaf form a tree; its steps list each
+    view after the child its delta arrives from.  A step is ``(view, delta
+    plan of that child, index of the step that wrote the child's delta, or
+    -1 for the leaf)``, so each view's delta is computed once and read by
+    every parent."""
+
+    def __init__(self, trees: list[ViewTree]):
+        self.nodes: list[ViewNode] = []  # children before their parents
+        self._parents: dict[int, list[tuple[ViewNode, int]]] = {}
+        seen: set[int] = set()
+        for tree in trees:
+            for node in tree.nodes:
+                if id(node) not in seen:
+                    seen.add(id(node))
+                    node.name = f"{node.name}@{tree.tag}"
+                    self.nodes.append(node)
+                    for i, child in enumerate(node.children):
+                        self._parents.setdefault(id(child), []).append((node, i))
+        self.views = [node for node in self.nodes if not node.is_leaf]
+        # the views in postorder, split by what they read: base relations
+        # only, light parts but no H, and H
+        self.stages: tuple[list[ViewNode], ...] = ([], [], [])
+        reads: dict[int, set[str]] = {}
+        for node in self.nodes:
+            if node.is_leaf:
+                reads[id(node)] = {node.kind}
+            else:
+                kinds = reads[id(node)] = set().union(*(reads[id(c)] for c in node.children))
+                self.stages[2 if HEAVY_REF in kinds else 1 if LIGHT in kinds else 0].append(node)
+        self.leaf_paths: dict[str, list[tuple[ViewNode, JoinPlan, int]]] = {}
+
+    def resolve_paths(self, plans: dict[tuple[int, int], JoinPlan]) -> None:
+        """Fill ``leaf_paths`` from the delta plans, keyed by (id of the
+        view, index of the child the delta arrives from)."""
+        for leaf in self.nodes:
+            if not leaf.is_leaf:
+                continue
+            steps: list[tuple[ViewNode, JoinPlan, int]] = []
+            stack = [(leaf, -1)]
+            while stack:
+                node, src = stack.pop()
+                for parent, i in self._parents.get(id(node), ()):
+                    steps.append((parent, plans[id(parent), i], src))
+                    stack.append((parent, len(steps) - 1))
+            self.leaf_paths[leaf.leaf_name] = steps
 
 
 @dataclass
@@ -102,6 +150,8 @@ class EngineState:
 
     def __init__(self, query: ConjunctiveQuery, epsilon: float, mode: str,
                  counters: Counters | None = None):
+        if not _is_number(epsilon):
+            raise EngineError(f"epsilon {epsilon!r} is not a number")
         if not 0.0 <= epsilon <= 1.0:
             raise EngineError(f"epsilon {epsilon} outside [0, 1]")
         if mode not in ("static", "dynamic"):
@@ -122,14 +172,12 @@ class EngineState:
         self.triples: list[IndicatorTriple] = []
         # the result trees, then each triple's All and L trees
         self.forest: list[ViewTree] = []
+        self.dag: ViewDag | None = None
         self.base: dict[str, Relation] = {}
         # atom name -> the relation its ATOM leaves read: the base relation
         # for a symbol's first occurrence, one relation of its own for each
         # later occurrence of a self-join
         self.atom_rels: dict[str, Relation] = {}
-        self._mat_plans: dict[int, JoinPlan] = {}
-        # leaf name -> the result trees holding that leaf
-        self._trees_by_leaf: dict[str, list[ViewTree]] = {}
         self._triples_by_leaf: dict[str, list[tuple[IndicatorTriple, LightPart]]] = {}
         # (static width w, dynamic width delta), computed at the first major
         self._widths: tuple[int, int] | None = None
@@ -140,19 +188,33 @@ class EngineState:
 
     def _build(self, db: dict[str, Multiset], m_override: int | None) -> None:
         q = self.query
+        if m_override is not None and not _is_int(m_override):
+            raise EngineError(f"threshold base {m_override!r} is not an int")
+        if not isinstance(db, Mapping):
+            raise EngineError(f"database {type(db).__name__} is not a mapping")
         for sym in q.symbols():
             if sym not in db:
                 raise MissingRelationError(sym)
+            if not isinstance(db[sym], Mapping):
+                raise EngineError(f"{sym}: {type(db[sym]).__name__} is not a "
+                                  f"mapping of rows to multiplicities")
         self.vo = canonical_vo(q)
         comps = connected_components(q)
 
+        # one node per distinct view: the result trees are interned first,
+        # so their names, kinds and plans are the ones a shared view keeps
+        table: dict = {}
         tree_counter = itertools.count()
         for comp, root in zip(comps, self.vo.roots):
             ctx = make_context(q, self.vo, q.free, self.mode)
-            roots = tau(ctx, root)
-            trees = [ViewTree(r, f"t{next(tree_counter)}") for r in roots]
+            trees = []
+            for r in tau(ctx, root):
+                tag = f"t{next(tree_counter)}"
+                trees.append(ViewTree(intern(r, table), tag))
             for triple in ctx.triples:
                 tag = f"I{triple.var}"
+                triple.all_root = intern(triple.all_root, table)
+                triple.light_root = intern(triple.light_root, table)
                 triple.all_tree = ViewTree(triple.all_root, f"{tag}a")
                 triple.light_tree = ViewTree(triple.light_root, f"{tag}l")
             self.components.append(Component(comp.head_vars, trees, ctx.triples))
@@ -161,6 +223,7 @@ class EngineState:
         self.forest = list(self.trees)
         for triple in self.triples:
             self.forest.extend([triple.all_tree, triple.light_tree])
+        self.dag = ViewDag(self.forest)
 
         self._attach_relations(db)
         self._register_plans()
@@ -173,8 +236,7 @@ class EngineState:
         if not (self.M // 4 <= self.N < self.M):
             raise EngineError(f"threshold base {self.M} violates the size "
                               f"invariant for N={self.N}")
-        for triple in self.triples:
-            self._materialize_tree(triple.all_tree)
+        self._materialize(self.dag.stages[0])
         self._repartition()
 
     def _attach_relations(self, db: dict[str, Multiset]) -> None:
@@ -204,35 +266,23 @@ class EngineState:
                 self.base[lp.atom.symbol].register_index(lp.key_positions)
                 self._triples_by_leaf.setdefault(lp.atom.name, []).append((triple, lp))
                 sources[lp.name] = lp.content
-        for tree in self.forest:
-            for node in tree.nodes:
-                node.content = (sources[node.leaf_name] if node.is_leaf
-                                else Relation(node.name, node.schema, counters))
+        for node in self.dag.nodes:
+            node.content = (sources[node.leaf_name] if node.is_leaf
+                            else Relation(node.name, node.schema, counters))
 
     def _register_plans(self) -> None:
-        """Build every join plan once, register the indexes its scans read,
-        resolve each leaf-to-root path to its delta plans and each leaf
-        name to the result trees holding it."""
-        for tree in self.trees:
-            for leaf_name in tree.leaf_paths:
-                self._trees_by_leaf.setdefault(leaf_name, []).append(tree)
-        for tree in self.forest:
-            delta_plans: dict[tuple[int, int], JoinPlan] = {}
-            for node in tree.nodes:
-                if node.is_leaf:
-                    continue
-                plan = materialize_plan(node)
-                self._mat_plans[id(node)] = plan
-                self._register_scan_indexes(node, plan)
-                if self.mode == "dynamic":
-                    for i in range(len(node.children)):
-                        dplan = delta_plan(node, i)
-                        delta_plans[id(node), i] = dplan
-                        self._register_scan_indexes(node, dplan)
+        """Register the indexes every distinct view's materialization plan
+        scans and, in dynamic mode, build its delta plans once, register
+        theirs and resolve the DAG's per-leaf propagation steps."""
+        delta_plans: dict[tuple[int, int], JoinPlan] = {}
+        for node in self.dag.views:
+            self._register_scan_indexes(node, node.plan)
             if self.mode == "dynamic":
-                for leaf_name, path in tree.leaf_paths.items():
-                    tree.delta_paths[leaf_name] = [
-                        (node, delta_plans[id(node), i]) for node, i in path[1:]]
+                for i in range(len(node.children)):
+                    dplan = delta_plans[id(node), i] = delta_plan(node, i)
+                    self._register_scan_indexes(node, dplan)
+        if self.mode == "dynamic":
+            self.dag.resolve_paths(delta_plans)
 
     @staticmethod
     def _register_scan_indexes(node: ViewNode, plan: JoinPlan) -> None:
@@ -266,21 +316,21 @@ class EngineState:
 
     def _repartition(self, parts: list | None = None) -> None:
         """Load every light part with its strict partition (``parts`` from
-        :meth:`_strict_parts`, or computed here) and recompute the L trees,
-        H and the result trees from the leaves."""
+        :meth:`_strict_parts`, or computed here) and recompute from the
+        leaves every view that reads a light part or H, H in between.  The
+        views over base relations alone do not depend on the partition and
+        stay as they are."""
         for _, lp, light in self._strict_parts() if parts is None else parts:
             if light is not None:
                 lp.content.load(light)
+        self._materialize(self.dag.stages[1])
         for triple in self.triples:
-            self._materialize_tree(triple.light_tree)
             self._rebuild_h(triple)
-        for tree in self.trees:
-            self._materialize_tree(tree)
+        self._materialize(self.dag.stages[2])
 
-    def _materialize_tree(self, tree: ViewTree) -> None:
-        for node in tree.nodes:
-            if not node.is_leaf:
-                materialize_node(node, self._mat_plans[id(node)])
+    def _materialize(self, views: list[ViewNode]) -> None:
+        for node in views:
+            materialize_node(node, node.plan)
 
     def _rebuild_h(self, triple: IndicatorTriple) -> None:
         light_support = triple.light_root.content.entries
@@ -359,62 +409,63 @@ class EngineState:
 
     def _update_trees(self, atom: Atom, row: Row, mult: int, pre: dict) -> None:
         """One occurrence's pass of the update algorithm, after the
-        occurrence's relation took the update: apply to the trees, maintain
-        each affected indicator triple, forward indicator support changes
-        back into the trees."""
+        occurrence's relation took the update: propagate it through every
+        view above the occurrence's leaf, All roots included, then forward
+        each affected triple's H change and, on the light path, the light
+        part's change."""
         delta = {row: mult}
-        self._apply_to_trees(atom.name, delta)
-        for triple, lp in self._triples_by_leaf.get(atom.name, ()):
+        pairs = self._triples_by_leaf.get(atom.name, ())
+        keys, before = [], []
+        for triple, lp in pairs:
             key = tuple(row[p] for p in lp.key_positions)
-            d_all = self._update_ind_tree(triple.all_tree, triple.all_root,
-                                          atom.name, delta, key)
-            self._apply_to_trees(triple.support_name,
-                                 self._h_all_change(triple, key, d_all))
+            keys.append(key)
+            before.append(triple.all_root.content.get(key))
+        self._apply(self.dag, atom.name, delta)
+        for (triple, lp), key, count in zip(pairs, keys, before):
+            d_all = self._update_ind_tree(triple.all_root, key, count)
+            d_h = self._h_all_change(triple, key, d_all)
+            if d_h:
+                self._apply(self.dag, triple.support_name, d_h)
             if pre[(atom.key, triple.var)]:
                 lp.content.delta(row, mult)
-                self._apply_to_trees(lp.name, delta)
                 self._light_change(triple, lp, delta, key)
-
-    def _apply_to_trees(self, leaf_name: str, delta: Multiset) -> None:
-        """Propagate ``delta`` through every result tree holding the leaf."""
-        if delta:
-            for tree in self._trees_by_leaf.get(leaf_name, ()):
-                self._apply(tree, leaf_name, delta)
 
     def _light_change(self, triple: IndicatorTriple, lp: LightPart,
                       delta: Multiset, key: Row) -> None:
-        """Propagate a change of a light part through the indicator light
-        tree, then forward any H support change into the result trees."""
-        d_light = self._update_ind_tree(triple.light_tree, triple.light_root,
-                                        lp.name, delta, key)
-        self._apply_to_trees(triple.support_name,
-                             self._h_light_change(triple, key, d_light))
+        """Propagate a change the light part has taken through every view
+        above it, the L root included, then forward any H change."""
+        before = triple.light_root.content.get(key)
+        self._apply(self.dag, lp.name, delta)
+        d_light = self._update_ind_tree(triple.light_root, key, before)
+        d_h = self._h_light_change(triple, key, d_light)
+        if d_h:
+            self._apply(self.dag, triple.support_name, d_h)
 
-    def _apply(self, tree: ViewTree, leaf_name: str, delta: Multiset) -> Multiset:
-        """Leaf-to-root delta propagation; returns the root delta (empty when
-        the tree does not contain the leaf or the delta dies out).  The
-        caller has already written ``delta`` into the relation the leaf
-        reads."""
+    def _apply(self, dag: ViewDag, leaf_name: str, delta: Multiset) -> list[Multiset]:
+        """Propagate ``delta`` from the leaf through every view above it,
+        writing each view's delta into its relation; returns the deltas in
+        the order of ``dag.leaf_paths[leaf_name]`` (empty where a delta died
+        out, and no step at all for an unknown leaf).  The caller has
+        already written ``delta`` into the relation the leaf reads."""
+        out: list[Multiset] = []
         if not delta:
-            return {}
-        steps = tree.delta_paths.get(leaf_name)
-        if steps is None:
-            return {}
-        current = delta
-        for node, plan in steps:
-            current = run_join(plan, node.children, current.items())
-            if not current:
-                return {}
-            for row, m in current.items():
-                node.content.delta(row, m)
-        return current
+            return out
+        append = out.append
+        for node, plan, src in dag.leaf_paths.get(leaf_name, ()):
+            current = delta if src < 0 else out[src]
+            if current:
+                current = run_join(plan, node.children, current.items())
+                add = node.content.delta
+                for row, m in current.items():
+                    add(row, m)
+            append(current)
+        return out
 
-    def _update_ind_tree(self, tree: ViewTree, root: ViewNode, leaf_name: str,
-                         delta: Multiset, key: Row) -> int:
-        """Apply a delta to an indicator tree; +1/-1 when the root's support
-        of ``key`` appears/disappears, else 0."""
-        before = root.content.get(key)
-        self._apply(tree, leaf_name, delta)
+    def _update_ind_tree(self, root: ViewNode, key: Row, before: int) -> int:
+        """+1/-1 when an indicator root's support of ``key`` appeared/
+        disappeared since it held ``before`` there, else 0.  The root may
+        be shared with result trees, so the caller reads ``before``, then
+        propagates the leaf delta through the whole DAG once."""
         after = root.content.get(key)
         if before == 0 and after > 0:
             return 1
@@ -513,7 +564,6 @@ class EngineState:
             cnt = base_mult if insert else -base_mult
             delta = {row: cnt}
             lp.content.delta(row, cnt)
-            self._apply_to_trees(lp.name, delta)
             self._light_change(triple, lp, delta, key)
 
     # ------------------------------------------------------------------
@@ -574,17 +624,14 @@ class EngineState:
             if self.atom_rels[atom.name].entries != self.base[atom.symbol].entries:
                 raise InvariantViolationError(
                     f"{atom.name}: occurrence relation diverged from {atom.symbol}")
-        for tree in self.forest:
-            for node in tree.nodes:
-                if node.is_leaf:
-                    continue
-                plan = self._mat_plans[id(node)]
-                outer = node.children[plan.start_index]
-                expected = run_join(plan, node.children,
-                                    list(outer.content.entries.items()))
-                if node.content.entries != expected:
-                    raise InvariantViolationError(
-                        f"{node.name}: content diverged from recomputation")
+        for node in self.dag.views:
+            plan = node.plan
+            outer = node.children[plan.start_index]
+            expected = run_join(plan, node.children,
+                                list(outer.content.entries.items()))
+            if node.content.entries != expected:
+                raise InvariantViolationError(
+                    f"{node.name}: content diverged from recomputation")
 
     def fingerprint(self) -> dict:
         """Exact content map for state-equality comparisons."""
@@ -593,9 +640,8 @@ class EngineState:
             out[triple.h_content.name] = _freeze(triple.h_content.entries)
             for lp in triple.light_parts:
                 out[lp.content.name] = _freeze(lp.content.entries)
-        for tree in self.forest:
-            for node in tree.nodes:
-                out[node.name] = _freeze(node.content.entries)
+        for node in self.dag.nodes:
+            out[node.name] = _freeze(node.content.entries)
         return out
 
     # ------------------------------------------------------------------
@@ -619,15 +665,31 @@ class EngineState:
             })
         return out
 
+    def view_counts(self) -> dict[str, int]:
+        """View positions summed over the result, All and L trees, and the
+        distinct views of the DAG that holds them."""
+        return {"positions": sum(1 for tree in self.forest
+                                 for node in tree.nodes if not node.is_leaf),
+                "distinct": len(self.dag.views)}
+
     def dot(self) -> str:
         named = [(t.tag, t.root) for t in self.trees]
         return forest_dot(named, self.triples)
 
 
+def _is_int(x: object) -> bool:
+    """An ``int`` that is not a ``bool`` (an ``int`` subclass, but no
+    count)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x: object) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
 def _check_multiplicity(symbol: str, row: Row, m: object) -> None:
-    """Reject a multiplicity that is not an ``int``; ``bool`` is an ``int``
-    subclass but no multiplicity."""
-    if not isinstance(m, int) or isinstance(m, bool):
+    """Reject a multiplicity that is not an ``int``."""
+    if not _is_int(m):
         raise InvalidMultiplicityError(
             f"{symbol}: multiplicity {m!r} of {row} is not an int")
 

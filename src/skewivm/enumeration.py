@@ -57,14 +57,21 @@ class EnumInfo:
 def annotate(root: ViewNode, free: frozenset[str],
              ctx_order: tuple[str, ...] = ()) -> None:
     """Fill ``node.enum`` for every node reachable during enumeration and
-    register the sigma-range indexes the iterators will use."""
+    register the sigma-range indexes the iterators will use.  A node shared
+    by several trees is annotated once; it must be reached under the same
+    context layout every time."""
+    if root.enum is not None:
+        if root.enum.ctx_order != ctx_order:
+            raise InvariantViolationError(
+                f"{root.name}: shared view reached under contexts "
+                f"{root.enum.ctx_order} and {ctx_order}")
+        return
     info = EnumInfo()
     root.enum = info
     info.ctx_order = info.scope = ctx_order
     info.set_semantics = root.semantics == "set"
     schema, ctx_vars = root.schema, set(ctx_order)
     info.range_positions = root.content.positions(ctx_vars & set(schema))
-    root.content.register_index(info.range_positions)
 
     subtree_vars = {v for n in root.postorder() for v in n.schema}
     fvars = free & subtree_vars
@@ -78,6 +85,7 @@ def annotate(root: ViewNode, free: frozenset[str],
             raise InvariantViolationError(f"{root.name}: leaf not pinned by context")
         info.covering = True
         info.out_of = projection(tuple(schema.index(v) for v in info.out_schema))
+        root.content.register_index(info.range_positions)
         _compile_keys(info, root)
         return
 
@@ -87,10 +95,11 @@ def annotate(root: ViewNode, free: frozenset[str],
             info.h_positions = c.content.positions(ctx_vars & set(c.schema))
             info.h_key = _getter(ctx_order, c.schema, info.h_positions)
             c.content.register_index(info.h_positions)
-            # a grounded bucket ranges over the context plus the heavy key
+            # a grounded bucket ranges over the context plus the heavy key,
+            # and the grounded view itself is never ranged over the context
             info.scope = ctx_order + c.schema
             info.range_positions = root.content.positions(set(info.scope) & set(schema))
-            root.content.register_index(info.range_positions)
+    root.content.register_index(info.range_positions)
     _compile_keys(info, root)
     info.slots = tuple(i for i, c in enumerate(root.children) if i != info.heavy_idx)
     for i in info.slots:

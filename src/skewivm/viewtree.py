@@ -7,9 +7,11 @@ rule, auxiliary aggregation views for dynamic maintenance, indicator triples
 splitter that forks into a light strategy over partitioned relations and
 heavy strategies gated by set-semantics indicators.
 
-Nodes built here carry no data.  The engine gives every leaf, as its content,
-the relation it reads (a base relation, a light part or an H support) and
-every view a relation of its own, which it materializes bottom-up.
+Nodes built here carry no data.  The builders may return one node object in
+several places; :func:`intern` then turns a forest into a DAG with one node
+per distinct view.  The engine gives every leaf, as its content, the
+relation it reads (a base relation, a light part or an H support) and every
+distinct view a relation of its own, which it materializes bottom-up.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class ViewNode:
     """One view in a tree: a join of its children projected to ``schema``."""
 
     __slots__ = ("name", "schema", "kind", "semantics", "children", "content",
-                 "leaf_name", "dashed", "enum")
+                 "leaf_name", "dashed", "enum", "plan")
 
     def __init__(self, name: str, schema: tuple[str, ...], kind: str,
                  children: list["ViewNode"] | None = None,
@@ -51,6 +53,7 @@ class ViewNode:
         self.leaf_name = leaf_name  # delta dispatch key for leaves
         self.dashed = dashed
         self.enum = None  # enumeration annotations, filled per result tree
+        self.plan: JoinPlan | None = None  # materialization plan, set by intern
 
     @property
     def is_leaf(self) -> bool:
@@ -221,7 +224,8 @@ def tau(ctx: BuildContext, node) -> list[ViewNode]:
     """Skew-aware view trees for the subtree at ``node``.
 
     Returns the forest roots, light strategy first.  Indicator triples
-    created anywhere in the recursion accumulate on the context.
+    created anywhere in the recursion accumulate on the context.  The
+    combinations share their children's node objects.
     """
     if isinstance(node, Atom):
         return [base_leaf(node)]
@@ -241,10 +245,8 @@ def tau(ctx: BuildContext, node) -> list[ViewNode]:
     def combos(extra: list[ViewNode]) -> list[ViewNode]:
         out = []
         for combo in itertools.product(*child_sets):
-            subtrees = [aux_view(ctx, z, clone_tree(t))
-                        for z, t in zip(vo.kids(x), combo)]
-            fresh_extra = [clone_tree(e) for e in extra]
-            out.append(new_vt(ctx, f"V_{x}", keys, fresh_extra + subtrees))
+            subtrees = [aux_view(ctx, z, t) for z, t in zip(vo.kids(x), combo)]
+            out.append(new_vt(ctx, f"V_{x}", keys, extra + subtrees))
         return out
 
     if x in ctx.free:
@@ -256,12 +258,30 @@ def tau(ctx: BuildContext, node) -> list[ViewNode]:
     return [ltree] + htrees
 
 
-def clone_tree(node: ViewNode) -> ViewNode:
-    """Structural deep copy; combinations must not share node objects."""
-    copy = ViewNode(node.name, node.schema, node.kind,
-                    [clone_tree(c) for c in node.children],
-                    node.semantics, node.leaf_name, node.dashed)
-    return copy
+def intern(root: ViewNode, table: dict) -> ViewNode:
+    """The node ``table`` holds for the subtree at ``root``, interning it
+    first if it is new.  A leaf is keyed by its ``leaf_name``, a view by its
+    schema, semantics and interned children, so a view equals another when
+    it computes the same relation; kind, dashed flag and name stay out of
+    the key, and a new node keeps its own.  Children are interned in place,
+    in postorder.
+
+    A new view's materialization plan is chosen here, from the names its
+    children have in its own tree, before they are replaced: a view then
+    loads its rows in the same order whichever tree's nodes it comes to
+    share."""
+    if root.is_leaf:
+        key = root.leaf_name
+    else:
+        plan = materialize_plan(root)
+        root.children = [intern(c, table) for c in root.children]
+        key = (root.schema, root.semantics, tuple(id(c) for c in root.children))
+    node = table.get(key)
+    if node is None:
+        node = table[key] = root
+        if not root.is_leaf:
+            root.plan = plan
+    return node
 
 
 # ---------------------------------------------------------------------------

@@ -94,6 +94,16 @@ def test_analyze_report(capsys):
     assert out["plan"][0]["trees"]
 
 
+@pytest.mark.parametrize("query,positions,distinct", [
+    (QUERY, 10, 8),
+    ("Q(A,C,F) = R(A,B,C), S(A,B,D), T(A,E,F), U(A,E,G).", 44, 24),
+])
+def test_analyze_reports_shared_views(capsys, query, positions, distinct):
+    assert main(["analyze", "--query", query, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["views"] == {"positions": positions, "distinct": distinct}
+
+
 def test_analyze_full_single_atom(capsys):
     rc = main(["analyze", "--query", "Q(A,B) = R(A,B).", "--json"])
     out = json.loads(capsys.readouterr().out)

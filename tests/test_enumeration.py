@@ -13,7 +13,7 @@ from skewivm.metrics import Counters
 from skewivm.oracle import brute_force_eval
 from skewivm.query import parse_query
 from skewivm.storage import Relation
-from skewivm.viewtree import ViewNode
+from skewivm.viewtree import ATOM, ViewNode
 
 from conftest import EPS_GRID, SUITE, parse, rand_db, random_hierarchical_query
 
@@ -217,7 +217,7 @@ def test_open_grounds_one_bucket_per_heavy_key():
     st = preprocess(q, db, 0.5, mode="dynamic")  # theta ~ 6.4: only key 7 heavy
     (triple,) = st.triples
     assert set(triple.h_content.entries) == {(7,)}
-    heavy = next(t for t in st.trees if "xH_B" in t.leaf_paths)
+    heavy = next(t for t in st.trees if "xH_B" in t.leaves)
     it = TreeIter(heavy.root)
     it.open({})
     assert len(it.buckets) == 1
@@ -410,3 +410,32 @@ def test_enumeration_ops_are_pinned(name, eps, rng):
     before = st.counters.storage_ops
     st.result_multiset()
     assert (st.counters.storage_ops - before, st.counters.max_next_ops) == ENUM_OPS[name, eps]
+
+
+def test_grounded_view_holds_no_context_index():
+    # a grounded view is only ever ranged over by its buckets, whose scope
+    # is the context plus the heavy key; the six grounded view positions of
+    # fc3, fc4 and deep4 have the context variable A at position 0
+    seen = 0
+    for name in ("fc3", "fc4", "deep4"):
+        q = parse(name)
+        st = preprocess(q, {s: {} for s in q.symbols()}, 0.5, mode="dynamic")
+        for tree in st.trees:
+            for node in tree.nodes:
+                info = node.enum
+                if info is None or info.heavy_idx is None:
+                    continue
+                ctx = node.content.positions(set(info.ctx_order) & set(node.schema))
+                if ctx:
+                    seen += 1
+                    assert ctx not in node.content.indexes, node.name
+    assert seen == 6
+
+
+def test_shared_node_reached_under_another_layout_raises():
+    leaf = ViewNode("R", ("A",), ATOM, leaf_name="R#0")
+    leaf.content = Relation("R", ("A",), Counters())
+    annotate(leaf, frozenset({"A"}), ("A",))
+    annotate(leaf, frozenset({"A"}), ("A",))  # the same layout: a no-op
+    with pytest.raises(InvariantViolationError, match="shared view"):
+        annotate(leaf, frozenset({"A"}), ())

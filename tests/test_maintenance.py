@@ -7,11 +7,13 @@ import random
 import re
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+from skewivm.bench import skewed_trace
 from skewivm.engine import EngineState, ViewTree, preprocess
 from skewivm.enumeration import union_next
 from skewivm.errors import (
@@ -46,35 +48,47 @@ def test_apply_heavy_tree_delta_matches_hand_computation():
                  if any(n.leaf_name == "xH_B" for n in t.nodes))
     root = heavy.root
     before = root.content.get((7,))
-    delta = st._apply(heavy, "R#0", {(5, 7): 1})
+    deltas = st._apply(st.dag, "R#0", {(5, 7): 1})
+    steps = [node for node, _, _ in st.dag.leaf_paths["R#0"]]
     # dV_B(7) = xH_B(7) * dR'(7) * S'(7) = 1 * 1 * 3
-    assert delta == {(7,): 3}
+    assert deltas[steps.index(root)] == {(7,): 3}
     assert root.content.get((7,)) == before + 3
 
 
 def test_apply_to_tree_without_the_leaf_is_a_noop():
     q = parse("chain2")
     st = preprocess(q, {"R": {(1, 2): 1}, "S": {(2, 3): 1}}, 0.5, mode="dynamic")
-    light = next(t for t in st.trees if "R#0^B" in t.leaf_paths)
-    assert st._apply(light, "R#0", {(4, 4): 1}) == {}
-    assert st._apply(light, "Zebra", {(4, 4): 1}) == {}
+    light = next(t for t in st.trees if "R#0^B" in t.leaves)
+    before = {id(n): dict(n.content.entries) for n in light.nodes}
+    deltas = st._apply(st.dag, "R#0", {(4, 4): 1})
+    steps = [node for node, _, _ in st.dag.leaf_paths["R#0"]]
+    assert not any(node in steps for node in light.nodes)
+    assert len(deltas) == len(steps)
+    assert {id(n): dict(n.content.entries) for n in light.nodes} == before
+    assert st._apply(st.dag, "Zebra", {(4, 4): 1}) == []
 
 
 def test_update_ind_tree_support_transitions():
     q = parse("chain2")
     st = preprocess(q, {"R": {}, "S": {}}, 1.0, mode="dynamic")
     (triple,) = st.triples
+
+    def update(leaf_name, delta):
+        before = triple.all_root.content.get((5,))
+        st._apply(st.dag, leaf_name, delta)
+        return st._update_ind_tree(triple.all_root, (5,), before)
+
     # first insert making the key supported in All: +1
-    d = st._update_ind_tree(triple.all_tree, triple.all_root, "R#0", {(1, 5): 1}, (5,))
+    d = update("R#0", {(1, 5): 1})
     assert d == 0  # All = All_A x All_C needs both sides
-    d = st._update_ind_tree(triple.all_tree, triple.all_root, "S#0", {(5, 2): 1}, (5,))
+    d = update("S#0", {(5, 2): 1})
     assert d == 1
     # staying positive: no support change
-    d = st._update_ind_tree(triple.all_tree, triple.all_root, "S#0", {(5, 3): 1}, (5,))
+    d = update("S#0", {(5, 3): 1})
     assert d == 0
     # last delete: -1
-    st._update_ind_tree(triple.all_tree, triple.all_root, "S#0", {(5, 3): -1}, (5,))
-    d = st._update_ind_tree(triple.all_tree, triple.all_root, "S#0", {(5, 2): -1}, (5,))
+    update("S#0", {(5, 3): -1})
+    d = update("S#0", {(5, 2): -1})
     assert d == -1
 
 
@@ -212,8 +226,11 @@ def _assert_fresh(st, q, eps):
 
 def test_major_at_eps_one_moves_nothing_and_costs_linear_ops(monkeypatch):
     # at eps=1 every degree is at most N < M, the threshold, so no key can
-    # change side: the major costs the two strict-partition passes, not a
-    # rebuild of the light join's 2 * 100 * 100 rows
+    # change side: every light part already holds all of a base relation
+    # below the threshold and is skipped, so the major itself costs no ops
+    # (the update's ops are its propagation), not a rebuild of the light
+    # join's 2 * 100 * 100 rows; the bound is kept from when the major
+    # still ran the two strict-partition passes
     q = parse("chain2")
     db = {"R": {(i, i % 2): 1 for i in range(200)},
           "S": {(i % 2, i): 1 for i in range(200)}}
@@ -375,6 +392,37 @@ def test_post_state_equals_rematerialization_after_traces():
             st.check_invariants(deep=True)
 
 
+@pytest.mark.parametrize("name,eps", [(n, e) for n in ("fc4", "deep4") for e in (0.25, 0.5)])
+def test_shared_views_track_oracle_and_fresh_state(name, eps):
+    # fc4 and deep4 share the most views between their trees (fc4: 44
+    # positions, 24 distinct views).  A skewed trace grows the database, a
+    # burst of 30 tuples of one relation on a new key -2 crosses the light
+    # bound before the next major, then everything is deleted in a shuffled
+    # order, the tuples of keys -1 and -2 last.  Every few steps the views
+    # match their recomputation and the result the oracle; after each major
+    # the partition is strict, and the whole state equals a fresh one
+    q = parse(name)
+    seed = zlib.crc32(f"dag:{name}:{eps}".encode())
+    inserts = skewed_trace(q, 160, seed)
+    sym, row, _ = next(u for u in inserts if -1 in u[1])
+    inserts += [(sym, tuple(-2 if v == -1 else v + 1000 * k for v in row), 1)
+                for k in range(1, 31)]
+    deletes = [(sym, row, -1) for sym, row, _ in inserts]
+    random.Random(seed).shuffle(deletes)
+    deletes.sort(key=lambda update: min(update[1]) < 0)
+    st = preprocess(q, {s: {} for s in q.symbols()}, eps, mode="dynamic")
+    majors = 0
+    for step, update in enumerate(inserts + deletes):
+        st.on_update(*update)
+        if step % 20 == 19:
+            st.check_invariants(deep=True)
+            assert st.result_multiset() == brute_force_eval(q, st.db_snapshot())
+        if st.counters.major_rebalances > majors:
+            majors = st.counters.major_rebalances
+            _assert_fresh(st, q, eps)
+    assert st.N == 0 and majors > 10 and st.counters.minor_rebalances > 0
+
+
 def test_update_trace_tracks_oracle():
     rng = random.Random(103)
     q = parse("deep4")
@@ -420,6 +468,17 @@ def test_preprocess_validations():
         preprocess(q, {"R": {}, "S": {}}, 1.5)
     with pytest.raises(EngineError):
         preprocess(q, {"R": {}}, 0.5)  # missing relation S
+    for epsilon in ("0.5", None, True):
+        with pytest.raises(EngineError, match="epsilon"):
+            preprocess(q, {"R": {}, "S": {}}, epsilon)
+    for m_override in ("7", True, 7.0):
+        with pytest.raises(EngineError, match="threshold base"):
+            preprocess(q, {"R": {(1, 2): 1}, "S": {}}, 0.5, m_override=m_override)
+    for rows in ([(1, 2)], {(1, 2)}, None):
+        with pytest.raises(EngineError, match="R: .* is not a mapping"):
+            preprocess(q, {"R": rows, "S": {}}, 0.5)
+    with pytest.raises(EngineError, match="not a mapping"):
+        preprocess(q, [("R", {}), ("S", {})], 0.5)
     st = preprocess(q, {"R": {}, "S": {}}, 0.5, mode="dynamic")
     with pytest.raises(EngineError):
         st.on_update("Zebra", (1,), 1)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from skewivm.engine import preprocess
 from skewivm.oracle import brute_force_eval
 from skewivm.query import connected_components, parse_query
@@ -19,7 +21,7 @@ from skewivm.viewtree import (
 )
 from skewivm.vorder import canonical_vo
 
-from conftest import parse, rand_db, random_hierarchical_query, run_trace
+from conftest import SUITE, parse, rand_db, random_hierarchical_query, run_trace
 
 
 def shape(node: ViewNode):
@@ -228,3 +230,43 @@ def _leaf_join(comp_q, tree):
     jq = ConjunctiveQuery("J", comp_q.head_vars, atoms)
     db = {n.leaf_name: dict(n.content.entries) for n in leaves}
     return brute_force_eval(jq, db)
+
+
+# ---------------------------------------------------------------------------
+# the interned view DAG
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", ("static", "dynamic"))
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_forest_is_interned_into_one_node_per_distinct_view(name, mode):
+    q = parse(name)
+    st = preprocess(q, {s: {} for s in q.symbols()}, 0.5, mode=mode)
+    keys = [(n.schema, n.semantics, tuple(id(c) for c in n.children))
+            for n in st.dag.views]
+    assert len(set(keys)) == len(keys)
+    leaf_names = [n.leaf_name for n in st.dag.nodes if n.is_leaf]
+    assert len(set(leaf_names)) == len(leaf_names)
+    assert {id(n) for t in st.forest for n in t.nodes} == {id(n) for n in st.dag.nodes}
+    at = {id(n): i for i, n in enumerate(st.dag.nodes)}
+    assert all(at[id(c)] < at[id(n)] for n in st.dag.views for c in n.children)
+    if (name, mode) == ("fc4", "dynamic"):
+        assert st.view_counts() == {"positions": 44, "distinct": 24}
+
+
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_each_view_above_a_leaf_takes_its_delta_once(name):
+    q = parse(name)
+    st = preprocess(q, {s: {} for s in q.symbols()}, 0.5, mode="dynamic")
+    for leaf_name, steps in st.dag.leaf_paths.items():
+        leaf = next(n for n in st.dag.nodes if n.is_leaf and n.leaf_name == leaf_name)
+        nodes = [node for node, _, _ in steps]
+        above = {id(n) for n in st.dag.views
+                 if any(m.leaf_name == leaf_name for m in n.postorder())}
+        assert len(nodes) == len(above) == len({id(n) for n in nodes})
+        assert {id(n) for n in nodes} == above
+        for k, (node, plan, src) in enumerate(steps):
+            # the delta arrives from the leaf or from the view an earlier
+            # step wrote
+            assert src < k
+            assert node.children[plan.start_index] is (nodes[src] if src >= 0 else leaf)
