@@ -48,8 +48,7 @@ def skewed_trace(q: ConjunctiveQuery, n: int, seed: int) -> list[tuple[str, tupl
     return trace
 
 
-def run_point(q: ConjunctiveQuery, n: int, epsilon: float, seed: int,
-              delay_samples: int = DELAY_SAMPLE_NEXTS) -> BenchRow:
+def run_point(q: ConjunctiveQuery, n: int, epsilon: float, seed: int) -> BenchRow:
     """Replay a skewed trace of ~n inserts from the empty database and
     measure amortized/max per-update ops plus the per-next delay counter
     over a prefix of the enumeration."""
@@ -60,7 +59,7 @@ def run_point(q: ConjunctiveQuery, n: int, epsilon: float, seed: int,
     for symbol, row, mult in trace:
         state.on_update(symbol, row, mult)
     it = state.enumerate_result()
-    for _ in range(delay_samples):
+    for _ in range(DELAY_SAMPLE_NEXTS):
         if it.next() is None:
             break
     return BenchRow(

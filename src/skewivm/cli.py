@@ -23,6 +23,7 @@ from .errors import (
     RejectedDeleteError,
     TooLargeError,
 )
+from .metrics import BenchRow
 from .oracle import brute_force_eval
 from .query import (
     ConjunctiveQuery,
@@ -33,6 +34,7 @@ from .query import (
     parse_query,
 )
 from .storage import Interner
+from .viewtree import dot_graph
 from .vorder import canonical_vo, dynamic_width, free_top, kappa_measure, static_width, xi_measure
 
 EXIT_OK = 0
@@ -46,26 +48,6 @@ def _read_query(spec: str) -> ConjunctiveQuery:
     path = Path(spec)
     text = path.read_text() if path.exists() else spec
     return parse_query(text.strip())
-
-
-def _vo_dot(vo, name: str) -> str:
-    lines = [f'digraph "{name}" {{', "  node [shape=plaintext];"]
-    counter = [0]
-
-    def visit(node) -> str:
-        nid = f"n{counter[0]}"
-        counter[0] += 1
-        label = node if isinstance(node, str) else str(node)
-        lines.append(f'  {nid} [label="{label}"];')
-        for kid in vo.kids(node):
-            cid = visit(kid)
-            lines.append(f"  {nid} -> {cid};")
-        return nid
-
-    for r in vo.roots:
-        visit(r)
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def cmd_analyze(args) -> int:
@@ -95,7 +77,9 @@ def cmd_analyze(args) -> int:
     report["views"] = state.view_counts()
     report["plan"] = state.plan_json()
     if args.dot:
-        parts = [_vo_dot(vo, "canonical"), _vo_dot(free_top(vo), "free_top"), state.dot()]
+        parts = [dot_graph(name, order.roots, order.kids, str, lambda n: False)
+                 for name, order in (("canonical", vo), ("free_top", free_top(vo)))]
+        parts.append(state.dot())
         Path(args.dot).write_text("\n".join(parts) + "\n")
     print(json.dumps(report, indent=None if args.json else 2))
     return EXIT_OK
@@ -199,7 +183,7 @@ def cmd_bench(args) -> int:
         return EXIT_NOT_HIERARCHICAL
     sizes = [int(s) for s in args.bench_sizes.split(",")]
     epsilons = [float(e) for e in args.epsilon_grid.split(",")]
-    print("n,epsilon,max_per_update_ops,amortized_ops,max_delay_ops,majors,minors")
+    print(",".join(BenchRow.field_order))
     for row in bench_mod.run_ladder(q, sizes, epsilons, args.seed):
         print(row.as_csv())
     return EXIT_OK

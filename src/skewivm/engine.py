@@ -8,9 +8,10 @@ M = 2N + 1 and partitions with threshold M^epsilon; updates keep the size
 invariant floor(M/4) <= N < M by doubling or halving M with a *major*
 rebalancing, and keep the relaxed partition conditions per key by migrating
 single keys between light and heavy with *minor* rebalancing.  A major
-brings every light part to its strict partition at the new threshold: it
-moves the keys whose side differs through the same per-tuple path as a
-minor, and rebuilds the partition-dependent views from scratch only when
+brings every light part to its strict partition at the new threshold: one
+counted degree pass over each base relation and its light part finds the
+keys whose side differs, which move through the same per-tuple path as a
+minor; it rebuilds the partition-dependent views from scratch only when
 moving would cost more than the paper's preprocessing bound.
 
 A single engine state is strictly single-threaded: updates take exclusive
@@ -20,7 +21,7 @@ access, and any open iterator is invalidated by a generation counter.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from . import enumeration
@@ -295,34 +296,28 @@ class EngineState:
     def _theta(self) -> float:
         return float(self.M) ** self.epsilon
 
-    def _strict_parts(self) -> list[tuple[IndicatorTriple, LightPart, Multiset | None]]:
-        """Every light part with its strict partition at the current
-        threshold, or with ``None`` when the part already holds every tuple
-        of a base relation smaller than the threshold: every key is light,
-        so the part is its own strict partition, known in O(1) rather than
-        by two passes.  (At preprocessing a light part is still empty, so
-        only a part of an empty relation is skipped, which costs no ops
-        either way.)"""
+    def _unsettled_parts(self) -> Iterator[tuple[IndicatorTriple, LightPart, Relation]]:
+        """Each light part that may differ from its strict partition at the
+        current threshold, with its base relation.  A part that already
+        holds every tuple of a base relation smaller than the threshold is
+        skipped in O(1): every key is light, so the part is its own strict
+        partition.  (At preprocessing a light part is still empty, so only a
+        part of an empty relation is skipped.)"""
         theta = self._theta()
-        parts = []
         for triple in self.triples:
             for lp in triple.light_parts:
                 rel = self.base[lp.atom.symbol]
-                if len(rel.entries) < theta and len(lp.content.entries) == len(rel.entries):
-                    parts.append((triple, lp, None))
-                else:
-                    parts.append((triple, lp, strict_partition(rel, lp.key_positions, theta)))
-        return parts
+                if len(rel.entries) >= theta or len(lp.content.entries) != len(rel.entries):
+                    yield triple, lp, rel
 
-    def _repartition(self, parts: list | None = None) -> None:
-        """Load every light part with its strict partition (``parts`` from
-        :meth:`_strict_parts`, or computed here) and recompute from the
-        leaves every view that reads a light part or H, H in between.  The
-        views over base relations alone do not depend on the partition and
-        stay as they are."""
-        for _, lp, light in self._strict_parts() if parts is None else parts:
-            if light is not None:
-                lp.content.load(light)
+    def _repartition(self) -> None:
+        """Load every unsettled light part with its strict partition and
+        recompute from the leaves every view that reads a light part or H,
+        H in between.  The views over base relations alone do not depend on
+        the partition and stay as they are."""
+        theta = self._theta()
+        for _, lp, rel in self._unsettled_parts():
+            lp.content.load(strict_partition(rel, lp.key_positions, theta))
         self._materialize(self.dag.stages[1])
         for triple in self.triples:
             self._rebuild_h(triple)
@@ -501,35 +496,38 @@ class EngineState:
         """Bring every light part to its strict partition at the new
         threshold, which also settles the keys minor rebalancing left in the
         relaxed band.  A light part holds all of a key's base tuples or none,
-        so the difference is a set of keys to insert or evict; these move
-        one tuple at a time, at O(M^(delta*eps)) each.  When the k tuples to
-        move would cost more than a rebuild, k * M^(delta*eps) >
-        M^(1+(w-1)*eps), the light parts are loaded and the views that
-        depend on them recomputed instead.  The All trees do not depend on
-        the partition and stay as they are.  A light part that already holds
-        all of a base relation smaller than the new threshold is skipped in
-        O(1): every key is light, so nothing moves (at eps=1 this holds for
-        every part, and a major costs no ops)."""
+        so one pass over the base relation and one over the light part give
+        every key's degree, and the keys whose side differs are inserted or
+        evicted one tuple at a time, at O(M^(delta*eps)) each; the passes
+        count one op per entry they read.  When the k tuples to move would
+        cost more than a rebuild, k * M^(delta*eps) > M^(1+(w-1)*eps), the
+        light parts are loaded and the views that depend on them recomputed
+        instead.  The All trees do not depend on the partition and stay as
+        they are.  A part skipped by :meth:`_unsettled_parts` costs nothing
+        (at eps=1 every part is, and a major costs no ops)."""
         self.counters.major_rebalances += 1
-        parts = self._strict_parts()
+        theta = self._theta()
         moves = []
         tuples = 0
-        for triple, lp, light in parts:
-            if light is None:
-                continue
-            new = key_degrees(light, lp.key_positions)
-            old = key_degrees(lp.content.entries, lp.key_positions)
-            for keys, other, insert in ((new, old, True), (old, new, False)):
-                for key, degree in keys.items():
-                    if key not in other:
-                        moves.append((triple, lp, key, insert))
-                        tuples += degree
+        for triple, lp, rel in self._unsettled_parts():
+            light = lp.content.entries
+            self.counters.storage_ops += len(rel.entries) + len(light)
+            degrees = key_degrees(rel.entries, lp.key_positions)
+            light_degrees = key_degrees(light, lp.key_positions)
+            for key, degree in degrees.items():
+                if degree < theta and key not in light_degrees:
+                    moves.append((triple, lp, key, True))
+                    tuples += degree
+            for key, degree in light_degrees.items():
+                if degrees[key] >= theta:
+                    moves.append((triple, lp, key, False))
+                    tuples += degree
         if self._widths is None:
             self._widths = (static_width(self.query), dynamic_width(self.query))
         w, delta = self._widths
         eps = self.epsilon
         if tuples * self.M ** (delta * eps) > self.M ** (1 + (w - 1) * eps):
-            self._repartition(parts)
+            self._repartition()
             return
         for move in moves:
             self._move_key(*move)

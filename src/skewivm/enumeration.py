@@ -32,8 +32,6 @@ they share view contents and own only cursor state.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from .errors import CallBeforeOpenError, InvariantViolationError, IteratorInvalidatedError
 from .viewtree import HEAVY_REF, ViewNode, projection
 
@@ -152,7 +150,7 @@ def _odometer(slots: list, outs: list, ctx: tuple) -> bool:
             return False
         slot = slots[hole]
         slot.close()
-        slot._open(ctx)
+        slot.open(ctx)
         outs[hole] = slot.next()
         outs[hole - 1] = slots[hole - 1].next()
     return True
@@ -201,12 +199,9 @@ class TreeIter:
 
     # -- lifecycle ---------------------------------------------------------
 
-    def open(self, ctx: Mapping) -> None:
-        """Open under ``ctx``, which maps every variable of ``enum.ctx_order``
-        to its value."""
-        self._open(tuple(ctx[v] for v in self.node.enum.ctx_order))
-
-    def _open(self, ctx: tuple) -> None:
+    def open(self, ctx: tuple) -> None:
+        """Open under ``ctx``, a tuple laid out by ``enum.ctx_order``
+        (``enum.scope`` for a bucket)."""
         info = self.node.enum
         self._ctx = ctx
         self.opened = True
@@ -231,7 +226,7 @@ class TreeIter:
         self.buckets = []
         for hrow, _ in hleaf.content.scan(info.h_positions, info.h_key(ctx)):
             bucket = TreeIter(self.node, skip_heavy=True)
-            bucket._open(ctx + hrow)
+            bucket.open(ctx + hrow)
             self.buckets.append(bucket)
 
     def _reopen_children(self) -> None:
@@ -243,7 +238,7 @@ class TreeIter:
         self.child_ctx = ctx = self._ctx + self.current[0]
         for ch in self.children:
             ch.close()
-            ch._open(ctx)
+            ch.open(ctx)
         self.child_outs = [ch.next() for ch in self.children]
 
     def close(self) -> None:
@@ -371,9 +366,9 @@ class ComponentIter:
                 raise InvariantViolationError(
                     f"{m.node.name}: output schema differs from its forest's")
 
-    def _open(self, ctx: tuple) -> None:
+    def open(self, ctx: tuple) -> None:
         for m in self.members:
-            m._open(ctx)
+            m.open(ctx)
 
     def close(self) -> None:
         for m in self.members:
@@ -399,7 +394,7 @@ class ResultIterator:
         self.generation = state.generation
         self.components = [ComponentIter(c.roots) for c in state.components]
         for c in self.components:
-            c._open(())
+            c.open(())
         self._outs = [c.next() for c in self.components]
         self._compose = _compose("result", state.query.head_vars, (),
                                  [c.out_schema for c in self.components])

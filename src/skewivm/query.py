@@ -283,22 +283,24 @@ def delta_index(q: ConjunctiveQuery) -> int:
     require_hierarchical(q)
     ao = q.atoms_of
     worst = 0
-    schemas = [set(a.schema) for a in q.atoms]
+    schemas = [a.schema for a in q.atoms]
     for x in q.bound:
         free_around = _free_of_atoms(q, ao[x])
         for k in ao[x]:
             target = free_around - set(q.atom_by_key[k].schema)
-            worst = max(worst, _min_cover(schemas, target))
+            worst = max(worst, len(min_cover(schemas, target)))
     return worst
 
 
-def _min_cover(schemas: list[set[str]], target: set[str]) -> int:
-    if not target:
-        return 0
-    for size in range(1, len(schemas) + 1):
+def min_cover(schemas: list[tuple[str, ...]], target: set[str]) -> tuple[int, ...]:
+    """Positions in ``schemas`` of the first subset whose variables cover
+    ``target``: smaller sizes first, and within a size in
+    ``itertools.combinations`` order over ``schemas`` as given, so the
+    caller's order breaks ties.  ``()`` for an empty target."""
+    for size in range(len(schemas) + 1):
         for combo in itertools.combinations(range(len(schemas)), size):
             if target <= set().union(*(schemas[i] for i in combo)):
-                return size
+                return combo
     raise UncoverableVariableError(f"no atom subset covers {sorted(target)}")
 
 

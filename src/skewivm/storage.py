@@ -207,7 +207,7 @@ def strict_partition(rel: Relation, positions: tuple[int, ...],
     A key is light iff strictly fewer than ``theta`` distinct tuples of
     ``rel`` carry it; the returned dict holds exactly those tuples with their
     multiplicities.  Two passes over ``rel``, one op per entry each.  Used at
-    preprocessing time and by major rebalancing.
+    preprocessing time and by the rebuild a major falls back to.
     """
     entries = rel.entries
     rel.counters.storage_ops += 2 * len(entries)

@@ -22,7 +22,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .errors import UnregisteredIndexError
-from .query import Atom, ConjunctiveQuery, is_free_connex, is_q_hierarchical
+from .query import Atom, ConjunctiveQuery, is_free_connex, is_q_hierarchical, min_cover
 from .storage import Relation
 from .vorder import VariableOrder
 
@@ -38,12 +38,11 @@ class ViewNode:
     """One view in a tree: a join of its children projected to ``schema``."""
 
     __slots__ = ("name", "schema", "kind", "semantics", "children", "content",
-                 "leaf_name", "dashed", "enum", "plan")
+                 "leaf_name", "enum", "plan")
 
     def __init__(self, name: str, schema: tuple[str, ...], kind: str,
                  children: list["ViewNode"] | None = None,
-                 semantics: str = "multiset", leaf_name: str | None = None,
-                 dashed: bool = False):
+                 semantics: str = "multiset", leaf_name: str | None = None):
         self.name = name
         self.schema = schema
         self.kind = kind
@@ -51,7 +50,6 @@ class ViewNode:
         self.children = children or []
         self.content: Relation | None = None
         self.leaf_name = leaf_name  # delta dispatch key for leaves
-        self.dashed = dashed
         self.enum = None  # enumeration annotations, filled per result tree
         self.plan: JoinPlan | None = None  # materialization plan, set by intern
 
@@ -158,7 +156,7 @@ def aux_view(ctx: BuildContext, z, tree: ViewNode) -> ViewNode:
     has siblings, so sibling deltas propagate with constant-time lookups."""
     anc = set(ctx.vo.anc(z))
     if ctx.mode == "dynamic" and ctx.vo.has_sibling(z) and anc < set(tree.schema):
-        return ViewNode(f"{tree.name}'", ctx.order(anc), AUX, [tree], dashed=True)
+        return ViewNode(f"{tree.name}'", ctx.order(anc), AUX, [tree])
     return tree
 
 
@@ -262,9 +260,9 @@ def intern(root: ViewNode, table: dict) -> ViewNode:
     """The node ``table`` holds for the subtree at ``root``, interning it
     first if it is new.  A leaf is keyed by its ``leaf_name``, a view by its
     schema, semantics and interned children, so a view equals another when
-    it computes the same relation; kind, dashed flag and name stay out of
-    the key, and a new node keeps its own.  Children are interned in place,
-    in postorder.
+    it computes the same relation; kind and name stay out of the key, and
+    a new node keeps its own.  Children are interned in place, in
+    postorder.
 
     A new view's materialization plan is chosen here, from the names its
     children have in its own tree, before they are replaced: a view then
@@ -367,17 +365,8 @@ def materialize_plan(node: ViewNode) -> JoinPlan:
                                children[i].name))
     remaining = view_vars - set(children[outer].schema)
     rest = [i for i in range(len(children)) if i != outer]
-    cover: tuple[int, ...] = ()
-    if remaining:
-        for size in range(1, len(rest) + 1):
-            found = None
-            for combo in itertools.combinations(sorted(rest, key=lambda i: children[i].name), size):
-                if remaining <= set().union(*(set(children[i].schema) for i in combo)):
-                    found = combo
-                    break
-            if found:
-                cover = found
-                break
+    by_name = sorted(rest, key=lambda i: children[i].name)
+    cover = {by_name[j] for j in min_cover([children[i].schema for i in by_name], remaining)}
     covered_first = [i for i in rest if i in cover]
     rest_order = covered_first + [i for i in rest if i not in cover]
     return _plan_steps(children, outer, children[outer].schema, node.schema, rest_order)
@@ -478,43 +467,44 @@ def tree_to_dict(root: ViewNode) -> dict:
     }
 
 
+def dot_graph(graph: str, roots: list, kids: Callable, label: Callable,
+              dashed: Callable) -> str:
+    """One digraph over the forest at ``roots``: nodes are numbered in
+    preorder and labelled ``label(node)``, dashed where ``dashed(node)``,
+    each with an edge to every node of ``kids(node)``."""
+    lines = [f"digraph \"{graph}\" {{", "  node [shape=plaintext];"]
+    counter = itertools.count()
+
+    def visit(node) -> str:
+        nid = f"n{next(counter)}"
+        style = ", style=dashed" if dashed(node) else ""
+        lines.append(f"  {nid} [label=\"{label(node)}\"{style}];")
+        for kid in kids(node):
+            lines.append(f"  {nid} -> {visit(kid)};")
+        return nid
+
+    for root in roots:
+        visit(root)
+    lines.append("}")
+    return "\n".join(lines)
+
+
 def forest_dot(named_roots: list[tuple[str, ViewNode]],
                triples: list[IndicatorTriple] | None = None) -> str:
-    """One digraph per tree; node labels are ``name(schema)``; aux views and
-    other dynamic-only views are dashed, matching the figures."""
-    out: list[str] = []
+    """One digraph per tree; node labels are ``name(schema)``; aux views,
+    which only dynamic trees hold, are dashed, matching the figures."""
 
-    def emit(graph: str, root: ViewNode, extra: list[str] | None = None) -> None:
-        lines = [f"digraph \"{graph}\" {{", "  node [shape=plaintext];"]
-        counter = itertools.count()
-        ids: dict[int, str] = {}
+    def tree(graph: str, root: ViewNode) -> str:
+        return dot_graph(graph, [root], lambda n: n.children, repr, lambda n: n.kind == AUX)
 
-        def visit(n: ViewNode) -> str:
-            nid = f"n{next(counter)}"
-            ids[id(n)] = nid
-            style = ", style=dashed" if n.dashed else ""
-            label = f"{n.name}({','.join(n.schema)})"
-            lines.append(f"  {nid} [label=\"{label}\"{style}];")
-            for c in n.children:
-                cid = visit(c)
-                lines.append(f"  {nid} -> {cid};")
-            return nid
-
-        visit(root)
-        if extra:
-            lines.extend(extra)
-        lines.append("}")
-        out.append("\n".join(lines))
-
-    for name, root in named_roots:
-        emit(name, root)
+    out = [tree(name, root) for name, root in named_roots]
     for t in triples or []:
-        emit(f"{t.h_name}_all", t.all_root)
-        emit(f"{t.h_name}_light", t.light_root)
+        out.append(tree(f"{t.h_name}_all", t.all_root))
+        out.append(tree(f"{t.h_name}_light", t.light_root))
         out.append(
             f"digraph \"{t.h_name}\" {{\n  node [shape=plaintext];\n"
             f"  h [label=\"{t.h_name}({','.join(t.keys)})\"];\n"
-            f"  a [label=\"{t.all_root.name}({','.join(t.all_root.schema)})\"];\n"
-            f"  l [label=\"not-exists {t.light_root.name}({','.join(t.light_root.schema)})\"];\n"
+            f"  a [label=\"{t.all_root!r}\"];\n"
+            f"  l [label=\"not-exists {t.light_root!r}\"];\n"
             "  h -> a;\n  h -> l;\n}")
     return "\n".join(out)

@@ -13,11 +13,10 @@ complexity and queries are desk-sized.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
-from .errors import NotCanonicalError, UncoverableVariableError
-from .query import Atom, ConjunctiveQuery, connected_components, require_hierarchical
+from .errors import NotCanonicalError
+from .query import Atom, ConjunctiveQuery, connected_components, min_cover, require_hierarchical
 
 Node = object  # a variable name (str) or an Atom
 
@@ -279,24 +278,14 @@ def integral_edge_cover(q: ConjunctiveQuery, target: set[str],
                         within: tuple[Atom, ...] | None = None) -> EdgeCover:
     """Minimum-cardinality atom subset covering ``target``.
 
-    Exhaustive search in increasing size, atoms considered in name order so
-    ties break deterministically.  For hierarchical queries this integral
-    optimum equals the fractional edge cover number.
+    Exhaustive search in increasing size (:func:`~skewivm.query.min_cover`),
+    atoms considered in name order so ties break deterministically.  For
+    hierarchical queries this integral optimum equals the fractional edge
+    cover number.
     """
     pool = sorted(within if within is not None else q.atoms, key=lambda a: a.name)
-    target = set(target)
-    reachable = set().union(*(a.schema for a in pool)) if pool else set()
-    if not target <= reachable:
-        raise UncoverableVariableError(
-            f"variable(s) {sorted(target - reachable)} occur in no candidate atom")
-    if not target:
-        return EdgeCover((), frozenset(), 0)
-    for size in range(1, len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            covered = set().union(*(a.schema for a in combo))
-            if target <= covered:
-                return EdgeCover(combo, frozenset(target), size)
-    raise AssertionError("unreachable: target is within the pool's variables")
+    combo = min_cover([a.schema for a in pool], target)
+    return EdgeCover(tuple(pool[i] for i in combo), frozenset(target), len(combo))
 
 
 def rho_star(q: ConjunctiveQuery, target: set[str],

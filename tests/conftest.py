@@ -99,15 +99,25 @@ def random_any_query(rng: random.Random, max_atoms: int = 4,
 
 
 def run_trace(state, q: ConjunctiveQuery, rng: random.Random, steps: int,
-              dom: int = 6, insert_p: float = 0.7, on_step=None) -> None:
+              dom: int = 6, insert_p: float = 0.7, on_step=None,
+              hot: float = 0.0) -> None:
     """Random single-tuple trace: ``insert_p`` inserts, the rest deletes of
-    existing tuples."""
+    existing tuples.  A share ``hot`` of the inserts falls on one hot key:
+    every value is -1 but that of the atom's variable in the fewest atoms,
+    drawn from a domain wide enough that the key's degree keeps growing and
+    crosses the relaxed light bound."""
     live: dict[str, list] = {s: [] for s in q.symbols()}
     for step in range(steps):
         sym = rng.choice(q.symbols())
-        arity = len(q.occurrences(sym)[0].schema)
+        schema = q.occurrences(sym)[0].schema
+        arity = len(schema)
         if rng.random() < insert_p or not live[sym]:
-            row = tuple(rng.randrange(dom) for _ in range(arity))
+            if hot and rng.random() < hot:
+                lowest = min(schema, key=lambda v: len(q.atoms_of[v]))
+                row = tuple(rng.randrange(dom, 100 * dom) if v == lowest else -1
+                            for v in schema)
+            else:
+                row = tuple(rng.randrange(dom) for _ in range(arity))
             state.on_update(sym, row, rng.randint(1, 2))
             if row not in live[sym]:
                 live[sym].append(row)

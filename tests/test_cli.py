@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,10 @@ from skewivm.engine import EngineState
 from skewivm.errors import EngineError, InvariantViolationError, MissingRelationError
 from skewivm.query import parse_query
 from skewivm.storage import Interner
+
+from conftest import SUITE
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -129,6 +134,17 @@ def test_analyze_dot_output(tmp_path, capsys):
     assert rc == 0
     text = dot.read_text()
     assert "digraph" in text and "free_top" in text and "style=dashed" in text
+
+
+@pytest.mark.parametrize("name", ["fc4", "deep4"])
+def test_analyze_dot_is_pinned(name, tmp_path, capsys):
+    # recorded before the variable orders and the view trees shared one DOT
+    # writer: both orders, every result tree and both indicator triples,
+    # byte for byte and in the same order
+    dot = tmp_path / "out.dot"
+    assert main(["analyze", "--query", SUITE[name], "--dot", str(dot), "--json"]) == 0
+    capsys.readouterr()
+    assert dot.read_bytes() == (GOLDEN / f"analyze_{name}.dot").read_bytes()
 
 
 # ---------------------------------------------------------------------------

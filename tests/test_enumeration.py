@@ -27,7 +27,7 @@ def _covering_member(name: str, entries: dict, schema=("X",)):
         node.content.delta(row, m)
     annotate(node, frozenset(schema))
     it = TreeIter(node)
-    it.open({})
+    it.open(())
     return it
 
 
@@ -219,7 +219,7 @@ def test_open_grounds_one_bucket_per_heavy_key():
     assert set(triple.h_content.entries) == {(7,)}
     heavy = next(t for t in st.trees if "xH_B" in t.leaves)
     it = TreeIter(heavy.root)
-    it.open({})
+    it.open(())
     assert len(it.buckets) == 1
     assert it.buckets[0].ctx["B"] == 7
 
@@ -232,10 +232,11 @@ def test_open_with_absent_context_is_exhausted():
     v_b = root.children[0]
     assert v_b.schema == ("A", "D")
     it = TreeIter(v_b)
-    it.open({"A": 999})
+    assert v_b.enum.ctx_order == ("A",)
+    it.open((999,))
     assert it.next() is None
     it.close()
-    it.open({"A": 1})
+    it.open((1,))
     assert it.next() == ((1, 4), 1)
 
 
@@ -323,7 +324,7 @@ def _looked_up(result) -> list[TreeIter]:
 def _held(it: TreeIter) -> list[tuple]:
     """The tuples ``it`` holds, read from a fresh iterator in its place."""
     twin = TreeIter(it.node, it.skip_heavy)
-    twin._open(it._ctx)
+    twin.open(it._ctx)
     out = []
     while (item := twin.next()) is not None:
         out.append(item[0])

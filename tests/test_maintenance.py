@@ -319,6 +319,31 @@ def test_major_at_eps_one_costs_no_ops_at_any_size(monkeypatch):
         _assert_fresh(st, q, 1.0)
 
 
+def test_major_that_moves_nothing_costs_one_pass_per_unsettled_part(monkeypatch):
+    # at eps=0.5 R keeps its heavy key 7 (degree 20 against thresholds 10.05
+    # and 14.2) and every other key stays light, so the major moves nothing;
+    # it reads R and R's light part once each, and S's part, which holds all
+    # of an S smaller than the threshold, not at all
+    q = parse("chain2")
+    fillers = [(100 + i, 200 + i) for i in range(78)]
+    db = {"R": {**{(i, 7): 1 for i in range(20)}, **{row: 1 for row in fillers[:27]}},
+          "S": {(7, j): 1 for j in range(3)}}
+    st = preprocess(q, db, 0.5, mode="dynamic")
+    assert (st.N, st.M) == (50, 101)
+    lp_r, lp_s = _light_part(st, "R"), _light_part(st, "S")
+    ops = _major_ops(monkeypatch, st)
+    moved = _spy(monkeypatch, "_move_key", st)
+    rebuilt = _spy(monkeypatch, "_repartition", st)
+    for row in fillers[27:]:
+        st.on_update("R", row, 1)
+    assert (st.N, st.M, st.counters.major_rebalances) == (101, 202, 1)
+    assert moved == [] and rebuilt == []
+    assert (st.base["R"].size, lp_r.content.size) == (98, 78)
+    assert lp_s.content.size == st.base["S"].size == 3
+    assert ops == [98 + 78]
+    _assert_fresh(st, q, 0.5)
+
+
 def test_major_readmits_a_heavy_key_of_a_relation_below_the_threshold(monkeypatch):
     # S is smaller than the new threshold, but its light part lacks the
     # heavy key 7: the part is not skipped, and the doubling re-admits 7
@@ -365,6 +390,12 @@ def test_major_rebuilds_when_moving_costs_more(monkeypatch):
     st.check_invariants(deep=True)
 
 
+# share of a random trace's inserts on its hot key (see ``run_trace``): with
+# these seeds every trace at eps=0.5 then starts a minor rebalancing; a key
+# whose degree grows more slowly is made heavy by a major instead
+HOT = 0.9
+
+
 @pytest.mark.parametrize("eps", (0.0, 0.5, 1.0))
 @pytest.mark.parametrize("text", (
     "Q(A) = R(A,B), R(B,C).",
@@ -388,8 +419,10 @@ def test_post_state_equals_rematerialization_after_traces():
         q = parse(name)
         for eps in (0.0, 0.5, 1.0):
             st = preprocess(q, {s: {} for s in q.symbols()}, eps, mode="dynamic")
-            run_trace(st, q, rng, steps=80, dom=5)
+            run_trace(st, q, rng, steps=80, dom=5, hot=HOT)
             st.check_invariants(deep=True)
+            if eps == 0.5:
+                assert st.counters.minor_rebalances > 0, name
 
 
 @pytest.mark.parametrize("name,eps", [(n, e) for n in ("fc4", "deep4") for e in (0.25, 0.5)])
@@ -433,7 +466,8 @@ def test_update_trace_tracks_oracle():
         if step % 20 == 19:
             assert st.result_multiset() == brute_force_eval(q, st.db_snapshot())
 
-    run_trace(st, q, rng, steps=120, dom=5, on_step=check)
+    run_trace(st, q, rng, steps=120, dom=5, on_step=check, hot=HOT)
+    assert st.counters.minor_rebalances > 0
 
 
 def test_views_end_nonnegative_after_full_updates():

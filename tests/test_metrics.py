@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
+from skewivm import engine, enumeration
 from skewivm.metrics import Counters
 from skewivm.storage import Relation
 
@@ -67,3 +72,27 @@ def test_cumulative_monotone():
         r.delta((i,), 1)
         seen.append(c.storage_ops)
     assert seen == sorted(seen)
+
+
+def test_benchmark_tracer_installs_and_restores(monkeypatch):
+    # perfbench/tracing.py wraps engine and enumeration functions by name
+    # (run_join, materialize_node and strict_partition where skewivm.engine
+    # binds them); a refactor that drops one of those names fails here, not
+    # only in a traced benchmark run.  No workload runs and no file is
+    # written, bytecode included
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    owners = (engine, engine.EngineState, enumeration, enumeration.ResultIterator,
+              enumeration.TreeIter)
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(engine, enumeration)
+        installed = [dict(vars(owner)) for owner in owners]
+    finally:
+        tracer.close()
+    assert all(now != then for now, then in zip(installed, before))
+    assert [dict(vars(owner)) for owner in owners] == before

@@ -13,6 +13,7 @@ from skewivm.errors import (
     HeadVarNotInBodyError,
     NotHierarchicalError,
     QuerySyntaxError,
+    UncoverableVariableError,
 )
 from skewivm.query import (
     connected_components,
@@ -21,6 +22,7 @@ from skewivm.query import (
     is_free_connex,
     is_hierarchical,
     is_q_hierarchical,
+    min_cover,
     parse_query,
 )
 
@@ -122,6 +124,16 @@ def test_delta_index_examples():
     assert delta_index(parse_query(star)) == 2
     assert delta_index(parse_query("Q(A,B) = R(A,B).")) == 0
     assert delta_index(parse_query(SUITE["chain2"])) == 1
+
+
+def test_min_cover_takes_the_first_smallest_subset_in_the_given_order():
+    schemas = [("A",), ("B",), ("A", "C"), ("A", "B")]
+    assert min_cover(schemas, set()) == ()
+    assert min_cover(schemas, {"A"}) == (0,)  # first of three singletons
+    assert min_cover(schemas, {"A", "B"}) == (3,)  # smaller beats earlier
+    assert min_cover(schemas, {"B", "C"}) == (1, 2)
+    with pytest.raises(UncoverableVariableError):
+        min_cover(schemas, {"A", "Z"})
 
 
 def test_connected_components():

@@ -127,7 +127,7 @@ def test_aux_view_conditions():
     assert aux_view(static_ctx, "B", tree) is tree
     dyn_ctx = make_context(q, vo, q.free, "dynamic")
     wrapped = aux_view(dyn_ctx, "B", tree)
-    assert wrapped.kind == "aux-view" and wrapped.schema == ("A",) and wrapped.dashed
+    assert wrapped.kind == "aux-view" and wrapped.schema == ("A",)
     # no sibling -> unchanged even in dynamic mode
     v_c = ViewNode("V_C", ("A", "B"), "join-view")
     assert aux_view(dyn_ctx, "C", v_c) is v_c
