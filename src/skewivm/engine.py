@@ -238,7 +238,11 @@ class EngineState:
             raise EngineError(f"threshold base {self.M} violates the size "
                               f"invariant for N={self.N}")
         self._materialize(self.dag.stages[0])
-        self._repartition()
+        parts = []
+        for _, lp, rel in self._unsettled_parts():
+            self.counters.storage_ops += len(rel.entries)
+            parts.append((lp, rel, key_degrees(rel.entries, lp.key_positions)))
+        self._repartition(parts)
 
     def _attach_relations(self, db: dict[str, Multiset]) -> None:
         """Create the base relations, light parts and H supports, give every
@@ -310,14 +314,15 @@ class EngineState:
                 if len(rel.entries) >= theta or len(lp.content.entries) != len(rel.entries):
                     yield triple, lp, rel
 
-    def _repartition(self) -> None:
-        """Load every unsettled light part with its strict partition and
+    def _repartition(self, parts: list[tuple[LightPart, Relation, dict]]) -> None:
+        """Load each of ``parts``, a light part with its base relation and
+        that relation's key degrees, with its strict partition, and
         recompute from the leaves every view that reads a light part or H,
         H in between.  The views over base relations alone do not depend on
         the partition and stay as they are."""
         theta = self._theta()
-        for _, lp, rel in self._unsettled_parts():
-            lp.content.load(strict_partition(rel, lp.key_positions, theta))
+        for lp, rel, degrees in parts:
+            lp.content.load(strict_partition(rel, lp.key_positions, theta, degrees))
         self._materialize(self.dag.stages[1])
         for triple in self.triples:
             self._rebuild_h(triple)
@@ -507,13 +512,14 @@ class EngineState:
         (at eps=1 every part is, and a major costs no ops)."""
         self.counters.major_rebalances += 1
         theta = self._theta()
-        moves = []
+        parts, moves = [], []
         tuples = 0
         for triple, lp, rel in self._unsettled_parts():
             light = lp.content.entries
             self.counters.storage_ops += len(rel.entries) + len(light)
             degrees = key_degrees(rel.entries, lp.key_positions)
             light_degrees = key_degrees(light, lp.key_positions)
+            parts.append((lp, rel, degrees))
             for key, degree in degrees.items():
                 if degree < theta and key not in light_degrees:
                     moves.append((triple, lp, key, True))
@@ -527,7 +533,7 @@ class EngineState:
         w, delta = self._widths
         eps = self.epsilon
         if tuples * self.M ** (delta * eps) > self.M ** (1 + (w - 1) * eps):
-            self._repartition()
+            self._repartition(parts)
             return
         for move in moves:
             self._move_key(*move)

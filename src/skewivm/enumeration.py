@@ -13,9 +13,12 @@ the context itself, or for a bucket the context followed by the heavy key.
 A variable may occur more than once in a layout; its values agree, and every
 projection reads its first occurrence.  :func:`annotate` compiles each
 projection once per node into an ``itemgetter``: the range key, the output
-tuple of a covering view, the lookup key, the share of a looked-up tuple
-each child holds and the product's output.  Opening, advancing and looking
-up then build no dicts.
+tuple of a covering view and the product's output.  It also compiles a
+lookup at the node into a flat *probe plan* (:func:`_compile_plan`): the
+views the lookup reads, in preorder, each with its ``entries.get`` and its
+key over the scope followed by the looked-up tuple.  Opening, advancing and
+looking up then build no dicts, and a lookup is one Python call per
+grounded iterator it reaches, not one per view.
 
 Sibling subtrees under one view row, and the components of the result,
 combine through one product routine: :func:`_odometer` restarts an exhausted
@@ -44,8 +47,7 @@ class EnumInfo:
 
     __slots__ = ("ctx_order", "scope", "out_schema", "covering", "set_semantics",
                  "heavy_idx", "h_positions", "h_key", "range_positions",
-                 "range_key", "out_of", "part", "key", "fixed_key", "slots",
-                 "child_t", "compose")
+                 "range_key", "out_of", "slots", "compose", "plan", "plan_ops")
 
     def __init__(self) -> None:
         self.heavy_idx = None
@@ -84,7 +86,8 @@ def annotate(root: ViewNode, free: frozenset[str],
         info.covering = True
         info.out_of = projection(tuple(schema.index(v) for v in info.out_schema))
         root.content.register_index(info.range_positions)
-        _compile_keys(info, root)
+        info.range_key = _getter(info.scope, schema, info.range_positions)
+        _compile_plan(info, root)
         return
 
     for i, c in enumerate(root.children):
@@ -98,14 +101,13 @@ def annotate(root: ViewNode, free: frozenset[str],
             info.scope = ctx_order + c.schema
             info.range_positions = root.content.positions(set(info.scope) & set(schema))
     root.content.register_index(info.range_positions)
-    _compile_keys(info, root)
+    info.range_key = _getter(info.scope, schema, info.range_positions)
     info.slots = tuple(i for i, c in enumerate(root.children) if i != info.heavy_idx)
     for i in info.slots:
         annotate(root.children[i], free, info.scope + schema)
-    slot_schemas = [root.children[i].enum.out_schema for i in info.slots]
-    info.child_t = tuple(projection(tuple(info.out_schema.index(v) for v in s))
-                         for s in slot_schemas)
-    info.compose = _compose(root.name, info.out_schema, schema, slot_schemas)
+    info.compose = _compose(root.name, info.out_schema, schema,
+                            [root.children[i].enum.out_schema for i in info.slots])
+    _compile_plan(info, root)
 
 
 def _getter(layout: tuple[str, ...], schema: tuple[str, ...], positions: tuple[int, ...]):
@@ -113,20 +115,46 @@ def _getter(layout: tuple[str, ...], schema: tuple[str, ...], positions: tuple[i
     return projection(tuple(layout.index(schema[p]) for p in positions))
 
 
-def _compile_keys(info: EnumInfo, node: ViewNode) -> None:
-    """The range key over the scope, and the lookup key: ``part`` takes from
-    the scope the schema variables outside the output schema, once per
-    open, and ``key`` reads the view key off ``part + t`` for an output
-    tuple ``t``; ``fixed_key`` marks a key that takes nothing from ``t``."""
+def _compile_plan(info: EnumInfo, node: ViewNode) -> None:
+    """The probe plan of a lookup at ``node``: in preorder, one entry per
+    view the lookup reads, ``(entries.get, key, multiplies, ops, None)``,
+    down to the covering nodes, and one ``(None, share, True, ops, path)``
+    per grounded descendant, whose live iterator is reached from the probed
+    one by the child indexes in ``path`` and looked up with its ``share``
+    of ``t``.  Every key and share projects ``scope + t``: a variable of
+    the view's output schema comes from ``t``, any other from the scope,
+    which holds each of them (a child's scope is its parent's scope and
+    row, and a variable bound below is bound in that prefix).  ``ops``
+    counts the gets up to and including the entry; a covering multiset
+    view's multiplicity multiplies, any other entry only has to be
+    nonzero."""
     scope, out = info.scope, info.out_schema
-    info.range_key = _getter(scope, node.schema, info.range_positions)
-    bound = tuple(v for v in node.schema if v not in out)
-    if not set(bound) <= set(scope):
-        raise InvariantViolationError(f"{node.name}: view key not bound by context")
-    info.part = projection(tuple(scope.index(v) for v in bound))
-    info.key = projection(tuple(bound.index(v) if v in bound else len(bound) + out.index(v)
-                                for v in node.schema))
-    info.fixed_key = len(bound) == len(node.schema)
+    in_scope = {v: scope.index(v) for v in scope}
+    from_t = {v: len(scope) + i for i, v in enumerate(out)}
+    plan = []
+    ops = 0
+
+    def visit(n: ViewNode, path: tuple[int, ...]) -> None:
+        nonlocal ops
+        e = n.enum
+        if path and e.heavy_idx is not None:
+            plan.append((None, projection(tuple(from_t[v] for v in e.out_schema)),
+                         True, ops, path))
+            return
+        try:
+            key = tuple(from_t[v] if v in e.out_schema else in_scope[v] for v in n.schema)
+        except KeyError:
+            raise InvariantViolationError(f"{n.name}: view key not bound by context") from None
+        ops += 1
+        plan.append((n.content.entries.get, projection(key),
+                     e.covering and not e.set_semantics, ops, None))
+        if not e.covering:
+            for k, i in enumerate(e.slots):
+                visit(n.children[i], path + (k,))
+
+    visit(node, ())
+    info.plan = tuple(plan)
+    info.plan_ops = ops
 
 
 def _compose(name: str, out_schema: tuple[str, ...], row_schema: tuple,
@@ -170,22 +198,18 @@ def _product_row(slots: list, outs: list, row: Row, compose) -> tuple[Row, int]:
 class TreeIter:
     """Cursor state for one view tree (or one grounded bucket of it)."""
 
-    __slots__ = ("node", "skip_heavy", "opened", "_ctx", "_part", "_key",
-                 "_range", "current", "buckets", "children", "_shares",
-                 "child_outs", "child_ctx")
+    __slots__ = ("node", "skip_heavy", "opened", "_ctx", "_range", "current",
+                 "buckets", "children", "child_outs", "child_ctx")
 
     def __init__(self, node: ViewNode, skip_heavy: bool = False):
         self.node = node
         self.skip_heavy = skip_heavy
         self.opened = False
         self._ctx: tuple | None = None
-        self._part: tuple | None = None
-        self._key: tuple | None = None
         self._range = None
         self.current = None
         self.buckets: list[TreeIter] | None = None
         self.children: list[TreeIter] | None = None
-        self._shares: tuple = ()
         self.child_outs: list | None = None
         self.child_ctx: tuple | None = None
 
@@ -209,15 +233,11 @@ class TreeIter:
         if info.heavy_idx is not None and not self.skip_heavy:
             self._ground(ctx)
             return
-        self._part = info.part(ctx)
-        if info.fixed_key:
-            self._key = info.key(self._part)
         self._range = self.node.content.scan(info.range_positions, info.range_key(ctx))
         self.current = next(self._range, None)
         if info.covering:
             return
         self.children = [TreeIter(self.node.children[i]) for i in info.slots]
-        self._shares = tuple(zip(self.children, info.child_t))
         self._reopen_children()
 
     def _ground(self, ctx: tuple) -> None:
@@ -280,32 +300,44 @@ class TreeIter:
         """Multiplicity of ``t``, a tuple over ``enum.out_schema``, in the
         relation this (sub)iterator represents; 0 when absent.
 
-        Each view key comes from one compiled projection of ``part + t``:
-        a schema variable in the output schema takes its value from ``t``,
-        any other from this iterator's scope (``part``, taken at open; the
-        key itself when it takes nothing from ``t``).  A child is looked up
-        with its share of ``t``, a bucket with ``t``.  Reads the view's
-        entries directly and counts the one get."""
-        if self.buckets is not None:
-            total = 0
-            for b in self.buckets:
-                total += b.lookup(t)
-            return total
+        Runs the node's probe plan (see :func:`_compile_plan`) once per
+        bucket, a non-grounded iterator being its own single bucket: the
+        gets in preorder over ``scope + t``, a stop at the first zero, and
+        one add of the gets made to ``storage_ops``.  A grounded descendant
+        is looked up through its live iterator, whose buckets were opened
+        under the view rows current when it was (re)opened.  So the result
+        equals ``t``'s multiplicity in a fresh enumeration of this iterator
+        only when ``t`` agrees with those rows.  The union of a component
+        whose trees ground below their root can look up a tuple that does
+        not, and then miss it."""
+        buckets = self.buckets
+        if buckets is None:
+            buckets = (self,)
+        elif not buckets:
+            return 0
         info = self.node.enum
-        content = self.node.content
-        content.counters.storage_ops += 1
-        key = self._key
-        m = content.entries.get(info.key(self._part + t) if key is None else key, 0)
-        if info.covering:
-            return (1 if m else 0) if info.set_semantics else m
-        if m == 0:
-            return 0  # the context row itself is absent from this view
-        total = 1
-        for ch, share in self._shares:
-            cm = ch.lookup(share(t))
-            if cm == 0:
-                return 0
-            total *= cm
+        plan, plan_ops = info.plan, info.plan_ops
+        ops = total = 0
+        for it in buckets:
+            st = it._ctx + t
+            m = 1
+            for get, key, multiplies, upto, path in plan:
+                if path is None:
+                    v = get(key(st), 0)
+                else:
+                    live = it
+                    for k in path:
+                        live = live.children[k]
+                    v = live.lookup(key(st))
+                if not v:
+                    ops += upto
+                    break
+                if multiplies:
+                    m *= v
+            else:
+                ops += plan_ops
+                total += m
+        self.node.content.counters.storage_ops += ops
         return total
 
     def grounded_buckets(self) -> int:

@@ -200,18 +200,20 @@ def key_degrees(rows: Iterable[Row], positions: tuple[int, ...]) -> dict[Row, in
     return degrees
 
 
-def strict_partition(rel: Relation, positions: tuple[int, ...],
-                     theta: float) -> dict[Row, int]:
-    """Entries of the strict light part of ``rel`` on ``positions``.
+def strict_partition(rel: Relation, positions: tuple[int, ...], theta: float,
+                     degrees: dict[Row, int]) -> dict[Row, int]:
+    """Entries of the strict light part of ``rel`` on ``positions``, given
+    ``degrees``, the :func:`key_degrees` of ``rel`` on ``positions``.
 
     A key is light iff strictly fewer than ``theta`` distinct tuples of
     ``rel`` carry it; the returned dict holds exactly those tuples with their
-    multiplicities.  Two passes over ``rel``, one op per entry each.  Used at
-    preprocessing time and by the rebuild a major falls back to.
+    multiplicities.  One pass over ``rel``, one op per entry; the caller
+    counts the pass that gave ``degrees``.  Used at preprocessing time and
+    by the rebuild a major falls back to, which reuses the degrees of its
+    own pass.
     """
     entries = rel.entries
-    rel.counters.storage_ops += 2 * len(entries)
-    degrees = key_degrees(entries, positions)
+    rel.counters.storage_ops += len(entries)
     return {row: m for row, m in entries.items()
             if degrees[tuple(row[p] for p in positions)] < theta}
 

@@ -377,6 +377,7 @@ def test_major_rebuilds_when_moving_costs_more(monkeypatch):
     st = preprocess(q, db, 0.5, mode="dynamic", m_override=400)
     lp_r = _light_part(st, "R")
     assert lp_r.content.size == 0
+    ops = _major_ops(monkeypatch, st)
     moved = _spy(monkeypatch, "_move_key", st)
     rebuilt = _spy(monkeypatch, "_repartition", st)
     i = 0
@@ -386,6 +387,9 @@ def test_major_rebuilds_when_moving_costs_more(monkeypatch):
     assert (st.N, st.M) == (400, 800)
     assert len(rebuilt) == 1 and moved == []
     assert lp_r.content.size == 192
+    # the rebuild filters R (192) and S (208) by the degrees of the major's
+    # own pass; computing them again cost |R| + |S| more, 2648 ops
+    assert ops == [2248]
     _assert_fresh(st, q, 0.5)
     st.check_invariants(deep=True)
 

@@ -6,6 +6,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 from skewivm import engine, enumeration
 from skewivm.metrics import Counters
 from skewivm.storage import Relation
@@ -96,3 +98,30 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
         tracer.close()
     assert all(now != then for now, then in zip(installed, before))
     assert [dict(vars(owner)) for owner in owners] == before
+
+
+BENCH_WORKLOADS = ("grow-chain2-e1", "churn-fc4-e05", "read-chain2-e025")
+
+
+@pytest.mark.parametrize("workload", BENCH_WORKLOADS)
+def test_benchmark_smoke_run_is_correct(workload, monkeypatch):
+    # perfbench/run.py at each workload's small check size, untraced:
+    # ``measure`` writes no file and checks every row it reads against the
+    # benchmark's own hash-join reference, so the engine is checked here
+    # the way the benchmark drives it.  run.py puts perfbench/ and src/ on
+    # the import path and imports reference, tracing and workloads; all of
+    # it is undone after the test
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = Path(__file__).parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run_py = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(run_py)
+        run = run_py.measure(run_py.smoke(run_py.WORKLOADS[workload]), seed=7,
+                             seconds=0.5, traced=False)
+    finally:
+        for name in ("reference", "tracing", "workloads"):
+            sys.modules.pop(name, None)
+    assert run.rounds >= 1 and run.attempted > 0
+    assert run.correct and run.failed == 0

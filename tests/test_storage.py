@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from skewivm.errors import ArityMismatchError, RejectedDeleteError, UnregisteredIndexError
 from skewivm.metrics import Counters
-from skewivm.storage import Relation, iceil, strict_partition
+from skewivm.storage import Relation, iceil, key_degrees, strict_partition
 
 
 def make_rel(name="R", schema=("A", "B"), base=False):
@@ -82,9 +82,13 @@ def test_strict_partition_threshold():
     for i in range(4):
         r.delta((f"x{i}", "hot"), 1)
     r.delta(("y", "cold"), 1)
-    light = strict_partition(r, pos, theta=2)
+    degrees = key_degrees(r.entries, pos)
+    assert degrees == {("hot",): 4, ("cold",): 1}
+    before = r.counters.storage_ops
+    light = strict_partition(r, pos, 2, degrees)
     assert light == {("y", "cold"): 1}
-    everything = strict_partition(r, pos, theta=100)
+    assert r.counters.storage_ops - before == r.size  # one pass; degrees came given
+    everything = strict_partition(r, pos, 100, degrees)
     assert everything == dict(r.entries)
 
 
@@ -96,9 +100,10 @@ def test_strict_partition_heavy_key_count_bound():
     for i in range(n):
         r.delta((i, rng.randrange(20)), 1)
     n = r.size
+    degrees = key_degrees(r.entries, pos)
     for eps in (0.0, 0.5, 1.0):
         theta = n ** eps
-        light = strict_partition(r, pos, theta)
+        light = strict_partition(r, pos, theta, degrees)
         heavy_keys = {row[1] for row in r.entries} - {row[1] for row in light}
         assert len(heavy_keys) <= math.ceil(n / theta) if theta else True
 
