@@ -401,7 +401,7 @@ class EngineState:
         rel = self.base[occurrences[0].symbol]
         for atom in occurrences:
             for triple, lp in self._triples_by_leaf.get(atom.name, ()):
-                key = tuple(row[p] for p in lp.key_positions)
+                key = lp.key_of(row)
                 fresh = rel.count(lp.key_positions, key) == 0
                 in_light = lp.content.count(lp.key_positions, key) > 0
                 pre[(atom.key, triple.var)] = fresh or in_light
@@ -417,7 +417,7 @@ class EngineState:
         pairs = self._triples_by_leaf.get(atom.name, ())
         keys, before = [], []
         for triple, lp in pairs:
-            key = tuple(row[p] for p in lp.key_positions)
+            key = lp.key_of(row)
             keys.append(key)
             before.append(triple.all_root.content.get(key))
         self._apply(self.dag, atom.name, delta)
@@ -545,7 +545,7 @@ class EngineState:
         for atom in occurrences:
             rel = self.base[atom.symbol]
             for triple, lp in self._triples_by_leaf.get(atom.name, ()):
-                key = tuple(row[p] for p in lp.key_positions)
+                key = lp.key_of(row)
                 in_light = lp.content.count(lp.key_positions, key)
                 if in_light == 0 and 0 < rel.count(lp.key_positions, key) < reinsert_below:
                     self._minor_rebalancing(triple, lp, key, insert=True)

@@ -5,6 +5,11 @@ view over the tuples agreeing with the parent context; a view whose schema
 already covers every free variable below it is enumerated directly; a view
 with a heavy-indicator child is *grounded* into one shallow-copy iterator
 per heavy key, and those buckets are merged by the union algorithm.
+Grounding scans only the heavy keys: each bucket is opened *pending*, holding
+its scope and nothing else, and starts its range scan and its children on
+its first ``next()``.  The union advances only a member whose lookup hits,
+and a lookup reads a pending bucket through its scope alone, so a bucket the
+enumeration never reads is never started.
 
 Contexts and tuples are positional.  A node's context is a tuple laid out by
 ``enum.ctx_order``: its parent's scope followed by the parent's current row.
@@ -36,7 +41,8 @@ they share view contents and own only cursor state.
 from __future__ import annotations
 
 from .errors import CallBeforeOpenError, InvariantViolationError, IteratorInvalidatedError
-from .viewtree import HEAVY_REF, ViewNode, projection
+from .storage import projection
+from .viewtree import HEAVY_REF, ViewNode
 
 Row = tuple
 
@@ -225,15 +231,25 @@ class TreeIter:
 
     def open(self, ctx: tuple) -> None:
         """Open under ``ctx``, a tuple laid out by ``enum.ctx_order``
-        (``enum.scope`` for a bucket)."""
-        info = self.node.enum
+        (``enum.scope`` for a bucket).  A bucket stays *pending*: it holds
+        its scope and starts nothing until :meth:`_start`."""
         self._ctx = ctx
         self.opened = True
         self.buckets = self.children = self.child_outs = None
-        if info.heavy_idx is not None and not self.skip_heavy:
+        self._range = None
+        if self.skip_heavy:
+            return
+        info = self.node.enum
+        if info.heavy_idx is not None:
             self._ground(ctx)
             return
-        self._range = self.node.content.scan(info.range_positions, info.range_key(ctx))
+        self._start()
+
+    def _start(self) -> None:
+        """Range the view under the context and open the product children
+        under its first row."""
+        info = self.node.enum
+        self._range = self.node.content.scan(info.range_positions, info.range_key(self._ctx))
         self.current = next(self._range, None)
         if info.covering:
             return
@@ -241,6 +257,7 @@ class TreeIter:
         self._reopen_children()
 
     def _ground(self, ctx: tuple) -> None:
+        """One pending bucket per heavy key under ``ctx``."""
         info = self.node.enum
         hleaf = self.node.children[info.heavy_idx]
         self.buckets = []
@@ -279,6 +296,8 @@ class TreeIter:
         info = self.node.enum
         if self.buckets is not None:
             return union_next(self.buckets) if self.buckets else None
+        if self._range is None:  # a pending bucket's first next()
+            self._start()
         if info.covering:
             if self.current is None:
                 return None
@@ -303,8 +322,11 @@ class TreeIter:
         Runs the node's probe plan (see :func:`_compile_plan`) once per
         bucket, a non-grounded iterator being its own single bucket: the
         gets in preorder over ``scope + t``, a stop at the first zero, and
-        one add of the gets made to ``storage_ops``.  A grounded descendant
-        is looked up through its live iterator, whose buckets were opened
+        one add of the gets made to ``storage_ops``.  The view entries read
+        only the bucket's scope, so a pending bucket stays pending.  A
+        grounded descendant is looked up through its live iterator: its
+        entry starts a pending bucket first, which leaves the bucket as its
+        first ``next()`` would, and the descendant's buckets were opened
         under the view rows current when it was (re)opened.  So the result
         equals ``t``'s multiplicity in a fresh enumeration of this iterator
         only when ``t`` agrees with those rows.  The union of a component
@@ -325,6 +347,8 @@ class TreeIter:
                 if path is None:
                     v = get(key(st), 0)
                 else:
+                    if it._range is None:  # a pending bucket
+                        it._start()
                     live = it
                     for k in path:
                         live = live.children[k]
@@ -341,7 +365,12 @@ class TreeIter:
         return total
 
     def grounded_buckets(self) -> int:
-        """Total grounded bucket count below this iterator (delay driver)."""
+        """Total grounded bucket count below this iterator (delay driver):
+        every bucket, pending ones included, and the buckets below the
+        started ones.  A pending bucket has no children yet, so the buckets
+        that its start will ground are not counted until it starts: the
+        value depends on when it is called, and at open it counts no more
+        than eager opening would have."""
         n = 0
         if self.buckets is not None:
             n += len(self.buckets)

@@ -16,6 +16,7 @@ negative transiently while a delta propagates.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import Any, Iterable, Iterator
 
 from .errors import ArityMismatchError, RejectedDeleteError, UnregisteredIndexError
@@ -51,10 +52,20 @@ class Interner:
         return len(self._strings)
 
 
+def projection(positions: tuple[int, ...]):
+    """Row -> tuple of the values at ``positions``.  Contiguous positions
+    (none and one included, where ``itemgetter`` of indexes would fail or
+    return a bare value) become a slice."""
+    lo = positions[0] if positions else 0
+    if positions == tuple(range(lo, lo + len(positions))):
+        return itemgetter(slice(lo, lo + len(positions)))
+    return itemgetter(*positions)
+
+
 class Relation:
     """A multiset of fixed-arity tuples with registered prefix indexes."""
 
-    __slots__ = ("name", "schema", "base", "entries", "indexes", "counters")
+    __slots__ = ("name", "schema", "base", "entries", "indexes", "keyed", "counters")
 
     def __init__(self, name: str, schema: tuple[str, ...], counters: Counters,
                  base: bool = False):
@@ -64,6 +75,8 @@ class Relation:
         self.entries: dict[Row, int] = {}
         # positions tuple -> {key tuple -> {row -> None}}
         self.indexes: dict[tuple[int, ...], dict[Row, dict[Row, None]]] = {}
+        # (row -> key projection, index) per registered index, for writes
+        self.keyed: list[tuple[Any, dict[Row, dict[Row, None]]]] = []
         self.counters = counters
 
     # -- schema helpers ----------------------------------------------------
@@ -78,10 +91,12 @@ class Relation:
             return  # full-schema and empty lookups go through `entries`
         if positions in self.indexes:
             return
+        key_of = projection(positions)
         index: dict[Row, dict[Row, None]] = {}
         for row in self.entries:
-            index.setdefault(tuple(row[p] for p in positions), {})[row] = None
+            index.setdefault(key_of(row), {})[row] = None
         self.indexes[positions] = index
+        self.keyed.append((key_of, index))
 
     # -- primitives --------------------------------------------------------
 
@@ -112,9 +127,9 @@ class Relation:
                 f"{self.name}: delete of {row} by {m} would leave multiplicity {new}")
         if new == 0:
             del self.entries[row]
-            for positions, index in self.indexes.items():
-                self.counters.storage_ops += 1
-                key = tuple(row[p] for p in positions)
+            self.counters.storage_ops += len(self.keyed)
+            for key_of, index in self.keyed:
+                key = key_of(row)
                 bucket = index[key]
                 del bucket[row]
                 if not bucket:
@@ -122,9 +137,9 @@ class Relation:
         else:
             self.entries[row] = new
             if old == 0:
-                for positions, index in self.indexes.items():
-                    self.counters.storage_ops += 1
-                    index.setdefault(tuple(row[p] for p in positions), {})[row] = None
+                self.counters.storage_ops += len(self.keyed)
+                for key_of, index in self.keyed:
+                    index.setdefault(key_of(row), {})[row] = None
 
     def scan(self, positions: tuple[int, ...], key: Row) -> Iterator[tuple[Row, int]]:
         """Yield each entry whose projection on ``positions`` equals ``key``."""
@@ -173,11 +188,10 @@ class Relation:
         for row, m in entries.items():
             if m == 0:
                 continue
-            self.counters.storage_ops += 1
+            self.counters.storage_ops += 1 + len(self.keyed)
             self.entries[row] = m
-            for positions, index in self.indexes.items():
-                self.counters.storage_ops += 1
-                index.setdefault(tuple(row[p] for p in positions), {})[row] = None
+            for key_of, index in self.keyed:
+                index.setdefault(key_of(row), {})[row] = None
 
     def rebuilt_indexes(self) -> dict[tuple[int, ...], dict[Row, dict[Row, None]]]:
         """Fresh index structures recomputed from `entries` (test oracle)."""
@@ -193,9 +207,10 @@ class Relation:
 def key_degrees(rows: Iterable[Row], positions: tuple[int, ...]) -> dict[Row, int]:
     """Number of distinct ``rows`` per key, the projection on ``positions``.
     Counts no ops; a caller that reads a relation counts them itself."""
+    key_of = projection(positions)
     degrees: dict[Row, int] = {}
     for row in rows:
-        key = tuple(row[p] for p in positions)
+        key = key_of(row)
         degrees[key] = degrees.get(key, 0) + 1
     return degrees
 
@@ -212,10 +227,9 @@ def strict_partition(rel: Relation, positions: tuple[int, ...], theta: float,
     by the rebuild a major falls back to, which reuses the degrees of its
     own pass.
     """
-    entries = rel.entries
+    entries, key_of = rel.entries, projection(positions)
     rel.counters.storage_ops += len(entries)
-    return {row: m for row, m in entries.items()
-            if degrees[tuple(row[p] for p in positions)] < theta}
+    return {row: m for row, m in entries.items() if degrees[key_of(row)] < theta}
 
 
 def iceil(x: float) -> int:

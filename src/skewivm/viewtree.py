@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable
 
 from .errors import UnregisteredIndexError
 from .query import Atom, ConjunctiveQuery, is_free_connex, is_q_hierarchical, min_cover
-from .storage import Relation
+from .storage import Relation, projection
 from .vorder import VariableOrder
 
 # node kinds
@@ -81,6 +80,11 @@ class LightPart:
     name: str
     key_positions: tuple[int, ...]  # positions of keys in the atom schema
     content: Relation | None = None  # the light part itself; its leaves read it
+    # atom row -> its key, resolved from the positions
+    key_of: Callable = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.key_of = projection(self.key_positions)
 
 
 @dataclass
@@ -285,16 +289,6 @@ def intern(root: ViewNode, table: dict) -> ViewNode:
 # ---------------------------------------------------------------------------
 # Join plans and materialization
 # ---------------------------------------------------------------------------
-
-
-def projection(positions: tuple[int, ...]):
-    """Row -> tuple of the values at ``positions``.  Contiguous positions
-    (none and one included, where ``itemgetter`` of indexes would fail or
-    return a bare value) become a slice."""
-    lo = positions[0] if positions else 0
-    if positions == tuple(range(lo, lo + len(positions))):
-        return itemgetter(slice(lo, lo + len(positions)))
-    return itemgetter(*positions)
 
 
 @dataclass(frozen=True)
