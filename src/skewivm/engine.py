@@ -248,14 +248,18 @@ class EngineState:
         """Create the base relations, light parts and H supports, give every
         leaf the one of them it reads and every view a relation of its own."""
         counters = self.counters
-        for sym in self.query.symbols():
-            first, *later = self.query.occurrences(sym)
-            rel = Relation(sym, first.schema, counters, base=True)
+        symbols = self.query.symbols()
+        for sym in symbols:
+            arity = len(self.query.occurrences(sym)[0].schema)
             for row, m in db[sym].items():
                 _check_multiplicity(sym, row, m)
+                _check_row(sym, row, arity)
                 if m <= 0:
                     raise EngineError(f"{sym}: nonpositive input multiplicity for {row}")
-                rel.delta(row, m)
+        for sym in symbols:
+            first, *later = self.query.occurrences(sym)
+            rel = Relation(sym, first.schema, counters, base=True)
+            rel.load(db[sym])  # no index yet: one op per row, as a delta
             self.base[sym] = rel
             self.atom_rels[first.name] = rel
             for atom in later:
@@ -350,9 +354,7 @@ class EngineState:
         if rel is None:
             raise MissingRelationError(symbol)
         _check_multiplicity(symbol, row, mult)
-        if not isinstance(row, tuple) or len(row) != len(rel.schema):
-            raise ArityMismatchError(
-                f"{symbol}: {row!r} is not a tuple of arity {len(rel.schema)}")
+        _check_row(symbol, row, len(rel.schema))
         try:
             hash(row)
         except TypeError:
@@ -696,6 +698,12 @@ def _check_multiplicity(symbol: str, row: Row, m: object) -> None:
     if not _is_int(m):
         raise InvalidMultiplicityError(
             f"{symbol}: multiplicity {m!r} of {row} is not an int")
+
+
+def _check_row(symbol: str, row: object, arity: int) -> None:
+    """Reject a row that is not a tuple of ``arity`` values."""
+    if not isinstance(row, tuple) or len(row) != arity:
+        raise ArityMismatchError(f"{symbol}: {row!r} is not a tuple of arity {arity}")
 
 
 def _freeze(entries: Multiset) -> tuple:

@@ -25,6 +25,19 @@ key over the scope followed by the looked-up tuple.  Opening, advancing and
 looking up then build no dicts, and a lookup is one Python call per
 grounded iterator it reaches, not one per view.
 
+A grounded node also gets a *bucket selector* (:func:`_compile_selector`)
+when one of its plan's views is keyed by the heavy key and by the
+looked-up tuple: an index on that view by the rest of its key.  A
+lookup of ``t`` at a grounded iterator with at least 3 buckets fetches
+the index bucket of ``t`` (1 op); a bucket whose heavy key no row there
+carries reads that view at an absent key, so its term is 0.  If
+``2 * rows + 1 <= buckets``, the lookup reads the rows (1 op each) and
+runs the plan over the buckets they name only; otherwise over every
+bucket.  A skipped bucket costs at least one get, so a narrowed lookup
+never costs more than probing every bucket, and any lookup at most the
+fetch more.  This is the intersection rule of worst-case-optimal joins:
+iterate the smaller side, probe the larger.
+
 Sibling subtrees under one view row, and the components of the result,
 combine through one product routine: :func:`_odometer` restarts an exhausted
 slot under the shared context and advances the slot before it, and
@@ -53,11 +66,13 @@ class EnumInfo:
 
     __slots__ = ("ctx_order", "scope", "out_schema", "covering", "set_semantics",
                  "heavy_idx", "h_positions", "h_key", "range_positions",
-                 "range_key", "out_of", "slots", "compose", "plan", "plan_ops")
+                 "range_key", "out_of", "slots", "compose", "plan", "plan_ops",
+                 "selector", "h_varying")
 
     def __init__(self) -> None:
         self.heavy_idx = None
         self.covering = False
+        self.selector = None
 
 
 def annotate(root: ViewNode, free: frozenset[str],
@@ -113,7 +128,9 @@ def annotate(root: ViewNode, free: frozenset[str],
         annotate(root.children[i], free, info.scope + schema)
     info.compose = _compose(root.name, info.out_schema, schema,
                             [root.children[i].enum.out_schema for i in info.slots])
-    _compile_plan(info, root)
+    views = _compile_plan(info, root)
+    if info.heavy_idx is not None:
+        _compile_selector(info, root.children[info.heavy_idx].schema, views)
 
 
 def _getter(layout: tuple[str, ...], schema: tuple[str, ...], positions: tuple[int, ...]):
@@ -121,7 +138,7 @@ def _getter(layout: tuple[str, ...], schema: tuple[str, ...], positions: tuple[i
     return projection(tuple(layout.index(schema[p]) for p in positions))
 
 
-def _compile_plan(info: EnumInfo, node: ViewNode) -> None:
+def _compile_plan(info: EnumInfo, node: ViewNode) -> list[tuple[ViewNode, tuple[int, ...]]]:
     """The probe plan of a lookup at ``node``: in preorder, one entry per
     view the lookup reads, ``(entries.get, key, multiplies, ops, None)``,
     down to the covering nodes, and one ``(None, share, True, ops, path)``
@@ -133,11 +150,12 @@ def _compile_plan(info: EnumInfo, node: ViewNode) -> None:
     row, and a variable bound below is bound in that prefix).  ``ops``
     counts the gets up to and including the entry; a covering multiset
     view's multiplicity multiplies, any other entry only has to be
-    nonzero."""
+    nonzero.  Returns the view entries' nodes and key positions, in
+    plan order."""
     scope, out = info.scope, info.out_schema
     in_scope = {v: scope.index(v) for v in scope}
     from_t = {v: len(scope) + i for i, v in enumerate(out)}
-    plan = []
+    plan, views = [], []
     ops = 0
 
     def visit(n: ViewNode, path: tuple[int, ...]) -> None:
@@ -152,6 +170,7 @@ def _compile_plan(info: EnumInfo, node: ViewNode) -> None:
         except KeyError:
             raise InvariantViolationError(f"{n.name}: view key not bound by context") from None
         ops += 1
+        views.append((n, key))
         plan.append((n.content.entries.get, projection(key),
                      e.covering and not e.set_semantics, ops, None))
         if not e.covering:
@@ -161,6 +180,42 @@ def _compile_plan(info: EnumInfo, node: ViewNode) -> None:
     visit(node, ())
     info.plan = tuple(plan)
     info.plan_ops = ops
+    return views
+
+
+def _compile_selector(info: EnumInfo, heavy_schema: tuple[str, ...],
+                      views: list[tuple[ViewNode, tuple[int, ...]]]) -> None:
+    """The bucket selector of a grounded node: the first view entry of its
+    probe plan whose key reads every *varying* heavy-key variable (one the
+    context does not fix) from the scope, and at least one variable of
+    ``t`` that the context does not fix.  A bucket's plan reads that view
+    at a row whose varying heavy key is the bucket's own, so only the
+    buckets named by the view's rows that agree with ``ctx + t`` on the
+    key's other positions can be nonzero.  Registers an index on those
+    other positions and keeps ``info.selector = (index, key over ctx + t,
+    row -> varying heavy key)`` and ``info.h_varying``, heavy row ->
+    varying heavy key; no entry qualifying leaves no selector."""
+    ctx, scope, out = info.ctx_order, info.scope, info.out_schema
+    varying = [v for v in heavy_schema if v not in ctx]
+    if not varying:
+        return
+    # a varying variable's first occurrence in the scope is in the heavy key
+    heavy_at = [scope.index(v) for v in varying]
+    shift = len(scope) - len(ctx)
+    for n, key in views:
+        if not all(k in key for k in heavy_at):
+            continue
+        rest = tuple(p for p, k in enumerate(key) if k not in heavy_at)
+        if not any(key[p] >= len(scope) and out[key[p] - len(scope)] not in ctx
+                   for p in rest):
+            continue
+        n.content.register_index(rest)
+        info.selector = (
+            n.content.indexes[rest],
+            projection(tuple(key[p] - shift if key[p] >= len(ctx) else key[p] for p in rest)),
+            projection(tuple(key.index(k) for k in heavy_at)))
+        info.h_varying = projection(tuple(heavy_schema.index(v) for v in varying))
+        return
 
 
 def _compose(name: str, out_schema: tuple[str, ...], row_schema: tuple,
@@ -205,7 +260,7 @@ class TreeIter:
     """Cursor state for one view tree (or one grounded bucket of it)."""
 
     __slots__ = ("node", "skip_heavy", "opened", "_ctx", "_range", "current",
-                 "buckets", "children", "child_outs", "child_ctx")
+                 "buckets", "by_key", "children", "child_outs", "child_ctx")
 
     def __init__(self, node: ViewNode, skip_heavy: bool = False):
         self.node = node
@@ -215,6 +270,7 @@ class TreeIter:
         self._range = None
         self.current = None
         self.buckets: list[TreeIter] | None = None
+        self.by_key: dict[tuple, TreeIter] | None = None
         self.children: list[TreeIter] | None = None
         self.child_outs: list | None = None
         self.child_ctx: tuple | None = None
@@ -235,7 +291,7 @@ class TreeIter:
         its scope and starts nothing until :meth:`_start`."""
         self._ctx = ctx
         self.opened = True
-        self.buckets = self.children = self.child_outs = None
+        self.buckets = self.by_key = self.children = self.child_outs = None
         self._range = None
         if self.skip_heavy:
             return
@@ -257,14 +313,19 @@ class TreeIter:
         self._reopen_children()
 
     def _ground(self, ctx: tuple) -> None:
-        """One pending bucket per heavy key under ``ctx``."""
+        """One pending bucket per heavy key under ``ctx``, and with a
+        selector, the buckets by their varying heavy key."""
         info = self.node.enum
         hleaf = self.node.children[info.heavy_idx]
         self.buckets = []
+        by_key = {} if info.selector is not None else None
         for hrow, _ in hleaf.content.scan(info.h_positions, info.h_key(ctx)):
             bucket = TreeIter(self.node, skip_heavy=True)
             bucket.open(ctx + hrow)
             self.buckets.append(bucket)
+            if by_key is not None:
+                by_key[info.h_varying(hrow)] = bucket
+        self.by_key = by_key
 
     def _reopen_children(self) -> None:
         """(Re)open the product children under the current view row and
@@ -280,7 +341,7 @@ class TreeIter:
 
     def close(self) -> None:
         self.opened = False
-        self.buckets = None
+        self.buckets = self.by_key = None
         self.children = None
         self.child_outs = None
         self.current = None
@@ -322,16 +383,22 @@ class TreeIter:
         Runs the node's probe plan (see :func:`_compile_plan`) once per
         bucket, a non-grounded iterator being its own single bucket: the
         gets in preorder over ``scope + t``, a stop at the first zero, and
-        one add of the gets made to ``storage_ops``.  The view entries read
-        only the bucket's scope, so a pending bucket stays pending.  A
-        grounded descendant is looked up through its live iterator: its
-        entry starts a pending bucket first, which leaves the bucket as its
-        first ``next()`` would, and the descendant's buckets were opened
-        under the view rows current when it was (re)opened.  So the result
-        equals ``t``'s multiplicity in a fresh enumeration of this iterator
-        only when ``t`` agrees with those rows.  The union of a component
-        whose trees ground below their root can look up a tuple that does
-        not, and then miss it."""
+        one add of the gets made to ``storage_ops``.  With a bucket
+        selector and at least 3 buckets, it first fetches the selector's
+        index bucket at ``ctx + t`` (1 op); if ``2 * rows + 1 <= buckets``
+        it adds 1 op per row and runs the plan over the buckets the rows
+        name only (every other term is 0), else over every bucket.  So it
+        costs at most 1 op more than the plan over every bucket, and a
+        narrowed lookup no more.  The view entries read only the bucket's
+        scope, so a pending bucket stays pending, and a skipped one is
+        never started.  A grounded descendant is looked up through its
+        live iterator: its entry starts a pending bucket first, which
+        leaves the bucket as its first ``next()`` would, and the
+        descendant's buckets were opened under the view rows current when
+        it was (re)opened.  So the result equals ``t``'s multiplicity in a
+        fresh enumeration of this iterator only when ``t`` agrees with
+        those rows.  The union of a component whose trees ground below
+        their root can look up a tuple that does not, and then miss it."""
         buckets = self.buckets
         if buckets is None:
             buckets = (self,)
@@ -340,6 +407,14 @@ class TreeIter:
         info = self.node.enum
         plan, plan_ops = info.plan, info.plan_ops
         ops = total = 0
+        if info.selector is not None and len(buckets) >= 3:
+            index, key_of, row_key = info.selector
+            rows = index.get(key_of(self._ctx + t), ())
+            ops = 1
+            if 2 * len(rows) + 1 <= len(buckets):
+                ops += len(rows)
+                by_key = self.by_key
+                buckets = [b for b in map(by_key.get, map(row_key, rows)) if b is not None]
         for it in buckets:
             st = it._ctx + t
             m = 1

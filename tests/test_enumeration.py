@@ -312,12 +312,21 @@ def test_forest_with_differing_output_schemas_raises_invariant_violation():
 # ---------------------------------------------------------------------------
 
 
-def _reference_lookup(it: TreeIter, assign: dict) -> int:
+def _reference_lookup(it: TreeIter, assign: dict) -> tuple[int, int, int]:
     """The lookup before keys were compiled: the iterator's context merged
     with the assignment at every level, each view key built variable by
-    variable and read with ``Relation.get``.  A pending bucket is started
+    variable and read from the view's entries.  A pending bucket is started
     under its own scope, as its first ``next()`` would, before it is walked;
-    the start is not counted."""
+    the start is not counted.
+
+    Returns the multiplicity, the gets this lookup makes, and the ops the
+    compiled lookup must make.  The two differ only at a grounded iterator
+    with a selector and at least 3 buckets.  It fetches the selector's
+    index bucket at ``ctx + t`` (1 op).  If the bucket's rows name at most
+    half the buckets, less one, it reads each row (1 op per row) and probes
+    only the buckets they name; every other bucket's term must be 0.
+    Otherwise it probes every bucket.  Either way it costs at most 1 op
+    more than probing every bucket."""
     if it.skip_heavy and it._range is None:
         counters = it.node.content.counters
         ops = counters.storage_ops
@@ -325,21 +334,42 @@ def _reference_lookup(it: TreeIter, assign: dict) -> int:
         counters.storage_ops = ops
     ctx = it.ctx
     merged = {**ctx, **assign} if ctx else assign
+    info = it.node.enum
     if it.buckets is not None:
-        return sum(_reference_lookup(b, merged) for b in it.buckets)
+        terms = [(b, *_reference_lookup(b, merged)) for b in it.buckets]
+        m = sum(bm for _, bm, _, _ in terms)
+        ref_ops = sum(r for _, _, r, _ in terms)
+        every = sum(c for _, _, _, c in terms)
+        if info.selector is None or len(terms) < 3:
+            return m, ref_ops, every
+        index, key_of, row_key = info.selector
+        rows = index.get(key_of(it._ctx + tuple(merged[v] for v in info.out_schema)), ())
+        if 2 * len(rows) + 1 > len(terms):
+            return m, ref_ops, 1 + every
+        named = {row_key(r) for r in rows}
+        ops = 1 + len(rows)
+        for b, bm, _, c in terms:
+            if info.h_varying(b._ctx[len(it._ctx):]) in named:
+                ops += c
+            else:
+                assert bm == 0, (it.node.name, merged, b.ctx)
+        assert ops <= every
+        return m, ref_ops, ops
     key = tuple(merged[v] for v in it.node.schema)
-    m = it.node.content.get(key)
-    if it.node.enum.covering:
-        return (1 if m else 0) if it.node.semantics == "set" else m
+    m = it.node.content.entries.get(key, 0)
+    if info.covering:
+        return ((1 if m else 0) if it.node.semantics == "set" else m), 1, 1
     if m == 0:
-        return 0
-    total = 1
+        return 0, 1, 1
+    total = ref_ops = ops = 1
     for ch in it.children:
-        cm = _reference_lookup(ch, merged)
+        cm, r, c = _reference_lookup(ch, merged)
+        ref_ops += r
+        ops += c
         if cm == 0:
-            return 0
+            return 0, ref_ops, ops
         total *= cm
-    return total
+    return total, ref_ops, ops
 
 
 def _looked_up(result) -> list[TreeIter]:
@@ -376,20 +406,22 @@ def _held(it: TreeIter) -> list[tuple]:
     return out
 
 
-LOOKUP_QUERIES = [(name, SUITE[name], eps) for name in SUITE for eps in EPS_GRID] + [
-    ("self-join", "Q(A,C) = R(A,B), R(B,C).", 0.25),
-    ("product", "Q(A,C,X) = R(A,B), S(B,C), T(X,Y).", 0.25),
-]
+LOOKUP_QUERIES = [(name, SUITE[name], eps, "dynamic") for name in SUITE for eps in EPS_GRID] + [
+    ("self-join", "Q(A,C) = R(A,B), R(B,C).", 0.25, "dynamic"),
+    ("product", "Q(A,C,X) = R(A,B), S(B,C), T(X,Y).", 0.25, "dynamic"),
+] + [(name, SUITE[name], eps, "static")
+     for name, eps in (("chain2", 0.25), ("deep4", 0.0), ("star3", 0.0))]
 
 
-@pytest.mark.parametrize("name,text,eps", LOOKUP_QUERIES,
-                         ids=[f"{n}-{e}" for n, _, e in LOOKUP_QUERIES])
-def test_compiled_lookup_matches_dict_merge_reference(name, text, eps, monkeypatch):
+@pytest.mark.parametrize(
+    "name,text,eps,mode", LOOKUP_QUERIES,
+    ids=[f"{n}-{e}" + ("-static" if m == "static" else "") for n, _, e, m in LOOKUP_QUERIES])
+def test_compiled_lookup_matches_dict_merge_reference(name, text, eps, mode, monkeypatch):
     q = parse_query(text)
     rng = random.Random(f"{name}/{eps}")
     db = rand_db(q, rng, per_rel=30, dom=5)
     values = sorted({v for rel in db.values() for row in rel for v in row}) + [99]
-    st = preprocess(q, db, eps, mode="dynamic")
+    st = preprocess(q, db, eps, mode=mode)
     rows = len(st.result_multiset())
 
     # ops of the bucket starts a lookup makes (outermost starts only)
@@ -407,7 +439,7 @@ def test_compiled_lookup_matches_dict_merge_reference(name, text, eps, monkeypat
             start_ops[0] += st.counters.storage_ops - before
 
     monkeypatch.setattr(TreeIter, "_start", counted_start)
-    checked = 0
+    checked = narrowed = 0
     # each on a fresh iterator: its components opened with no next() made,
     # so every bucket is pending; at the first row; half way through the
     # result.  At each point, first as the enumeration left it, then with
@@ -440,16 +472,20 @@ def test_compiled_lookup_matches_dict_merge_reference(name, text, eps, monkeypat
                     ops = st.counters.storage_ops - before - start_ops[0]
                     if started:
                         assert start_ops[0] == 0, (it.node.name, t)
-                    before = st.counters.storage_ops
-                    want = _reference_lookup(it, dict(zip(schema, t)))
-                    assert (got, ops) == (want, st.counters.storage_ops - before), \
-                        (it.node.name, t)
+                    want, ref_ops, want_ops = _reference_lookup(it, dict(zip(schema, t)))
+                    assert (got, ops) == (want, want_ops), (it.node.name, t)
+                    if it.buckets is not None and all(p is None for *_, p in it.node.enum.plan):
+                        # no grounded iterator below: at most the fetch more
+                        assert ops <= ref_ops + 1, (it.node.name, t)
+                    narrowed += ops < ref_ops
                     # a repeat starts nothing and makes the same gets
                     before = st.counters.storage_ops
                     assert it.lookup(t) == want
                     assert st.counters.storage_ops - before == ops, (it.node.name, t)
                     checked += 1
     assert checked
+    if eps == 0.0:  # every key heavy: many buckets, and a tuple names few
+        assert narrowed
 
 
 def _live_contexts(it: TreeIter):
@@ -533,14 +569,18 @@ def test_component_union_emits_each_tuple_once_across_grounded_subtrees():
 # with the dict-merge lookup before enumeration was compiled, but for
 # fc4-0.0: there a product slot reopened just before its product ends no
 # longer opens the bucket of V_E@t1 it never reads (1712 with eager
-# buckets).  The largest next() includes the buckets it starts.
+# buckets); and where the bucket selector changes a lookup's cost: deep4-0.0
+# (9132 probing every bucket) narrows 408 of its 551 index fetches to the
+# buckets a tuple names, while semi-0.25 (377) pays 2 fetches that do not
+# narrow and deep4-0.25 (3336) 105 fetches of which 16 narrow.  The largest
+# next() includes the buckets it starts.
 ENUM_OPS = {
     ('chain2', 0.0): (1921, 125),
     ('chain2', 0.25): (1921, 125),
     ('chain2', 0.5): (35, 1),
     ('chain2', 1.0): (35, 1),
     ('semi', 0.0): (431, 79),
-    ('semi', 0.25): (377, 86),
+    ('semi', 0.25): (379, 87),
     ('semi', 0.5): (6, 1),
     ('semi', 1.0): (6, 1),
     ('fc3', 0.0): (616, 80),
@@ -551,8 +591,8 @@ ENUM_OPS = {
     ('fc4', 0.25): (325, 19),
     ('fc4', 0.5): (325, 19),
     ('fc4', 1.0): (325, 19),
-    ('deep4', 0.0): (9132, 182),
-    ('deep4', 0.25): (3336, 71),
+    ('deep4', 0.0): (6473, 149),
+    ('deep4', 0.25): (3377, 72),
     ('deep4', 0.5): (105, 1),
     ('deep4', 1.0): (105, 1),
     ('star3', 0.0): (10097, 121),
@@ -572,15 +612,16 @@ def test_enumeration_ops_are_pinned(name, eps, rng):
 
 
 # storage ops of enumerate_result() and the first next() on the databases of
-# ENUM_OPS; each is at most its value with eager buckets (chain2 169 at eps
-# 0 and 0.25, fc3-0.0 45, deep4 614 and 208, star3 153 at eps 0 and 0.25;
-# the others equal)
+# ENUM_OPS; with eager buckets and every bucket probed they were chain2 169
+# at eps 0 and 0.25, fc3-0.0 45, semi-0.25 192, deep4 614 and 208, star3 153
+# at eps 0 and 0.25, the others equal.  semi-0.25 and deep4-0.25 each pay
+# 2 index fetches that do not narrow; deep4-0.0 narrows 12 of its 16
 FIRST_ROW_OPS = {
     ('chain2', 0.0): 137, ('chain2', 0.25): 137, ('chain2', 0.5): 3, ('chain2', 1.0): 3,
-    ('semi', 0.0): 202, ('semi', 0.25): 192, ('semi', 0.5): 3, ('semi', 1.0): 3,
+    ('semi', 0.0): 202, ('semi', 0.25): 194, ('semi', 0.5): 3, ('semi', 1.0): 3,
     ('fc3', 0.0): 35, ('fc3', 0.25): 13, ('fc3', 0.5): 13, ('fc3', 1.0): 13,
     ('fc4', 0.0): 56, ('fc4', 0.25): 15, ('fc4', 0.5): 15, ('fc4', 1.0): 15,
-    ('deep4', 0.0): 536, ('deep4', 0.25): 137, ('deep4', 0.5): 3, ('deep4', 1.0): 3,
+    ('deep4', 0.0): 470, ('deep4', 0.25): 139, ('deep4', 0.5): 3, ('deep4', 1.0): 3,
     ('star3', 0.0): 89, ('star3', 0.25): 89, ('star3', 0.5): 3, ('star3', 1.0): 3,
 }
 
@@ -715,6 +756,83 @@ def test_grounded_view_holds_no_context_index():
                     seen += 1
                     assert ctx not in node.content.indexes, node.name
     assert seen == 6
+
+
+# ---------------------------------------------------------------------------
+# bucket selectors
+# ---------------------------------------------------------------------------
+
+
+def _selector_indexes(st) -> set[tuple[str, tuple[str, ...]]]:
+    """(relation, indexed variables) of every grounded node's selector."""
+    rels = {id(n.content): n.content for tree in st.trees for n in tree.nodes}
+    out = set()
+    for tree in st.trees:
+        for node in tree.nodes:
+            if node.enum is None or node.enum.selector is None:
+                continue
+            index = node.enum.selector[0]
+            (rel, positions), = [(r, p) for r in rels.values()
+                                 for p, ix in r.indexes.items() if ix is index]
+            out.add((rel.name, tuple(rel.schema[p] for p in positions)))
+    return out
+
+
+def test_selector_indexes_are_registered_on_the_views_they_read():
+    st = preprocess(parse("fc4"), rand_db(parse("fc4"), random.Random(3)), 0.5)
+    assert _selector_indexes(st) == {("T", ("A", "F")), ("R", ("A", "C"))}
+    st = preprocess(parse("chain2"), rand_db(parse("chain2"), random.Random(3)), 0.25)
+    assert _selector_indexes(st) == {("R", ("A",))}
+    assert (0,) in st.base["R"].indexes
+
+
+def test_selector_narrows_a_lookup_to_the_buckets_its_tuple_names():
+    # chain2 at eps 0.25: the heavy tree has one bucket per heavy B, and a
+    # lookup of (a, c) reads R at (a, B) in each.  An a of R-degree d with
+    # 2d + 1 <= |H| costs 1 (the index fetch) + d (its rows) + the plans of
+    # the buckets its rows name; a celebrity a joined with every B costs
+    # 1 + every bucket's plan.  Either gives the full-bucket sum.
+    q = parse("chain2")
+    db = _zipf_chain2(random.Random(11), n=256, keys=32, pool=512)
+    celebrity = 10_000
+    db["R"].update({(celebrity, b): 1 for b in range(32)})
+    st = preprocess(q, db, 0.25, mode="dynamic")
+    heavy = next(t for t in st.trees if "xH_B" in t.leaves)
+    it = TreeIter(heavy.root)
+    it.open(())
+    n_buckets = len(it.buckets)
+    assert n_buckets == len(st.triples[0].h_content.entries) >= 10
+
+    def bucket_terms(t):
+        """(B, multiplicity, ops) of each bucket of a fresh iterator."""
+        twin = TreeIter(heavy.root)
+        twin.open(())
+        out = []
+        for b in twin.buckets:
+            before = st.counters.storage_ops
+            out.append((b.ctx["B"], b.lookup(t), st.counters.storage_ops - before))
+        return out
+
+    r_rows = st.base["R"].entries
+    probes = [(a, c) for (a, b) in r_rows for (b2, c) in db["S"] if b2 == b]
+    probes += [(celebrity, c) for (_, c) in db["S"]][:10] + [(-1, -1)]
+    light = full = 0
+    for a, c in probes:
+        terms = bucket_terms((a, c))
+        want = sum(m for _, m, _ in terms)
+        assert want == sum(r_rows.get((a, b), 0) * db["S"].get((b, c), 0)
+                           for b, _, _ in terms)
+        d = sum(1 for row in r_rows if row[0] == a)
+        if 2 * d + 1 <= n_buckets:
+            cost = 1 + d + sum(ops for b, _, ops in terms if (a, b) in r_rows)
+            light += 1
+        else:
+            cost = 1 + sum(ops for _, _, ops in terms)
+            full += 1
+        before = st.counters.storage_ops
+        assert it.lookup((a, c)) == want, (a, c)
+        assert st.counters.storage_ops - before == cost, (a, c, d)
+    assert light > 10 and full >= 10
 
 
 def test_shared_node_reached_under_another_layout_raises():

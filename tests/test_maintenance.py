@@ -563,6 +563,14 @@ def test_preprocess_rejects_non_int_multiplicities(mult):
         preprocess(parse("chain2"), {"R": {(1, 2): mult}, "S": {}}, 0.5)
 
 
+@pytest.mark.parametrize("row", ("ab", 5, (1,), (1, 2, 3)), ids=repr)
+def test_preprocess_rejects_rows_that_are_not_tuples_of_the_arity(row):
+    # a string of the right length and a bare value included, as on_update
+    # rejects them
+    with pytest.raises(ArityMismatchError, match="R: .* is not a tuple of arity 2"):
+        preprocess(parse("chain2"), {"R": {(1, 2): 1, row: 1}, "S": {}}, 0.5)
+
+
 def test_deleting_a_light_keys_last_tuple_starts_no_minor_rebalance():
     db = {"R": {**{(i, 7): 1 for i in range(12)}, (1, 1): 1, (2, 3): 1},
           "S": {(7, 1): 1, (1, 1): 1, (3, 5): 1, (3, 6): 1}}
