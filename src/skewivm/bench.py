@@ -72,11 +72,3 @@ def run_point(q: ConjunctiveQuery, n: int, epsilon: float, seed: int) -> BenchRo
         minors=counters.minor_rebalances,
     )
 
-
-def run_ladder(q: ConjunctiveQuery, sizes: list[int], epsilons: list[float],
-               seed: int) -> list[BenchRow]:
-    rows = []
-    for eps in epsilons:
-        for n in sizes:
-            rows.append(run_point(q, n, eps, seed))
-    return rows

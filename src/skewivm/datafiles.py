@@ -10,12 +10,12 @@ sign negates ``m`` and blank lines or ``#`` comments are skipped.
 from __future__ import annotations
 
 import csv
+import sys
 from pathlib import Path
 from typing import Iterator
 
 from .errors import EngineError, MissingRelationError
 from .query import ConjunctiveQuery
-from .storage import Interner
 
 Row = tuple
 Multiset = dict[Row, int]
@@ -26,8 +26,7 @@ def _candidate_files(data_dir: Path, symbol: str, occurrences: list[int]) -> lis
     return [data_dir / n for n in names if (data_dir / n).exists()]
 
 
-def load_relation_csv(path: Path, schema: tuple[str, ...],
-                      interner: Interner) -> Multiset:
+def load_relation_csv(path: Path, schema: tuple[str, ...]) -> Multiset:
     arity = len(schema)
     out: Multiset = {}
     with open(path, newline="") as fh:
@@ -53,13 +52,12 @@ def load_relation_csv(path: Path, schema: tuple[str, ...],
         else:
             raise EngineError(
                 f"{path}:{lineno}: {len(cells)} columns for arity-{arity} relation")
-        row = tuple(interner.intern(c) for c in cells)
+        row = tuple(sys.intern(c) for c in cells)
         out[row] = out.get(row, 0) + mult
     return {r: m for r, m in out.items() if m != 0}
 
 
-def load_database(q: ConjunctiveQuery, data_dir: str | Path,
-                  interner: Interner) -> dict[str, Multiset]:
+def load_database(q: ConjunctiveQuery, data_dir: str | Path) -> dict[str, Multiset]:
     """One multiset per relation symbol; occurrence-suffixed files are
     accepted but every file for the same symbol must agree."""
     data_dir = Path(data_dir)
@@ -70,7 +68,7 @@ def load_database(q: ConjunctiveQuery, data_dir: str | Path,
         files = _candidate_files(data_dir, sym, occs)
         if not files:
             raise MissingRelationError(f"no data file for relation {sym} in {data_dir}")
-        contents = [load_relation_csv(f, schema, interner) for f in files]
+        contents = [load_relation_csv(f, schema) for f in files]
         for other, f in zip(contents[1:], files[1:]):
             if other != contents[0]:
                 raise EngineError(
@@ -79,8 +77,8 @@ def load_database(q: ConjunctiveQuery, data_dir: str | Path,
     return db
 
 
-def parse_update_line(line: str, lineno: int, arities: dict[str, int],
-                      interner: Interner) -> tuple[str, Row, int] | None:
+def parse_update_line(line: str, lineno: int,
+                      arities: dict[str, int]) -> tuple[str, Row, int] | None:
     text = line.strip()
     if not text or text.startswith("#"):
         return None
@@ -103,19 +101,18 @@ def parse_update_line(line: str, lineno: int, arities: dict[str, int],
     if len(values) != arity:
         raise EngineError(
             f"update line {lineno}: {len(values)} values for arity-{arity} relation {symbol}")
-    row = tuple(interner.intern(v) for v in values)
+    row = tuple(sys.intern(v) for v in values)
     return symbol, row, sign * abs(mult)
 
 
-def read_updates(path: str | Path, q: ConjunctiveQuery,
-                 interner: Interner) -> Iterator[tuple[str, Row, int]]:
+def read_updates(path: str | Path, q: ConjunctiveQuery) -> Iterator[tuple[str, Row, int]]:
     arities = {sym: len(q.occurrences(sym)[0].schema) for sym in q.symbols()}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            parsed = parse_update_line(line, lineno, arities, interner)
+            parsed = parse_update_line(line, lineno, arities)
             if parsed is not None:
                 yield parsed
 
 
-def format_result_row(row: Row, mult: int, interner: Interner) -> str:
-    return ",".join([interner.lookup(v) for v in row] + [str(mult)])
+def format_result_row(row: Row, mult: int) -> str:
+    return ",".join([*row, str(mult)])

@@ -238,11 +238,7 @@ class EngineState:
             raise EngineError(f"threshold base {self.M} violates the size "
                               f"invariant for N={self.N}")
         self._materialize(self.dag.stages[0])
-        parts = []
-        for _, lp, rel in self._unsettled_parts():
-            self.counters.storage_ops += len(rel.entries)
-            parts.append((lp, rel, key_degrees(rel.entries, lp.key_positions)))
-        self._repartition(parts)
+        self._repartition([(lp, d) for _, lp, d, _ in self._unsettled_parts()])
 
     def _attach_relations(self, db: dict[str, Multiset]) -> None:
         """Create the base relations, light parts and H supports, give every
@@ -272,7 +268,8 @@ class EngineState:
             for lp in triple.light_parts:
                 lp.content = Relation(lp.name, lp.atom.schema, counters)
                 lp.content.register_index(lp.key_positions)
-                self.base[lp.atom.symbol].register_index(lp.key_positions)
+                lp.base = self.base[lp.atom.symbol]
+                lp.base.register_index(lp.key_positions)
                 self._triples_by_leaf.setdefault(lp.atom.name, []).append((triple, lp))
                 sources[lp.name] = lp.content
         for node in self.dag.nodes:
@@ -304,29 +301,33 @@ class EngineState:
     def _theta(self) -> float:
         return float(self.M) ** self.epsilon
 
-    def _unsettled_parts(self) -> Iterator[tuple[IndicatorTriple, LightPart, Relation]]:
+    def _unsettled_parts(self) -> Iterator[tuple[IndicatorTriple, LightPart, dict, dict]]:
         """Each light part that may differ from its strict partition at the
-        current threshold, with its base relation.  A part that already
-        holds every tuple of a base relation smaller than the threshold is
-        skipped in O(1): every key is light, so the part is its own strict
-        partition.  (At preprocessing a light part is still empty, so only a
-        part of an empty relation is skipped.)"""
+        current threshold, with the key degrees of its base relation and of
+        itself, from one pass over each that counts one op per entry read.
+        A part that already holds every tuple of a base relation smaller
+        than the threshold is skipped in O(1): every key is light, so the
+        part is its own strict partition.  (At preprocessing a light part is
+        still empty, so only a part of an empty relation is skipped, and the
+        pass reads the base relation alone.)"""
         theta = self._theta()
         for triple in self.triples:
             for lp in triple.light_parts:
-                rel = self.base[lp.atom.symbol]
-                if len(rel.entries) >= theta or len(lp.content.entries) != len(rel.entries):
-                    yield triple, lp, rel
+                rel, light = lp.base.entries, lp.content.entries
+                if len(rel) >= theta or len(light) != len(rel):
+                    self.counters.storage_ops += len(rel) + len(light)
+                    yield (triple, lp, key_degrees(rel, lp.key_positions),
+                           key_degrees(light, lp.key_positions))
 
-    def _repartition(self, parts: list[tuple[LightPart, Relation, dict]]) -> None:
-        """Load each of ``parts``, a light part with its base relation and
-        that relation's key degrees, with its strict partition, and
-        recompute from the leaves every view that reads a light part or H,
-        H in between.  The views over base relations alone do not depend on
-        the partition and stay as they are."""
+    def _repartition(self, parts: list[tuple[LightPart, dict]]) -> None:
+        """Load each of ``parts``, a light part with its base relation's key
+        degrees, with its strict partition, and recompute from the leaves
+        every view that reads a light part or H, H in between.  The views
+        over base relations alone do not depend on the partition and stay
+        as they are."""
         theta = self._theta()
-        for lp, rel, degrees in parts:
-            lp.content.load(strict_partition(rel, lp.key_positions, theta, degrees))
+        for lp, degrees in parts:
+            lp.content.load(strict_partition(lp.base, lp.key_positions, theta, degrees))
         self._materialize(self.dag.stages[1])
         for triple in self.triples:
             self._rebuild_h(triple)
@@ -400,11 +401,10 @@ class EngineState:
         the update belongs to the light part when its key is new to the
         relation or already present in the light part."""
         pre = {}
-        rel = self.base[occurrences[0].symbol]
         for atom in occurrences:
             for triple, lp in self._triples_by_leaf.get(atom.name, ()):
                 key = lp.key_of(row)
-                fresh = rel.count(lp.key_positions, key) == 0
+                fresh = lp.base.count(lp.key_positions, key) == 0
                 in_light = lp.content.count(lp.key_positions, key) > 0
                 pre[(atom.key, triple.var)] = fresh or in_light
         return pre
@@ -503,25 +503,20 @@ class EngineState:
         """Bring every light part to its strict partition at the new
         threshold, which also settles the keys minor rebalancing left in the
         relaxed band.  A light part holds all of a key's base tuples or none,
-        so one pass over the base relation and one over the light part give
-        every key's degree, and the keys whose side differs are inserted or
-        evicted one tuple at a time, at O(M^(delta*eps)) each; the passes
-        count one op per entry they read.  When the k tuples to move would
-        cost more than a rebuild, k * M^(delta*eps) > M^(1+(w-1)*eps), the
-        light parts are loaded and the views that depend on them recomputed
-        instead.  The All trees do not depend on the partition and stay as
+        so the degree pass of :meth:`_unsettled_parts` gives every key's
+        side, and the keys whose side differs are inserted or evicted one
+        tuple at a time, at O(M^(delta*eps)) each.  When the k tuples to
+        move would cost more than a rebuild, k * M^(delta*eps) >
+        M^(1+(w-1)*eps), the light parts are loaded and the views that
+        depend on them recomputed instead.  The All trees do not depend on the partition and stay as
         they are.  A part skipped by :meth:`_unsettled_parts` costs nothing
         (at eps=1 every part is, and a major costs no ops)."""
         self.counters.major_rebalances += 1
         theta = self._theta()
         parts, moves = [], []
         tuples = 0
-        for triple, lp, rel in self._unsettled_parts():
-            light = lp.content.entries
-            self.counters.storage_ops += len(rel.entries) + len(light)
-            degrees = key_degrees(rel.entries, lp.key_positions)
-            light_degrees = key_degrees(light, lp.key_positions)
-            parts.append((lp, rel, degrees))
+        for triple, lp, degrees, light_degrees in self._unsettled_parts():
+            parts.append((lp, degrees))
             for key, degree in degrees.items():
                 if degree < theta and key not in light_degrees:
                     moves.append((triple, lp, key, True))
@@ -545,11 +540,10 @@ class EngineState:
         evict_at = iceil(1.5 * m_eps)
         reinsert_below = iceil(0.5 * m_eps)
         for atom in occurrences:
-            rel = self.base[atom.symbol]
             for triple, lp in self._triples_by_leaf.get(atom.name, ()):
                 key = lp.key_of(row)
                 in_light = lp.content.count(lp.key_positions, key)
-                if in_light == 0 and 0 < rel.count(lp.key_positions, key) < reinsert_below:
+                if in_light == 0 and 0 < lp.base.count(lp.key_positions, key) < reinsert_below:
                     self._minor_rebalancing(triple, lp, key, insert=True)
                 elif in_light >= evict_at:
                     self._minor_rebalancing(triple, lp, key, insert=False)
@@ -564,8 +558,7 @@ class EngineState:
                   key: Row, insert: bool) -> None:
         """Move every base tuple matching ``key`` into or out of the light
         part, one signed single-tuple delta at a time."""
-        rel = self.base[lp.atom.symbol]
-        rows = list(rel.scan(lp.key_positions, key))
+        rows = list(lp.base.scan(lp.key_positions, key))
         for row, base_mult in rows:
             cnt = base_mult if insert else -base_mult
             delta = {row: cnt}
@@ -580,7 +573,14 @@ class EngineState:
         return enumeration.ResultIterator(self)
 
     def result_multiset(self) -> Multiset:
-        return {row: m for row, m in self.enumerate_result()}
+        """The enumerated result as a map; raises
+        :class:`InvariantViolationError` if a tuple is emitted twice."""
+        out: Multiset = {}
+        for row, m in self.enumerate_result():
+            if row in out:
+                raise InvariantViolationError(f"result tuple {row} emitted twice")
+            out[row] = m
+        return out
 
     def db_snapshot(self) -> dict[str, Multiset]:
         return {sym: dict(rel.entries) for sym, rel in self.base.items()}
@@ -601,9 +601,8 @@ class EngineState:
         heavy_floor = 0.5 * m_eps
         for triple in self.triples:
             for lp in triple.light_parts:
-                base = self.base[lp.atom.symbol]
                 light_keys = key_degrees(lp.content.entries, lp.key_positions)
-                base_keys = key_degrees(base.entries, lp.key_positions)
+                base_keys = key_degrees(lp.base.entries, lp.key_positions)
                 for key, deg in light_keys.items():
                     if deg >= light_cap:
                         raise InvariantViolationError(

@@ -9,7 +9,10 @@ Grounding scans only the heavy keys: each bucket is opened *pending*, holding
 its scope and nothing else, and starts its range scan and its children on
 its first ``next()``.  The union advances only a member whose lookup hits,
 and a lookup reads a pending bucket through its scope alone, so a bucket the
-enumeration never reads is never started.
+enumeration never reads is never started.  A lookup does not depend on where
+any cursor stands: it reads a grounded descendant through the live iterator
+only when that iterator is grounded under the context the looked-up tuple
+itself gives, and otherwise grounds the descendant afresh under it.
 
 Contexts and tuples are positional.  A node's context is a tuple laid out by
 ``enum.ctx_order``: its parent's scope followed by the parent's current row.
@@ -141,17 +144,18 @@ def _getter(layout: tuple[str, ...], schema: tuple[str, ...], positions: tuple[i
 def _compile_plan(info: EnumInfo, node: ViewNode) -> list[tuple[ViewNode, tuple[int, ...]]]:
     """The probe plan of a lookup at ``node``: in preorder, one entry per
     view the lookup reads, ``(entries.get, key, multiplies, ops, None)``,
-    down to the covering nodes, and one ``(None, share, True, ops, path)``
-    per grounded descendant, whose live iterator is reached from the probed
-    one by the child indexes in ``path`` and looked up with its ``share``
-    of ``t``.  Every key and share projects ``scope + t``: a variable of
-    the view's output schema comes from ``t``, any other from the scope,
-    which holds each of them (a child's scope is its parent's scope and
-    row, and a variable bound below is bound in that prefix).  ``ops``
-    counts the gets up to and including the entry; a covering multiset
-    view's multiplicity multiplies, any other entry only has to be
-    nonzero.  Returns the view entries' nodes and key positions, in
-    plan order."""
+    down to the covering nodes, and one ``(ctx_of, share, True, ops,
+    path)`` per grounded descendant, whose live iterator is reached from
+    the probed one by the child indexes in ``path``.  It is looked up with
+    its ``share`` of ``t`` if its context is ``ctx_of``, the context ``t``
+    gives the descendant, and otherwise a fresh iterator grounded under
+    that context is.  Every key, share and context projects ``scope + t``:
+    an output variable comes from ``t``, any other from the scope, which
+    holds each of them (a child's scope is its parent's scope and row, and
+    a variable bound below is bound in that prefix).  ``ops`` counts the
+    gets up to and including the entry; a covering multiset view's
+    multiplicity multiplies, any other entry only has to be nonzero.
+    Returns the view entries' nodes and key positions, in plan order."""
     scope, out = info.scope, info.out_schema
     in_scope = {v: scope.index(v) for v in scope}
     from_t = {v: len(scope) + i for i, v in enumerate(out)}
@@ -162,7 +166,9 @@ def _compile_plan(info: EnumInfo, node: ViewNode) -> list[tuple[ViewNode, tuple[
         nonlocal ops
         e = n.enum
         if path and e.heavy_idx is not None:
-            plan.append((None, projection(tuple(from_t[v] for v in e.out_schema)),
+            ctx_of = projection(tuple(from_t[v] if v in from_t else in_scope[v]
+                                      for v in e.ctx_order))
+            plan.append((ctx_of, projection(tuple(from_t[v] for v in e.out_schema)),
                          True, ops, path))
             return
         try:
@@ -391,14 +397,14 @@ class TreeIter:
         costs at most 1 op more than the plan over every bucket, and a
         narrowed lookup no more.  The view entries read only the bucket's
         scope, so a pending bucket stays pending, and a skipped one is
-        never started.  A grounded descendant is looked up through its
-        live iterator: its entry starts a pending bucket first, which
-        leaves the bucket as its first ``next()`` would, and the
-        descendant's buckets were opened under the view rows current when
-        it was (re)opened.  So the result equals ``t``'s multiplicity in a
-        fresh enumeration of this iterator only when ``t`` agrees with
-        those rows.  The union of a component whose trees ground below
-        their root can look up a tuple that does not, and then miss it."""
+        never started.  A grounded descendant's entry starts a pending
+        bucket first, which leaves the bucket as its first ``next()``
+        would.  The descendant is then looked up through its live iterator
+        if that iterator is grounded under the context ``t`` gives it, and
+        otherwise through a fresh one opened under that context, whose
+        grounding scans H at its heavy key, counted.  So the result is
+        ``t``'s multiplicity in a fresh enumeration of this iterator,
+        wherever its cursors and those below it stand."""
         buckets = self.buckets
         if buckets is None:
             buckets = (self,)
@@ -427,6 +433,10 @@ class TreeIter:
                     live = it
                     for k in path:
                         live = live.children[k]
+                    ctx = get(st)
+                    if live._ctx != ctx:
+                        live = TreeIter(live.node)
+                        live.open(ctx)
                     v = live.lookup(key(st))
                 if not v:
                     ops += upto

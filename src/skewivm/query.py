@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -197,17 +198,10 @@ def parse_query(text: str) -> ConjunctiveQuery:
     tok, at = toks.peek()
     if tok:
         raise QuerySyntaxError(at, "end of input", tok)
-    dupes = [v for v, n in _count(head_vars).items() if n > 1]
+    dupes = [v for v, n in Counter(head_vars).items() if n > 1]
     if dupes:
         raise DuplicateVariableInAtomError(f"head repeats variable(s) {sorted(dupes)}")
     return ConjunctiveQuery(head, tuple(head_vars), tuple(atoms))
-
-
-def _count(items) -> dict:
-    out: dict = {}
-    for x in items:
-        out[x] = out.get(x, 0) + 1
-    return out
 
 
 # ---------------------------------------------------------------------------

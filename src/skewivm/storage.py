@@ -26,32 +26,6 @@ Value = Any
 Row = tuple
 
 
-class Interner:
-    """Dense-integer interning of input strings.
-
-    Gives constant-time hashing/equality on opaque data values and keeps the
-    reverse map for output formatting.
-    """
-
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self._strings: list[str] = []
-
-    def intern(self, s: str) -> int:
-        i = self._ids.get(s)
-        if i is None:
-            i = len(self._strings)
-            self._ids[s] = i
-            self._strings.append(s)
-        return i
-
-    def lookup(self, i: int) -> str:
-        return self._strings[i]
-
-    def __len__(self) -> int:
-        return len(self._strings)
-
-
 def projection(positions: tuple[int, ...]):
     """Row -> tuple of the values at ``positions``.  Contiguous positions
     (none and one included, where ``itemgetter`` of indexes would fail or

@@ -80,6 +80,7 @@ class LightPart:
     name: str
     key_positions: tuple[int, ...]  # positions of keys in the atom schema
     content: Relation | None = None  # the light part itself; its leaves read it
+    base: Relation | None = None  # the base relation it partitions
     # atom row -> its key, resolved from the positions
     key_of: Callable = field(init=False, repr=False, compare=False)
 

@@ -12,7 +12,6 @@ from skewivm.datafiles import load_database, parse_update_line
 from skewivm.engine import EngineState
 from skewivm.errors import EngineError, InvariantViolationError, MissingRelationError
 from skewivm.query import parse_query
-from skewivm.storage import Interner
 
 from conftest import SUITE
 
@@ -36,8 +35,7 @@ QUERY = "Q(A,C) = R(A,B), S(B,C)."
 
 def test_load_database_plain(demo):
     q = parse_query(QUERY)
-    interner = Interner()
-    db = load_database(q, demo, interner)
+    db = load_database(q, demo)
     assert len(db["R"]) == 3 and len(db["S"]) == 3
     assert all(m == 1 for m in db["R"].values())
 
@@ -46,42 +44,41 @@ def test_load_database_header_and_mult(tmp_path):
     (tmp_path / "R.csv").write_text("A,B,__mult\nx,y,4\n")
     (tmp_path / "S.csv").write_text("B,C\ny,z\n")
     q = parse_query(QUERY)
-    db = load_database(q, tmp_path, Interner())
+    db = load_database(q, tmp_path)
     assert list(db["R"].values()) == [4]
 
 
 def test_load_database_mult_without_header(tmp_path):
     (tmp_path / "R.csv").write_text("x,y,2\n")
     (tmp_path / "S.csv").write_text("y,z\n")
-    db = load_database(parse_query(QUERY), tmp_path, Interner())
+    db = load_database(parse_query(QUERY), tmp_path)
     assert list(db["R"].values()) == [2]
 
 
 def test_load_database_occurrence_suffix(tmp_path):
     (tmp_path / "R.0.csv").write_text("x,y\n")
     q = parse_query("Q(A) = R(A,B).")
-    db = load_database(q, tmp_path, Interner())
+    db = load_database(q, tmp_path)
     assert len(db["R"]) == 1
 
 
 def test_load_database_missing(tmp_path):
     with pytest.raises(MissingRelationError):
-        load_database(parse_query(QUERY), tmp_path, Interner())
+        load_database(parse_query(QUERY), tmp_path)
 
 
 def test_update_line_parsing():
     q = parse_query(QUERY)
     arities = {"R": 2, "S": 2}
-    interner = Interner()
-    assert parse_update_line("+ R, a, b", 1, arities, interner)[0] == "R"
-    sym, row, m = parse_update_line("-S,b,c,2", 2, arities, interner)
+    assert parse_update_line("+ R, a, b", 1, arities)[0] == "R"
+    sym, row, m = parse_update_line("-S,b,c,2", 2, arities)
     assert (sym, m) == ("S", -2)
-    assert parse_update_line("# comment", 3, arities, interner) is None
-    assert parse_update_line("", 4, arities, interner) is None
+    assert parse_update_line("# comment", 3, arities) is None
+    assert parse_update_line("", 4, arities) is None
     with pytest.raises(EngineError):
-        parse_update_line("R, a, b", 5, arities, interner)
+        parse_update_line("R, a, b", 5, arities)
     with pytest.raises(MissingRelationError):
-        parse_update_line("+ Z, a", 6, arities, interner)
+        parse_update_line("+ Z, a", 6, arities)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from skewivm.engine import preprocess
+from skewivm.engine import EngineState, preprocess
 from skewivm.enumeration import ComponentIter, TreeIter, annotate, union_next
 from skewivm.errors import CallBeforeOpenError, InvariantViolationError, IteratorInvalidatedError
 from skewivm.metrics import Counters
@@ -144,6 +144,14 @@ def test_distinctness_and_positivity():
             assert m > 0
             assert row not in seen
             seen.add(row)
+
+
+def test_result_multiset_rejects_a_repeated_tuple(monkeypatch):
+    st = preprocess(parse("chain2"), {"R": {(1, 2): 1}, "S": {(2, 3): 1}}, 0.5)
+    monkeypatch.setattr(EngineState, "enumerate_result",
+                        lambda self: iter([((1, 3), 1), ((1, 3), 1)]))
+    with pytest.raises(InvariantViolationError, match=r"\(1, 3\) emitted twice"):
+        st.result_multiset()
 
 
 def test_iterators_are_restartable():
@@ -317,7 +325,10 @@ def _reference_lookup(it: TreeIter, assign: dict) -> tuple[int, int, int]:
     with the assignment at every level, each view key built variable by
     variable and read from the view's entries.  A pending bucket is started
     under its own scope, as its first ``next()`` would, before it is walked;
-    the start is not counted.
+    the start is not counted.  A grounded child whose context differs from
+    the probe's own, the merged assignment's projection onto its context
+    layout, is grounded afresh under the probe's context, and the scan of
+    H that grounding makes is counted.
 
     Returns the multiplicity, the gets this lookup makes, and the ops the
     compiled lookup must make.  The two differ only at a grounded iterator
@@ -363,6 +374,14 @@ def _reference_lookup(it: TreeIter, assign: dict) -> tuple[int, int, int]:
         return 0, 1, 1
     total = ref_ops = ops = 1
     for ch in it.children:
+        own = tuple(merged[v] for v in ch.node.enum.ctx_order)
+        if ch.node.enum.heavy_idx is not None and ch._ctx != own:
+            counters = ch.node.content.counters
+            before = counters.storage_ops
+            ch = TreeIter(ch.node)
+            ch.open(own)
+            ref_ops += counters.storage_ops - before
+            ops += counters.storage_ops - before
         cm, r, c = _reference_lookup(ch, merged)
         ref_ops += r
         ops += c
@@ -488,24 +507,13 @@ def test_compiled_lookup_matches_dict_merge_reference(name, text, eps, mode, mon
         assert narrowed
 
 
-def _live_contexts(it: TreeIter):
-    """The contexts of the live grounded iterators a lookup at ``it``
-    reaches, as variable -> value maps."""
-    for b in it.buckets if it.buckets is not None else (it,):
-        for ch in b.children or ():
-            if ch.buckets is not None:
-                yield ch.ctx
-            yield from _live_contexts(ch)
-
-
 @pytest.mark.parametrize("name,eps", [(n, e) for n in SUITE for e in EPS_GRID],
                          ids=[f"{n}-{e}" for n in SUITE for e in EPS_GRID])
 def test_union_lookups_keep_the_lookup_contract(name, eps, monkeypatch):
     # a lookup of t equals t's multiplicity in a fresh iterator opened in
-    # the probed one's place whenever t agrees with the rows its grounded
-    # descendants were opened under; every top-level lookup of a full
-    # enumeration (the union's; nested ones are part of the plan) is
-    # checked against that, and those outside the contract are counted
+    # the probed one's place, wherever the probed one's cursors stand;
+    # every top-level lookup of a full enumeration (the union's; nested
+    # ones are part of the plan) is checked against that
     q = parse(name)
     original = TreeIter.lookup
     depth = [0]
@@ -519,15 +527,13 @@ def test_union_lookups_keep_the_lookup_contract(name, eps, monkeypatch):
         finally:
             depth[0] -= 1
         if depth[0] == 0:
-            out = dict(zip(it.node.enum.out_schema, t))
-            if all(ctx.get(v, x) == x for ctx in _live_contexts(it) for v, x in out.items()):
-                where = (it.node, it.skip_heavy, it._ctx)
-                if where not in held:
-                    twin = TreeIter(it.node, it.skip_heavy)
-                    twin.open(it._ctx)
-                    held[where] = dict(iter(twin.next, None))
-                assert got == held[where].get(t, 0), (it.node.name, t)
-                found.append(got)
+            where = (it.node, it.skip_heavy, it._ctx)
+            if where not in held:
+                twin = TreeIter(it.node, it.skip_heavy)
+                twin.open(it._ctx)
+                held[where] = dict(iter(twin.next, None))
+            assert got == held[where].get(t, 0), (it.node.name, t)
+            found.append(got)
         return got
 
     monkeypatch.setattr(TreeIter, "lookup", checked_lookup)
@@ -542,13 +548,10 @@ def test_union_lookups_keep_the_lookup_contract(name, eps, monkeypatch):
         assert any(found), "no union lookup found a tuple"
 
 
-@pytest.mark.xfail(strict=True, reason="known fault: the component union looks up a "
-                   "tuple of tree t0 in tree t1 through V_B's buckets, grounded under "
-                   "t1's current A, and misses it")
 def test_component_union_emits_each_tuple_once_across_grounded_subtrees():
     # fc3 at eps 0.25 (M = 25): (0, 2, 2) has multiplicity 2, one from
-    # each tree; t0 emits it with its share 1 while t1's cursor is at
-    # another A, so t1 emits it again, with 2
+    # each tree; t0 draws it while t1's cursor is at another A, so the
+    # lookup in t1 must ground V_B under the tuple's own A
     q = parse("fc3")
     db = {"R": {(1, 0, 2): 1, (0, 2, 0): 1, (0, 0, 0): 1},
           "S": {(0, 2, 1): 1, (1, 0, 2): 1, (1, 0, 1): 1, (0, 2, 2): 1,
@@ -558,6 +561,21 @@ def test_component_union_emits_each_tuple_once_across_grounded_subtrees():
     rows = list(st.enumerate_result())
     assert dict(rows) == brute_force_eval(q, db)
     assert len(rows) == len(dict(rows))
+
+
+def test_component_union_never_finds_a_member_exhausted():
+    # fc4 at eps 0.25 (M = 37): a union member's lookup missed a tuple it
+    # holds and its cursor later ran out before the tuple was drawn
+    q = parse("fc4")
+    db = {"R": {(3, 3, 2): 1, (2, 1, 1): 3, (2, 0, 1): 3},
+          "S": {(3, 3, 3): 1, (2, 1, 1): 2, (2, 0, 2): 1, (2, 0, 1): 3, (2, 0, 3): 2},
+          "T": {(3, 0, 0): 3, (3, 0, 1): 2, (2, 1, 1): 3, (2, 3, 1): 3, (3, 0, 2): 1},
+          "U": {(2, 3, 2): 2, (2, 3, 3): 2, (2, 3, 1): 2, (3, 0, 1): 1, (2, 1, 3): 2}}
+    st = preprocess(q, db, 0.25, mode="dynamic")
+    assert st.M == 37
+    rows = list(st.enumerate_result())
+    assert len(rows) == len(dict(rows))
+    assert dict(rows) == brute_force_eval(q, db)
 
 
 # ---------------------------------------------------------------------------
