@@ -36,7 +36,7 @@ from .errors import (
     UnhashableValueError,
 )
 from .metrics import Counters
-from .query import Atom, ConjunctiveQuery, connected_components, hierarchy_violation, parse_query
+from .query import ConjunctiveQuery, connected_components, hierarchy_violation, parse_query
 from .storage import Relation, iceil, key_degrees, strict_partition
 from .vorder import VariableOrder, canonical_vo, dynamic_width, static_width
 from .viewtree import (
@@ -58,6 +58,9 @@ from .viewtree import (
 
 Row = tuple
 Multiset = dict[Row, int]
+# one occurrence of a symbol: its leaf name, its relation, and the (triple,
+# light part) pairs that partition it
+Route = tuple[str, Relation, tuple[tuple[IndicatorTriple, LightPart], ...]]
 
 
 class ViewTree:
@@ -179,7 +182,8 @@ class EngineState:
         # for a symbol's first occurrence, one relation of its own for each
         # later occurrence of a self-join
         self.atom_rels: dict[str, Relation] = {}
-        self._triples_by_leaf: dict[str, list[tuple[IndicatorTriple, LightPart]]] = {}
+        # symbol -> one route per occurrence of it, in query order
+        self._routes: dict[str, tuple[Route, ...]] = {}
         # (static width w, dynamic width delta), computed at the first major
         self._widths: tuple[int, int] | None = None
 
@@ -228,9 +232,12 @@ class EngineState:
 
         self._attach_relations(db)
         self._register_plans()
+        # at eps = 1 every degree is at most N < M, the threshold, so no key
+        # is ever heavy and no tree grounds a bucket
+        buckets = self.epsilon < 1
         for comp in self.components:
             for tree in comp.trees:
-                enumeration.annotate(tree.root, self.query.free)
+                enumeration.annotate(tree.root, self.query.free, buckets=buckets)
 
         self.N = sum(len(db[sym]) for sym in q.symbols())
         self.M = m_override if m_override is not None else 2 * self.N + 1
@@ -262,6 +269,7 @@ class EngineState:
                 self.atom_rels[atom.name] = Relation(atom.name, atom.schema, counters)
                 self.atom_rels[atom.name].load(rel.entries)
         sources = dict(self.atom_rels)
+        pairs: dict[str, list[tuple[IndicatorTriple, LightPart]]] = {}
         for triple in self.triples:
             triple.h_content = Relation(triple.h_name, triple.keys, counters)
             sources[triple.support_name] = triple.h_content
@@ -270,31 +278,37 @@ class EngineState:
                 lp.content.register_index(lp.key_positions)
                 lp.base = self.base[lp.atom.symbol]
                 lp.base.register_index(lp.key_positions)
-                self._triples_by_leaf.setdefault(lp.atom.name, []).append((triple, lp))
+                pairs.setdefault(lp.atom.name, []).append((triple, lp))
                 sources[lp.name] = lp.content
+        for sym in symbols:
+            self._routes[sym] = tuple(
+                (atom.name, self.atom_rels[atom.name], tuple(pairs.get(atom.name, ())))
+                for atom in self.query.occurrences(sym))
         for node in self.dag.nodes:
             node.content = (sources[node.leaf_name] if node.is_leaf
                             else Relation(node.name, node.schema, counters))
 
     def _register_plans(self) -> None:
         """Register the indexes every distinct view's materialization plan
-        scans and, in dynamic mode, build its delta plans once, register
-        theirs and resolve the DAG's per-leaf propagation steps."""
+        scans and bind the plan to its children's relations; in dynamic
+        mode, also build its delta plans once, register and bind theirs,
+        and resolve the DAG's per-leaf propagation steps."""
         delta_plans: dict[tuple[int, int], JoinPlan] = {}
         for node in self.dag.views:
-            self._register_scan_indexes(node, node.plan)
+            self._bind_plan(node, node.plan)
             if self.mode == "dynamic":
                 for i in range(len(node.children)):
                     dplan = delta_plans[id(node), i] = delta_plan(node, i)
-                    self._register_scan_indexes(node, dplan)
+                    self._bind_plan(node, dplan)
         if self.mode == "dynamic":
             self.dag.resolve_paths(delta_plans)
 
     @staticmethod
-    def _register_scan_indexes(node: ViewNode, plan: JoinPlan) -> None:
+    def _bind_plan(node: ViewNode, plan: JoinPlan) -> None:
         for step in plan.steps:
             if step.mode == "scan":
                 node.children[step.child_index].content.register_index(step.child_positions)
+        plan.bind(node.children)
 
     # -- loading + materialization ------------------------------------
 
@@ -370,21 +384,20 @@ class EngineState:
         ops_before = self.counters.storage_ops
         self.generation += 1
 
-        occurrences = self.query.occurrences(symbol)
-        pre = self._light_path_conditions(occurrences, row)
+        routes = self._routes[symbol]
+        pre = self._light_path_conditions(routes, row)
         rel.delta(row, mult)
         if old == 0:
             self.N += 1
         elif old + mult == 0:
             self.N -= 1
 
-        for atom in occurrences:
+        for (leaf_name, occurrence_rel, pairs), light in zip(routes, pre):
             # a later self-join occurrence turns new just before its own
             # pass: each pass sees earlier occurrences new, later ones old
-            occurrence_rel = self.atom_rels[atom.name]
             if occurrence_rel is not rel:
                 occurrence_rel.delta(row, mult)
-            self._update_trees(atom, row, mult, pre)
+            self._update_trees(leaf_name, pairs, row, mult, light)
 
         if self.N == self.M:
             self.M *= 2
@@ -393,42 +406,44 @@ class EngineState:
             self.M = self.M // 2 - 1
             self._major_rebalancing()
         else:
-            self._minor_checks(occurrences, row)
+            self._minor_checks(routes, row)
         self.counters.record_update(self.counters.storage_ops - ops_before)
 
-    def _light_path_conditions(self, occurrences: list[Atom], row: Row) -> dict:
-        """Pre-update evaluation of the light-path test per governed part:
-        the update belongs to the light part when its key is new to the
-        relation or already present in the light part."""
-        pre = {}
-        for atom in occurrences:
-            for triple, lp in self._triples_by_leaf.get(atom.name, ()):
+    def _light_path_conditions(self, routes: tuple[Route, ...], row: Row) -> list[list[bool]]:
+        """Pre-update evaluation of the light-path test per governed part,
+        per route and pair: the update belongs to the light part when its
+        key is new to the relation or already present in the light part."""
+        pre = []
+        for _, _, pairs in routes:
+            light = []
+            for _, lp in pairs:
                 key = lp.key_of(row)
                 fresh = lp.base.count(lp.key_positions, key) == 0
                 in_light = lp.content.count(lp.key_positions, key) > 0
-                pre[(atom.key, triple.var)] = fresh or in_light
+                light.append(fresh or in_light)
+            pre.append(light)
         return pre
 
-    def _update_trees(self, atom: Atom, row: Row, mult: int, pre: dict) -> None:
+    def _update_trees(self, leaf_name: str, pairs: tuple, row: Row, mult: int,
+                      light: list[bool]) -> None:
         """One occurrence's pass of the update algorithm, after the
         occurrence's relation took the update: propagate it through every
         view above the occurrence's leaf, All roots included, then forward
-        each affected triple's H change and, on the light path, the light
-        part's change."""
+        each affected triple's H change and, on the light path (``light``,
+        per pair), the light part's change."""
         delta = {row: mult}
-        pairs = self._triples_by_leaf.get(atom.name, ())
         keys, before = [], []
         for triple, lp in pairs:
             key = lp.key_of(row)
             keys.append(key)
             before.append(triple.all_root.content.get(key))
-        self._apply(self.dag, atom.name, delta)
-        for (triple, lp), key, count in zip(pairs, keys, before):
+        self._apply(self.dag, leaf_name, delta)
+        for (triple, lp), key, count, on_light in zip(pairs, keys, before, light):
             d_all = self._update_ind_tree(triple.all_root, key, count)
             d_h = self._h_all_change(triple, key, d_all)
             if d_h:
                 self._apply(self.dag, triple.support_name, d_h)
-            if pre[(atom.key, triple.var)]:
+            if on_light:
                 lp.content.delta(row, mult)
                 self._light_change(triple, lp, delta, key)
 
@@ -445,10 +460,11 @@ class EngineState:
 
     def _apply(self, dag: ViewDag, leaf_name: str, delta: Multiset) -> list[Multiset]:
         """Propagate ``delta`` from the leaf through every view above it,
-        writing each view's delta into its relation; returns the deltas in
-        the order of ``dag.leaf_paths[leaf_name]`` (empty where a delta died
-        out, and no step at all for an unknown leaf).  The caller has
-        already written ``delta`` into the relation the leaf reads."""
+        writing each view's delta into its relation in one call; returns
+        the deltas in the order of ``dag.leaf_paths[leaf_name]`` (empty
+        where a delta died out, and no step at all for an unknown leaf).
+        The caller has already written ``delta`` into the relation the leaf
+        reads."""
         out: list[Multiset] = []
         if not delta:
             return out
@@ -457,9 +473,8 @@ class EngineState:
             current = delta if src < 0 else out[src]
             if current:
                 current = run_join(plan, node.children, current.items())
-                add = node.content.delta
-                for row, m in current.items():
-                    add(row, m)
+                if current:
+                    node.content.add(current)
             append(current)
         return out
 
@@ -535,12 +550,12 @@ class EngineState:
         for move in moves:
             self._move_key(*move)
 
-    def _minor_checks(self, occurrences: list[Atom], row: Row) -> None:
+    def _minor_checks(self, routes: tuple[Route, ...], row: Row) -> None:
         m_eps = self._theta()
         evict_at = iceil(1.5 * m_eps)
         reinsert_below = iceil(0.5 * m_eps)
-        for atom in occurrences:
-            for triple, lp in self._triples_by_leaf.get(atom.name, ()):
+        for _, _, pairs in routes:
+            for triple, lp in pairs:
                 key = lp.key_of(row)
                 in_light = lp.content.count(lp.key_positions, key)
                 if in_light == 0 and 0 < lp.base.count(lp.key_positions, key) < reinsert_below:

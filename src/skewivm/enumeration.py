@@ -79,11 +79,13 @@ class EnumInfo:
 
 
 def annotate(root: ViewNode, free: frozenset[str],
-             ctx_order: tuple[str, ...] = ()) -> None:
+             ctx_order: tuple[str, ...] = (), buckets: bool = True) -> None:
     """Fill ``node.enum`` for every node reachable during enumeration and
     register the sigma-range indexes the iterators will use.  A node shared
     by several trees is annotated once; it must be reached under the same
-    context layout every time."""
+    context layout every time.  With ``buckets`` false no heavy key can
+    exist, a grounded node never holds a bucket, and no bucket selector is
+    compiled (nor its index registered)."""
     if root.enum is not None:
         if root.enum.ctx_order != ctx_order:
             raise InvariantViolationError(
@@ -128,11 +130,11 @@ def annotate(root: ViewNode, free: frozenset[str],
     info.range_key = _getter(info.scope, schema, info.range_positions)
     info.slots = tuple(i for i, c in enumerate(root.children) if i != info.heavy_idx)
     for i in info.slots:
-        annotate(root.children[i], free, info.scope + schema)
+        annotate(root.children[i], free, info.scope + schema, buckets)
     info.compose = _compose(root.name, info.out_schema, schema,
                             [root.children[i].enum.out_schema for i in info.slots])
     views = _compile_plan(info, root)
-    if info.heavy_idx is not None:
+    if info.heavy_idx is not None and buckets:
         _compile_selector(info, root.children[info.heavy_idx].schema, views)
 
 

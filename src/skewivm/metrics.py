@@ -3,11 +3,13 @@
 The complexity claims of the engine are RAM-model operation counts, so the
 observable we track is the number of storage primitives (dictionary lookups,
 inserts, deletes and index-scan steps), not wall-clock time.  Every primitive
-in :mod:`skewivm.storage` increments ``storage_ops`` exactly once; the
-join fold of :func:`skewivm.viewtree.run_join` counts the same primitives
-in bulk (one per lookup, one per index-bucket fetch plus one per row it
-yields, one per entry of a full scan), so the totals do not depend on
-which path did the work.
+in :mod:`skewivm.storage` increments ``storage_ops`` exactly once.  Two
+routines count the same primitives in bulk: the join fold of
+:func:`skewivm.viewtree.run_join` (one per lookup, one per index-bucket
+fetch plus one per row it yields, one per entry of a full scan), and
+:meth:`skewivm.storage.Relation.add`, which writes a view delta in one call
+(one per row, plus one per index for each entry it creates or removes).
+So the totals do not depend on which path did the work.
 """
 
 from __future__ import annotations

@@ -5,9 +5,11 @@ map and keeps, for every registered proper sub-schema, an index from
 sub-tuple keys to the matching entries.  All primitives are constant time
 (amortized) and each one bumps the owning :class:`~skewivm.metrics.Counters`
 by exactly one, which is what the counter-based complexity tests measure.
-The join fold in :func:`skewivm.viewtree.run_join` reads entries and index
-buckets directly and adds the same primitives to the counter in bulk: one
-per lookup, one per bucket fetch plus one per scanned row.
+Two routines count the same primitives in bulk: the join fold in
+:func:`skewivm.viewtree.run_join` reads entries and index buckets directly
+(one op per lookup, one per bucket fetch plus one per scanned row), and
+:meth:`Relation.add` writes a whole view delta in one call (one op per row,
+plus one per index for each entry it creates or removes, as :meth:`delta`).
 
 Base relations only ever hold strictly positive multiplicities; views may go
 negative transiently while a delta propagates.
@@ -87,33 +89,47 @@ class Relation:
         return row in self.entries
 
     def delta(self, row: Row, m: int) -> None:
-        """Add multiplicity ``m`` to ``row``; drop the entry when it hits 0."""
+        """Add multiplicity ``m`` to ``row``; drop the entry when it hits 0.
+        Checks the arity, and on a base relation that the multiplicity
+        stays positive, then writes through :meth:`add`."""
         if m == 0:
             return
         if len(row) != len(self.schema):
             raise ArityMismatchError(
                 f"{self.name}: tuple arity {len(row)} != schema arity {len(self.schema)}")
-        self.counters.storage_ops += 1
-        old = self.entries.get(row, 0)
-        new = old + m
-        if self.base and new < 0:
-            raise RejectedDeleteError(
-                f"{self.name}: delete of {row} by {m} would leave multiplicity {new}")
-        if new == 0:
-            del self.entries[row]
-            self.counters.storage_ops += len(self.keyed)
-            for key_of, index in self.keyed:
-                key = key_of(row)
-                bucket = index[key]
-                del bucket[row]
-                if not bucket:
-                    del index[key]
-        else:
-            self.entries[row] = new
-            if old == 0:
-                self.counters.storage_ops += len(self.keyed)
-                for key_of, index in self.keyed:
+        if self.base:
+            new = self.entries.get(row, 0) + m
+            if new < 0:
+                raise RejectedDeleteError(
+                    f"{self.name}: delete of {row} by {m} would leave multiplicity {new}")
+        self.add({row: m})
+
+    def add(self, delta: dict[Row, int]) -> None:
+        """Write ``delta``, ``row -> nonzero multiplicity``, in one call: one
+        op per row, plus one per index for each entry created or removed.
+        Views take their deltas this way, unchecked; they may go negative."""
+        entries, keyed = self.entries, self.keyed
+        get = entries.get
+        moved = 0  # entries created or removed
+        for row, m in delta.items():
+            old = get(row)
+            if old is None:
+                entries[row] = m
+                for key_of, index in keyed:
                     index.setdefault(key_of(row), {})[row] = None
+            elif old + m:
+                entries[row] = old + m
+                continue
+            else:
+                del entries[row]
+                for key_of, index in keyed:
+                    key = key_of(row)
+                    bucket = index[key]
+                    del bucket[row]
+                    if not bucket:
+                        del index[key]
+            moved += 1
+        self.counters.storage_ops += len(delta) + moved * len(keyed)
 
     def scan(self, positions: tuple[int, ...], key: Row) -> Iterator[tuple[Row, int]]:
         """Yield each entry whose projection on ``positions`` equals ``key``."""

@@ -319,9 +319,46 @@ class JoinPlan:
     acc_schema: tuple[str, ...]
     out_positions: tuple[int, ...]  # projection of acc onto the view schema
     project: Callable = field(init=False, repr=False, compare=False)
+    lookups_only: bool = field(init=False, repr=False, compare=False)
+    # the steps over the live dicts of the relations they read, see bind()
+    bound: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "project", projection(self.out_positions))
+        object.__setattr__(self, "lookups_only",
+                           all(step.mode == "lookup" for step in self.steps))
+
+    def bind(self, children: list[ViewNode]) -> None:
+        """Bind the steps, once, to the relations of ``children`` (the
+        children of the one view the plan belongs to).  A relation keeps
+        its ``entries`` and index dicts for its lifetime, ``load`` and
+        ``clear`` included, so the binding stays valid; a scan step whose
+        index is not registered raises :class:`UnregisteredIndexError`
+        here."""
+        object.__setattr__(self, "bound", _bind_steps(self.steps, children))
+
+
+def _bind_steps(steps: tuple[JoinStep, ...], children: list[ViewNode]) -> tuple:
+    """Each step as ``(key_of, is_set, get, entries, extend, counters)``
+    over the relation of the child it reads: a lookup's ``entries.get``
+    (``extend`` is None), an index scan's ``index.get`` and the entries
+    it reads, a scan with no shared positions its entries (``get`` is
+    None)."""
+    out = []
+    for step in steps:
+        rel = children[step.child_index].content
+        if step.mode == "lookup":
+            get, extend = rel.entries.get, None
+        elif step.child_positions:
+            index = rel.indexes.get(step.child_positions)
+            if index is None:
+                raise UnregisteredIndexError(
+                    f"{rel.name}: no index on positions {step.child_positions}")
+            get, extend = index.get, step.extend
+        else:
+            get, extend = None, step.extend
+        out.append((step.key_of, step.is_set, get, rel.entries, extend, rel.counters))
+    return tuple(out)
 
 
 def _plan_steps(children: list[ViewNode], start: int,
@@ -377,38 +414,48 @@ def delta_plan(node: ViewNode, child_index: int) -> JoinPlan:
 
 def run_join(plan: JoinPlan, children: list[ViewNode],
              start_rows) -> dict[tuple, int]:
-    """Fold ``start_rows`` (an iterable of (row, mult) over the plan's start
-    schema) through the plan's steps, returning the aggregated projection.
+    """Fold ``start_rows`` (a sized iterable of (row, mult) over the plan's
+    start schema) through the plan's steps, returning the aggregated
+    projection.  A bound plan (see :meth:`JoinPlan.bind`) reads the
+    relations it was bound to; an unbound one is bound to ``children`` for
+    this call.
 
     The fold reads the children's entries and index buckets directly and
     adds to ``Counters.storage_ops`` in bulk what the storage primitives
     would count one by one: a lookup is one ``get``, an index scan is one
     bucket fetch plus one per matching row, and a scan with no shared
-    positions is one per entry of the child."""
-    rows = list(start_rows)
-    for step in plan.steps:
+    positions is one per entry of the child.  A single start row through
+    a plan of lookups only builds no intermediate rows: its multiplicity
+    is multiplied by each get up to the first miss, one op per step
+    reached, which is what the general path counts for it."""
+    steps = plan.bound
+    if steps is None:
+        steps = _bind_steps(plan.steps, children)
+    if plan.lookups_only and len(start_rows) == 1:
+        ((row, m),) = start_rows
+        for key_of, is_set, get, _, _, counters in steps:
+            counters.storage_ops += 1
+            cm = get(key_of(row))
+            if not cm:
+                return {}
+            if not is_set:
+                m *= cm
+        return {plan.project(row): m} if m else {}
+    rows = start_rows
+    for key_of, is_set, get, entries, extend, counters in steps:
         if not rows:
             return {}
-        rel = children[step.child_index].content
-        entries = rel.entries
-        key_of, is_set = step.key_of, step.is_set
         ops = len(rows)
         next_rows: list = []
         append = next_rows.append
-        if step.mode == "lookup":
-            get = entries.get
+        if extend is None:
             for row, m in rows:
                 cm = get(key_of(row))
                 if cm:
                     append((row, m if is_set else m * cm))
-        elif step.child_positions:
-            index = rel.indexes.get(step.child_positions)
-            if index is None:
-                raise UnregisteredIndexError(
-                    f"{rel.name}: no index on positions {step.child_positions}")
-            bucket_of, extend = index.get, step.extend
+        elif get is not None:
             for row, m in rows:
-                bucket = bucket_of(key_of(row))
+                bucket = get(key_of(row))
                 if bucket:
                     ops += len(bucket)
                     for crow in bucket:
@@ -416,11 +463,10 @@ def run_join(plan: JoinPlan, children: list[ViewNode],
                                 m if is_set else m * entries[crow]))
         else:
             ops *= len(entries)
-            extend = step.extend
             for row, m in rows:
                 for crow, cm in entries.items():
                     append((row + extend(crow), m if is_set else m * cm))
-        rel.counters.storage_ops += ops
+        counters.storage_ops += ops
         rows = next_rows
     out: dict[tuple, int] = {}
     project = plan.project

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -507,18 +508,32 @@ def test_compiled_lookup_matches_dict_merge_reference(name, text, eps, mode, mon
         assert narrowed
 
 
-@pytest.mark.parametrize("name,eps", [(n, e) for n in SUITE for e in EPS_GRID],
-                         ids=[f"{n}-{e}" for n in SUITE for e in EPS_GRID])
-def test_union_lookups_keep_the_lookup_contract(name, eps, monkeypatch):
+# fc3 at eps 0.25 (M = 25): t0 emits (0, 2, 2) while t1's cursor is at
+# another A, so t1's lookup of it grounds V_B afresh under A = 0
+FC3_FOREIGN_PROBE_DB = {
+    "R": {(1, 0, 2): 1, (0, 2, 0): 1, (0, 0, 0): 1},
+    "S": {(0, 2, 1): 1, (1, 0, 2): 1, (1, 0, 1): 1, (0, 2, 2): 1,
+          (1, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1},
+    "T": {(1, 1): 1, (0, 2): 1}}
+
+
+@pytest.mark.parametrize(
+    "name,eps,fixed",
+    [(n, e, False) for n in SUITE for e in EPS_GRID] + [("fc3", 0.25, True)],
+    ids=[f"{n}-{e}" for n in SUITE for e in EPS_GRID] + ["fc3-0.25-foreign"])
+def test_union_lookups_keep_the_lookup_contract(name, eps, fixed, monkeypatch):
     # a lookup of t equals t's multiplicity in a fresh iterator opened in
     # the probed one's place, wherever the probed one's cursors stand;
     # every top-level lookup of a full enumeration (the union's; nested
-    # ones are part of the plan) is checked against that
+    # ones are part of the plan) is checked against that.  The fixed
+    # database makes foreign-context probes: lookups that open a fresh
+    # descendant because the live one is grounded under another context
     q = parse(name)
-    original = TreeIter.lookup
+    original, original_open = TreeIter.lookup, TreeIter.open
     depth = [0]
     held: dict = {}
     found = []
+    foreign = [0]
 
     def checked_lookup(it, t):
         depth[0] += 1
@@ -536,16 +551,28 @@ def test_union_lookups_keep_the_lookup_contract(name, eps, monkeypatch):
             found.append(got)
         return got
 
+    def counted_open(it, ctx):
+        foreign[0] += sys._getframe(1).f_code is original.__code__
+        original_open(it, ctx)
+
     monkeypatch.setattr(TreeIter, "lookup", checked_lookup)
-    for seed in range(4):
-        rng = random.Random(f"contract/{name}/{eps}/{seed}")
-        db = rand_db(q, rng, per_rel=rng.randint(20, 60), dom=rng.randint(3, 8))
+    monkeypatch.setattr(TreeIter, "open", counted_open)
+    if fixed:
+        dbs = [FC3_FOREIGN_PROBE_DB]
+    else:
+        dbs = []
+        for seed in range(4):
+            rng = random.Random(f"contract/{name}/{eps}/{seed}")
+            dbs.append(rand_db(q, rng, per_rel=rng.randint(20, 60), dom=rng.randint(3, 8)))
+    for db in dbs:
         st = preprocess(q, db, eps, mode="dynamic")
         held.clear()
         assert st.result_multiset() == brute_force_eval(q, db)
     assert found
     if eps == 0.0:  # every key heavy: the trees overlap
         assert any(found), "no union lookup found a tuple"
+    if fixed:
+        assert foreign[0] > 0, "no foreign-context probe"
 
 
 def test_component_union_emits_each_tuple_once_across_grounded_subtrees():
@@ -553,10 +580,7 @@ def test_component_union_emits_each_tuple_once_across_grounded_subtrees():
     # each tree; t0 draws it while t1's cursor is at another A, so the
     # lookup in t1 must ground V_B under the tuple's own A
     q = parse("fc3")
-    db = {"R": {(1, 0, 2): 1, (0, 2, 0): 1, (0, 0, 0): 1},
-          "S": {(0, 2, 1): 1, (1, 0, 2): 1, (1, 0, 1): 1, (0, 2, 2): 1,
-                (1, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1},
-          "T": {(1, 1): 1, (0, 2): 1}}
+    db = FC3_FOREIGN_PROBE_DB
     st = preprocess(q, db, 0.25, mode="dynamic")
     rows = list(st.enumerate_result())
     assert dict(rows) == brute_force_eval(q, db)

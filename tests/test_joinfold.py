@@ -182,3 +182,33 @@ def test_missing_index_raises():
         reference_run_join(plan, node.children, [((0, 1), 1)])
     with pytest.raises(UnregisteredIndexError):
         run_join(plan, node.children, [((0, 1), 1)])
+    with pytest.raises(UnregisteredIndexError):  # a bound plan fails at binding
+        plan.bind(node.children)
+
+
+@pytest.mark.parametrize("miss", (1, 2, 3, None))
+def test_one_row_lookup_fold_counts_each_step_reached(miss):
+    # a single row through a plan of lookups only takes the short path: it
+    # stops at the first step whose get misses, having counted one op per
+    # step reached, as the general path and the reference count
+    counters = Counters()
+    schemas = (("A", "B"), ("A", "B"), ("A",), ("B",))
+    children = []
+    for i, schema in enumerate(schemas):
+        leaf = ViewNode(f"C{i}", schema, ATOM, leaf_name=f"C{i}",
+                        semantics="set" if i == 2 else "multiset")
+        leaf.content = Relation(leaf.name, schema, counters)
+        children.append(leaf)
+    node = ViewNode("V", ("A",), JOIN, children)
+    plan = delta_plan(node, 0)
+    assert plan.lookups_only
+    assert [step.child_index for step in plan.steps] == [1, 2, 3]
+    for i, row in ((1, (1, 2)), (2, (1,)), (3, (2,))):
+        if i != miss:
+            children[i].content.delta(row, 3)
+    plan.bind(children)
+    start = {(1, 2): 2}
+    got = counted(counters, run_join, plan, children, start.items())
+    assert got == counted(counters, reference_run_join, plan, children, start.items())
+    # 2 * 3 * (a set child counts 1) * 3
+    assert got == (({}, miss) if miss else ({(1,): 18}, 3))

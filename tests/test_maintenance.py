@@ -9,7 +9,7 @@ import subprocess
 import sys
 import zlib
 from pathlib import Path
-from types import SimpleNamespace
+from types import MethodType, SimpleNamespace
 
 import pytest
 
@@ -30,7 +30,7 @@ from skewivm.query import parse_query
 from skewivm.storage import iceil
 from skewivm.viewtree import ATOM, JOIN, ViewNode
 
-from conftest import parse, run_trace
+from conftest import EPS_GRID, SUITE, parse, run_trace
 
 
 # ---------------------------------------------------------------------------
@@ -472,6 +472,148 @@ def test_update_trace_tracks_oracle():
 
     run_trace(st, q, rng, steps=120, dom=5, on_step=check, hot=HOT)
     assert st.counters.minor_rebalances > 0
+
+
+def _unbound_run_join(plan, children, start_rows):
+    """The join fold before plans were bound: it reads each child's entries
+    and indexes when it runs and counts in bulk as ``run_join`` does."""
+    rows = list(start_rows)
+    for step in plan.steps:
+        if not rows:
+            return {}
+        rel = children[step.child_index].content
+        entries = rel.entries
+        key_of, is_set = step.key_of, step.is_set
+        ops = len(rows)
+        next_rows = []
+        if step.mode == "lookup":
+            for row, m in rows:
+                cm = entries.get(key_of(row))
+                if cm:
+                    next_rows.append((row, m if is_set else m * cm))
+        elif step.child_positions:
+            index = rel.indexes[step.child_positions]
+            for row, m in rows:
+                bucket = index.get(key_of(row))
+                if bucket:
+                    ops += len(bucket)
+                    for crow in bucket:
+                        next_rows.append((row + step.extend(crow),
+                                          m if is_set else m * entries[crow]))
+        else:
+            ops *= len(entries)
+            for row, m in rows:
+                for crow, cm in entries.items():
+                    next_rows.append((row + step.extend(crow), m if is_set else m * cm))
+        rel.counters.storage_ops += ops
+        rows = next_rows
+    out = {}
+    for row, m in rows:
+        key = plan.project(row)
+        new = out.get(key, 0) + m
+        if new:
+            out[key] = new
+        elif key in out:
+            del out[key]
+    return out
+
+
+def _reference_apply(self, dag, leaf_name, delta):
+    """``EngineState._apply`` over the unbound fold, writing each view
+    delta row by row with ``Relation.delta``."""
+    out = []
+    if not delta:
+        return out
+    for node, plan, src in dag.leaf_paths.get(leaf_name, ()):
+        current = delta if src < 0 else out[src]
+        if current:
+            current = _unbound_run_join(plan, node.children, current.items())
+            for row, m in current.items():
+                node.content.delta(row, m)
+        out.append(current)
+    return out
+
+
+def _relations(st):
+    rels = list(st.base.values()) + list(st.atom_rels.values())
+    for triple in st.triples:
+        rels.append(triple.h_content)
+        rels.extend(lp.content for lp in triple.light_parts)
+    rels.extend(node.content for node in st.dag.nodes)
+    return rels
+
+
+def _dict_ids(st):
+    """Identity of every relation's entries and index dicts: the bound
+    plans read them, so no load, clear or rebuild may replace one."""
+    return {id(rel): (id(rel.entries), {p: id(ix) for p, ix in rel.indexes.items()})
+            for rel in _relations(st)}
+
+
+def _pinned_replay(q, eps, db, replay, reference, m_override=None):
+    """Per-update ops, final fingerprint, minor rebalances and keys moved
+    by majors of ``replay(state, on_step)`` over a fresh state, which
+    propagates through ``_reference_apply`` if ``reference``; the state's
+    dicts keep their identity throughout."""
+    st = preprocess(q, db, eps, mode="dynamic", m_override=m_override)
+    if reference:
+        st._apply = MethodType(_reference_apply, st)
+    moved = [0]
+    move_key = st._move_key
+
+    def counted_move(*args):
+        moved[0] += 1
+        move_key(*args)
+
+    st._move_key = counted_move
+    ids = _dict_ids(st)
+    ops = []
+    replay(st, lambda _: ops.append(st.counters.last_update_ops))
+    assert _dict_ids(st) == ids
+    minors = st.counters.minor_rebalances
+    return ops, st.fingerprint(), minors, moved[0] - minors
+
+
+def test_compiled_propagation_matches_the_unbound_path():
+    # bound plans, the one-row fold and one write per view delta change no
+    # count and no content: every update of a skewed trace costs what it
+    # did over the unbound fold with per-row writes, on every query and eps
+    minors = major_moves = 0
+    for name in SUITE:
+        q = parse(name)
+        for eps in EPS_GRID:
+            def replay(st, on_step):
+                run_trace(st, q, random.Random(f"pin/{name}/{eps}"), steps=80, dom=5,
+                          on_step=on_step, hot=HOT)
+
+            empty = {s: {} for s in q.symbols()}
+            compiled = _pinned_replay(q, eps, empty, replay, reference=False)
+            assert compiled == _pinned_replay(q, eps, empty, replay, reference=True), (name, eps)
+            minors += compiled[2]
+            major_moves += compiled[3]
+    assert minors > 0 and major_moves > 0
+
+
+def test_compiled_propagation_matches_the_unbound_path_across_a_rebuild():
+    # the rebuild fallback of test_major_rebuilds_when_moving_costs_more
+    # reloads light parts, H and views in place, under the bound plans
+    q = parse("semi")
+    db = {"R": {(a, b): 1 for b in range(8) for a in range(24)},
+          "S": {(b,): 1 for b in range(8)}}
+
+    def replay(st, on_step):
+        assert _light_part(st, "R").content.size == 0
+        for i in range(200):
+            st.on_update("S", (100 + i,), 1)
+            on_step(i)
+        st.on_update("R", (0, 0), -1)
+        on_step(-1)
+        assert st.counters.major_rebalances == 1
+        assert _light_part(st, "R").content.size == 191
+
+    compiled = _pinned_replay(q, 0.5, db, replay, reference=False, m_override=400)
+    assert compiled[3] == 0  # the major moved no key: it rebuilt
+    assert compiled == _pinned_replay(q, 0.5, db, replay, reference=True, m_override=400)
 
 
 def test_views_end_nonnegative_after_full_updates():

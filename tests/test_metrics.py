@@ -39,6 +39,27 @@ def test_primitives_increment_exactly_once():
     r.delta(("a", "b"), -1)  # removal also touches each index once
     assert c.storage_ops == before + 2
 
+    # a view delta written in one call counts one delta() per row: an
+    # insert and a removal touch the index, an increment does not
+    r.delta(("a", "c"), 2)
+    before = c.storage_ops
+    r.add({("a", "b"): 3, ("a", "c"): 1})  # insert + increment
+    assert c.storage_ops == before + 2 + 1
+    assert r.entries == {("a", "b"): 3, ("a", "c"): 3}
+    assert r.indexes[(0,)] == {("a",): {("a", "c"): None, ("a", "b"): None}}
+    before = c.storage_ops
+    r.add({("a", "c"): -3, ("a", "b"): -3})  # two removals to 0
+    assert c.storage_ops == before + 2 + 2
+    assert r.entries == {} and r.indexes[(0,)] == {}
+
+    # without an index: one op per row, and a view may go negative
+    v = Relation("V", ("A",), c)
+    before = c.storage_ops
+    v.add({("x",): -1, ("y",): 2})
+    v.add({("x",): 1, ("y",): 1})
+    assert c.storage_ops == before + 4
+    assert v.entries == {("y",): 3}
+
 
 def test_snapshot_and_reset():
     c = Counters()
@@ -103,14 +124,12 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
 BENCH_WORKLOADS = ("grow-chain2-e1", "churn-fc4-e05", "read-chain2-e025")
 
 
-@pytest.mark.parametrize("workload", BENCH_WORKLOADS)
-def test_benchmark_smoke_run_is_correct(workload, monkeypatch):
-    # perfbench/run.py at each workload's small check size, untraced:
-    # ``measure`` writes no file and checks every row it reads against the
-    # benchmark's own hash-join reference, so the engine is checked here
-    # the way the benchmark drives it.  run.py puts perfbench/ and src/ on
-    # the import path and imports reference, tracing and workloads; all of
-    # it is undone after the test
+def _measure_smoke(monkeypatch, workload, traced):
+    """One ``perfbench/run.py`` measurement of ``workload`` at its small
+    check size: ``measure`` writes no file and checks every row it reads
+    against the benchmark's own hash-join reference.  run.py puts
+    perfbench/ and src/ on the import path and imports reference, tracing
+    and workloads; all of it is undone after the test."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     monkeypatch.setattr(sys, "path", list(sys.path))
     path = Path(__file__).parents[1] / "perfbench" / "run.py"
@@ -119,9 +138,37 @@ def test_benchmark_smoke_run_is_correct(workload, monkeypatch):
     try:
         spec.loader.exec_module(run_py)
         run = run_py.measure(run_py.smoke(run_py.WORKLOADS[workload]), seed=7,
-                             seconds=0.5, traced=False)
+                             seconds=0.5, traced=traced)
     finally:
         for name in ("reference", "tracing", "workloads"):
             sys.modules.pop(name, None)
     assert run.rounds >= 1 and run.attempted > 0
     assert run.correct and run.failed == 0
+    return run
+
+
+@pytest.mark.parametrize("workload", BENCH_WORKLOADS)
+def test_benchmark_smoke_run_is_correct(workload, monkeypatch):
+    # the engine checked the way the benchmark drives it, untraced
+    _measure_smoke(monkeypatch, workload, traced=False)
+
+
+@pytest.mark.parametrize("workload", BENCH_WORKLOADS)
+def test_traced_smoke_run_sees_propagation(workload, monkeypatch):
+    # the per-layer view of an update: in the spans of the first round,
+    # engine.propagate counts ops of its own (the view writes) besides the
+    # join folds under it, whatever path a fold takes
+    run = _measure_smoke(monkeypatch, workload, traced=True)
+    spans = run.spans
+    child_ops = [0] * len(spans)
+    for _, _, _, parent, _, ops, _ in spans:
+        if parent >= 0:
+            child_ops[parent] += ops
+    updates = {span[4] for span in spans if span[0] == "update"}
+    during = [i for i, span in enumerate(spans) if span[4] in updates]
+    assert updates
+    assert sum(spans[i][5] - child_ops[i] for i in during
+               if spans[i][0] == "engine.propagate") > 0
+    assert sum(1 for i in during if spans[i][0] == "viewtree.run_join") > 0
+    assert run.layers[0]["engine.propagate.calls"] > 0
+    assert run.layers[0]["viewtree.run_join.calls"] > 0
