@@ -12,10 +12,14 @@ and a lookup reads a pending bucket through its scope alone, so a bucket the
 enumeration never reads is never started.  A lookup does not depend on where
 any cursor stands: it reads a grounded descendant through the live iterator
 only when that iterator is grounded under the context the looked-up tuple
-itself gives, and otherwise grounds the descendant afresh under it.
+itself gives, and otherwise grounds the descendant afresh under it.  The
+probed iterator keeps such a descendant, keyed by plan path and context,
+until it is reopened or closed, so each is grounded once per open.
 
 Contexts and tuples are positional.  A node's context is a tuple laid out by
-``enum.ctx_order``: its parent's scope followed by the parent's current row.
+``enum.ctx_order``: the scope of the view whose product slot it fills (its
+parent, or the view above the pass-through views it replaces) followed by
+that view's current row.
 A node's *scope* (``enum.scope``) is the context it ranges its view under:
 the context itself, or for a bucket the context followed by the heavy key.
 A variable may occur more than once in a layout; its values agree, and every
@@ -45,13 +49,26 @@ Sibling subtrees under one view row, and the components of the result,
 combine through one product routine: :func:`_odometer` restarts an exhausted
 slot under the shared context and advances the slot before it, and
 :func:`_product_row` composes the output tuple and multiplies the slots'
-multiplicities.
+multiplicities.  A product slot skips *pass-through* views (:func:`_resolve`):
+a view that is not covering, has one child, which is not the heavy
+indicator, and whose schema lies within the slot's context.  Such a view is
+ranged at one point and only passes its context on; at rest it is nonzero
+exactly where its child has a row agreeing with the context, and a
+non-covering view's own multiplicity is never read.  So the slot opens its
+child (or the first descendant that is not such a view) in its place, and
+no probe plan reads it either.  On fc4 these are the aux views
+``V_B'(A)`` and ``V_E'(A)`` under each root.
 
-A union emits each distinct tuple once: a tuple drawn from the first n-1
-members is emitted only when absent from member n (whose own cursor will
-reach it later), and a tuple drawn from member n carries its multiplicity
-summed with lookups into the earlier members.  Bucket copies are shallow:
-they share view contents and own only cursor state.
+A union emits each distinct tuple once (Durand & Strozecki's rule).  The
+tuple drawn so far survives member i when member i's lookup of it is 0;
+otherwise it is dropped, as member i's own cursor will reach it later, and
+member i's next tuple takes its place.  The tuple that survives every member
+carries the index of the member whose cursor drew it, and its total is
+taken once, when it is returned: its own multiplicity plus one lookup
+into each earlier member.  A later member needs none, as its survival
+lookup answered 0.  With n members that all hold every tuple, a row costs
+2(n-1) lookups.  Bucket copies are shallow: they share view contents and
+own only cursor state.
 """
 
 from __future__ import annotations
@@ -128,14 +145,35 @@ def annotate(root: ViewNode, free: frozenset[str],
             info.range_positions = root.content.positions(set(info.scope) & set(schema))
     root.content.register_index(info.range_positions)
     info.range_key = _getter(info.scope, schema, info.range_positions)
-    info.slots = tuple(i for i, c in enumerate(root.children) if i != info.heavy_idx)
-    for i in info.slots:
-        annotate(root.children[i], free, info.scope + schema, buckets)
+    # the product slots: each child but the heavy indicator, resolved
+    # through pass-through views
+    layout = info.scope + schema
+    info.slots = tuple(_resolve(c, free, set(layout))
+                       for i, c in enumerate(root.children) if i != info.heavy_idx)
+    for n in info.slots:
+        annotate(n, free, layout, buckets)
     info.compose = _compose(root.name, info.out_schema, schema,
-                            [root.children[i].enum.out_schema for i in info.slots])
+                            [n.enum.out_schema for n in info.slots])
     views = _compile_plan(info, root)
     if info.heavy_idx is not None and buckets:
         _compile_selector(info, root.children[info.heavy_idx].schema, views)
+
+
+def _resolve(node: ViewNode, free: frozenset[str], ctx_vars: set[str]) -> ViewNode:
+    """The node a product slot enumerates: ``node`` itself, or below a
+    pass-through view its only child.  A view passes through when it is
+    not covering, has one child, which is not the heavy indicator, and
+    its schema lies within the context.  Its range is then one point, and
+    at rest it is nonzero exactly where its child has a row agreeing with
+    the context; a non-covering view's own multiplicity is never read, so
+    the slot enumerates, and a lookup reads, the child in its place."""
+    while (len(node.children) == 1 and node.children[0].kind != HEAVY_REF
+           and ctx_vars.issuperset(node.schema)):
+        schema = set(node.schema)
+        if all(v in schema for n in node.postorder() for v in n.schema if v in free):
+            break  # covering: the slot enumerates its rows directly
+        node = node.children[0]
+    return node
 
 
 def _getter(layout: tuple[str, ...], schema: tuple[str, ...], positions: tuple[int, ...]):
@@ -150,8 +188,8 @@ def _compile_plan(info: EnumInfo, node: ViewNode) -> list[tuple[ViewNode, tuple[
     path)`` per grounded descendant, whose live iterator is reached from
     the probed one by the child indexes in ``path``.  It is looked up with
     its ``share`` of ``t`` if its context is ``ctx_of``, the context ``t``
-    gives the descendant, and otherwise a fresh iterator grounded under
-    that context is.  Every key, share and context projects ``scope + t``:
+    gives the descendant, and otherwise an iterator grounded under that
+    context is.  Every key, share and context projects ``scope + t``:
     an output variable comes from ``t``, any other from the scope, which
     holds each of them (a child's scope is its parent's scope and row, and
     a variable bound below is bound in that prefix).  ``ops`` counts the
@@ -182,8 +220,8 @@ def _compile_plan(info: EnumInfo, node: ViewNode) -> list[tuple[ViewNode, tuple[
         plan.append((n.content.entries.get, projection(key),
                      e.covering and not e.set_semantics, ops, None))
         if not e.covering:
-            for k, i in enumerate(e.slots):
-                visit(n.children[i], path + (k,))
+            for k, c in enumerate(e.slots):
+                visit(c, path + (k,))
 
     visit(node, ())
     info.plan = tuple(plan)
@@ -268,7 +306,8 @@ class TreeIter:
     """Cursor state for one view tree (or one grounded bucket of it)."""
 
     __slots__ = ("node", "skip_heavy", "opened", "_ctx", "_range", "current",
-                 "buckets", "by_key", "children", "child_outs", "child_ctx")
+                 "buckets", "by_key", "children", "child_outs", "child_ctx",
+                 "foreign")
 
     def __init__(self, node: ViewNode, skip_heavy: bool = False):
         self.node = node
@@ -282,6 +321,9 @@ class TreeIter:
         self.children: list[TreeIter] | None = None
         self.child_outs: list | None = None
         self.child_ctx: tuple | None = None
+        # (plan path, context) -> a descendant grounded under a context
+        # the live one is not, kept for the life of the open
+        self.foreign: dict[tuple, TreeIter] | None = None
 
     @property
     def ctx(self) -> dict | None:
@@ -300,7 +342,7 @@ class TreeIter:
         self._ctx = ctx
         self.opened = True
         self.buckets = self.by_key = self.children = self.child_outs = None
-        self._range = None
+        self._range = self.foreign = None
         if self.skip_heavy:
             return
         info = self.node.enum
@@ -317,7 +359,7 @@ class TreeIter:
         self.current = next(self._range, None)
         if info.covering:
             return
-        self.children = [TreeIter(self.node.children[i]) for i in info.slots]
+        self.children = [TreeIter(n) for n in info.slots]
         self._reopen_children()
 
     def _ground(self, ctx: tuple) -> None:
@@ -349,7 +391,7 @@ class TreeIter:
 
     def close(self) -> None:
         self.opened = False
-        self.buckets = self.by_key = None
+        self.buckets = self.by_key = self.foreign = None
         self.children = None
         self.child_outs = None
         self.current = None
@@ -403,8 +445,10 @@ class TreeIter:
         bucket first, which leaves the bucket as its first ``next()``
         would.  The descendant is then looked up through its live iterator
         if that iterator is grounded under the context ``t`` gives it, and
-        otherwise through a fresh one opened under that context, whose
-        grounding scans H at its heavy key, counted.  So the result is
+        otherwise through one grounded under that context: the first such
+        entry of this open grounds it, scanning H at its heavy key
+        (counted), and keeps it in ``foreign`` for later lookups under the
+        same context.  So the result is
         ``t``'s multiplicity in a fresh enumeration of this iterator,
         wherever its cursors and those below it stand."""
         buckets = self.buckets
@@ -437,8 +481,13 @@ class TreeIter:
                         live = live.children[k]
                     ctx = get(st)
                     if live._ctx != ctx:
-                        live = TreeIter(live.node)
-                        live.open(ctx)
+                        if self.foreign is None:
+                            self.foreign = {}
+                        fresh = self.foreign.get((path, ctx))
+                        if fresh is None:
+                            fresh = self.foreign[path, ctx] = TreeIter(live.node)
+                            fresh.open(ctx)
+                        live = fresh
                     v = live.lookup(key(st))
                 if not v:
                     ops += upto
@@ -474,33 +523,39 @@ def union_next(members: list):
     multiplicity, or None when all members are exhausted.
 
     Iterative fold of the two-member rule: a tuple from the union of the
-    first i members is emitted only if member i+1 does not contain it;
-    otherwise member i+1's next tuple is emitted with lookups into the
-    earlier members added to its multiplicity.  Every member shares one
-    output schema, so the tuples pass to ``lookup`` as they are.
+    first i members survives member i+1 if member i+1 does not contain
+    it; otherwise member i+1's next tuple takes its place.  The fold
+    carries the index of the member whose cursor drew the current tuple,
+    and only the returned tuple is totalled: its own multiplicity plus a
+    lookup into each member before that one (each member after it looked
+    the tuple up and found 0).  Every member shares one output schema, so
+    the tuples pass to ``lookup`` as they are.
     """
     r = members[0].next()
+    src = 0
     for i in range(1, len(members)):
         last = members[i]
         if r is not None:
             t = r[0]
             if last.lookup(t) == 0:
                 continue  # not in member i: the prefix tuple survives
-            nxt = last.next()
+            r = last.next()
             # a tuple of member i still pending in the prefix implies the
             # member's cursor has tuples left
-            if nxt is None:
+            if r is None:
                 raise InvariantViolationError(
                     f"union member {i} holds {t} but its cursor is exhausted")
         else:
-            nxt = last.next()
-            if nxt is None:
+            r = last.next()
+            if r is None:
                 continue
-        t2, total = nxt
-        for j in range(i):
-            total += members[j].lookup(t2)
-        r = (t2, total)
-    return r
+        src = i
+    if not src:
+        return r
+    t, total = r
+    for j in range(src):
+        total += members[j].lookup(t)
+    return (t, total)
 
 
 class ComponentIter:

@@ -44,6 +44,29 @@ def test_union_overlapping_members_sum_multiplicities():
     assert union_next([t1, t2]) is None
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_union_totals_a_tuple_held_by_every_member_once(n, monkeypatch):
+    # each member holds every tuple: the last member takes each tuple over,
+    # after n - 1 survival lookups, and its total adds one lookup into each
+    # earlier member, so a row costs 2(n - 1) lookups
+    entries = [{(x,): i + 1 for x in "abcde"} for i in range(n)]
+    members = [_covering_member(f"T{i}", e) for i, e in enumerate(entries)]
+    lookups = [0]
+    lookup = TreeIter.lookup
+
+    def counted(it, t):
+        lookups[0] += 1
+        return lookup(it, t)
+
+    monkeypatch.setattr(TreeIter, "lookup", counted)
+    rows = []
+    while (r := union_next(members)) is not None:
+        assert lookups[0] <= 2 * (n - 1)
+        lookups[0] = 0
+        rows.append(r)
+    assert sorted(rows) == [((x,), n * (n + 1) // 2) for x in "abcde"]
+
+
 def test_union_disjoint_members():
     t1 = _covering_member("T1", {("x",): 1})
     t2 = _covering_member("T2", {("y",): 1})
@@ -249,6 +272,31 @@ def test_open_with_absent_context_is_exhausted():
     assert it.next() == ((1, 4), 1)
 
 
+def test_slots_enumerate_through_pass_through_views(monkeypatch):
+    # fc4 at eps 0.5: V_A's product slots are the aux views V_B'(A) and
+    # V_E'(A), each over one child and ranged at one point; enumeration
+    # and every lookup go straight to V_B and V_E
+    q = parse("fc4")
+    db = rand_db(q, random.Random(3), per_rel=40, dom=6)
+    st = preprocess(q, db, 0.5, mode="dynamic")
+    opened = []
+    open_ = TreeIter.open
+
+    def counted_open(it, ctx):
+        opened.append(it.node.name)
+        open_(it, ctx)
+
+    monkeypatch.setattr(TreeIter, "open", counted_open)
+    rows = list(st.enumerate_result())
+    assert dict(rows) == brute_force_eval(q, db) and len(rows) == len(dict(rows))
+    assert any(name.startswith("V_B@") for name in opened)
+    assert not [name for name in opened if name.startswith(("V_B'", "V_E'"))]
+    root = next(t.root for t in st.trees if t.root.name == "V_A@t0")
+    gets = [entry for entry in root.enum.plan if entry[-1] is None]
+    assert len(gets) == root.enum.plan_ops == 3
+    assert [n.name for n in root.enum.slots] == ["V_B@t0", "V_E@t0"]
+
+
 def test_engine_handles_nested_and_product_shapes():
     cases = [
         "Q(D) = R(A,B,C,D), S(A,B,C), T(A,B), U(A).",
@@ -406,6 +454,19 @@ def _looked_up(result) -> list[TreeIter]:
             for x in (member, *buckets(member))]
 
 
+def _forget_foreign(result) -> None:
+    """Drop every descendant a lookup below ``result`` grounded afresh, so
+    that the next lookup grounds each one again, as the reference does."""
+    def walk(it):
+        it.foreign = None
+        for x in (*(it.buckets or ()), *(it.children or ())):
+            walk(x)
+
+    for comp in result.components:
+        for member in comp.members:
+            walk(member)
+
+
 def _start_pending(result, counters) -> None:
     """Start every pending bucket of ``result``, and those its starts open,
     without counting, which leaves each as eager opening left it."""
@@ -458,7 +519,20 @@ def test_compiled_lookup_matches_dict_merge_reference(name, text, eps, mode, mon
         if not depth[0]:
             start_ops[0] += st.counters.storage_ops - before
 
+    # descendants a lookup grounds afresh, and the ops of their grounding
+    fresh = [0, 0]
+    lookup_code, open_ = TreeIter.lookup.__code__, TreeIter.open
+
+    def counted_open(self, ctx):
+        if sys._getframe(1).f_code is not lookup_code:
+            return open_(self, ctx)
+        before = st.counters.storage_ops
+        open_(self, ctx)
+        fresh[0] += 1
+        fresh[1] += st.counters.storage_ops - before
+
     monkeypatch.setattr(TreeIter, "_start", counted_start)
+    monkeypatch.setattr(TreeIter, "open", counted_open)
     checked = narrowed = 0
     # each on a fresh iterator: its components opened with no next() made,
     # so every bucket is pending; at the first row; half way through the
@@ -486,7 +560,9 @@ def test_compiled_lookup_matches_dict_merge_reference(name, text, eps, mode, mon
                         probes.append(t[:i] + (rng.choice(values),) + t[i + 1:])
                 probes.extend(tuple(rng.choice(values) for _ in schema) for _ in range(10))
                 for t in probes:
+                    _forget_foreign(result)
                     start_ops[0] = 0
+                    fresh[:] = [0, 0]
                     before = st.counters.storage_ops
                     got = it.lookup(t)
                     ops = st.counters.storage_ops - before - start_ops[0]
@@ -498,10 +574,14 @@ def test_compiled_lookup_matches_dict_merge_reference(name, text, eps, mode, mon
                         # no grounded iterator below: at most the fetch more
                         assert ops <= ref_ops + 1, (it.node.name, t)
                     narrowed += ops < ref_ops
-                    # a repeat starts nothing and makes the same gets
+                    # a repeat starts nothing, reuses every descendant the
+                    # first grounded afresh, and makes the same gets besides
+                    grounding = fresh[1]
+                    fresh[0] = 0
                     before = st.counters.storage_ops
                     assert it.lookup(t) == want
-                    assert st.counters.storage_ops - before == ops, (it.node.name, t)
+                    assert (st.counters.storage_ops - before, fresh[0]) == \
+                        (ops - grounding, 0), (it.node.name, t)
                     checked += 1
     assert checked
     if eps == 0.0:  # every key heavy: many buckets, and a tuple names few
@@ -575,6 +655,38 @@ def test_union_lookups_keep_the_lookup_contract(name, eps, fixed, monkeypatch):
         assert foreign[0] > 0, "no foreign-context probe"
 
 
+@pytest.mark.parametrize("name,seed", [("fc3", 20), ("fc3", 25), ("fc4", 0), ("fc4", 6)])
+def test_a_foreign_context_descendant_is_grounded_once_per_open(name, seed, monkeypatch):
+    # at eps 0.25 these databases make lookups that read a grounded
+    # descendant under a context its live iterator is not grounded under;
+    # the probed iterator keeps the descendant it grounds there until it
+    # is reopened or closed, so each is grounded once and probed again
+    lookup, open_ = TreeIter.lookup, TreeIter.open
+    grounded, fresh, probes = {}, set(), [0]
+
+    def counted_lookup(it, t):
+        probes[0] += id(it) in fresh and sys._getframe(1).f_code is lookup.__code__
+        return lookup(it, t)
+
+    def counted_open(it, ctx):
+        caller = sys._getframe(1)
+        if caller.f_code is lookup.__code__:
+            owner = caller.f_locals["self"]
+            where = (id(owner), caller.f_locals["path"], ctx)
+            assert where not in grounded, (owner.node.name, ctx)
+            grounded[where] = owner, it  # kept alive, so no id is reused
+            fresh.add(id(it))
+        open_(it, ctx)
+
+    monkeypatch.setattr(TreeIter, "lookup", counted_lookup)
+    monkeypatch.setattr(TreeIter, "open", counted_open)
+    q = parse(name)
+    rng = random.Random(f"sweep/{name}/0.25/{seed}")
+    db = rand_db(q, rng, per_rel=rng.randint(20, 60), dom=rng.randint(3, 8))
+    assert preprocess(q, db, 0.25, mode="dynamic").result_multiset() == brute_force_eval(q, db)
+    assert probes[0] > len(grounded) > 0
+
+
 def test_component_union_emits_each_tuple_once_across_grounded_subtrees():
     # fc3 at eps 0.25 (M = 25): (0, 2, 2) has multiplicity 2, one from
     # each tree; t0 draws it while t1's cursor is at another A, so the
@@ -607,38 +719,39 @@ def test_component_union_never_finds_a_member_exhausted():
 # ---------------------------------------------------------------------------
 
 # (storage ops of opening and draining a result iterator, its largest
-# next()) on the conftest-seeded database.  The totals are those measured
-# with the dict-merge lookup before enumeration was compiled, but for
-# fc4-0.0: there a product slot reopened just before its product ends no
-# longer opens the bucket of V_E@t1 it never reads (1712 with eager
-# buckets); and where the bucket selector changes a lookup's cost: deep4-0.0
-# (9132 probing every bucket) narrows 408 of its 551 index fetches to the
-# buckets a tuple names, while semi-0.25 (377) pays 2 fetches that do not
-# narrow and deep4-0.25 (3336) 105 fetches of which 16 narrow.  The largest
-# next() includes the buckets it starts.
+# next()) on the conftest-seeded database.  The largest next() includes the
+# buckets it starts.  A union totals each emitted tuple once, and a product
+# slot enumerates straight through pass-through projection views, so these
+# pins fell from the values measured before (chain2 at eps 0 and 0.25 (1921, 125), semi-0.0
+# (431, 79), semi-0.25 (379, 87), fc3-0.0 (616, 80), fc3 at eps >= 0.25
+# (252, 18), fc4-0.0 (1706, 161), fc4 at eps >= 0.25 (325, 19), deep4-0.0
+# (6473, 149), deep4-0.25 (3377, 72), star3 at eps 0 and 0.25 (10097, 121));
+# the rest are equal.  deep4-0.0 narrows most of its bucket-selector index
+# fetches to the buckets a tuple names, while semi-0.25 and deep4-0.25 pay
+# fetches that do not narrow.
 ENUM_OPS = {
-    ('chain2', 0.0): (1921, 125),
-    ('chain2', 0.25): (1921, 125),
+    ('chain2', 0.0): (961, 55),
+    ('chain2', 0.25): (961, 55),
     ('chain2', 0.5): (35, 1),
     ('chain2', 1.0): (35, 1),
-    ('semi', 0.0): (431, 79),
-    ('semi', 0.25): (379, 87),
+    ('semi', 0.0): (228, 39),
+    ('semi', 0.25): (227, 51),
     ('semi', 0.5): (6, 1),
     ('semi', 1.0): (6, 1),
-    ('fc3', 0.0): (616, 80),
-    ('fc3', 0.25): (252, 18),
-    ('fc3', 0.5): (252, 18),
-    ('fc3', 1.0): (252, 18),
-    ('fc4', 0.0): (1706, 161),
-    ('fc4', 0.25): (325, 19),
-    ('fc4', 0.5): (325, 19),
-    ('fc4', 1.0): (325, 19),
-    ('deep4', 0.0): (6473, 149),
-    ('deep4', 0.25): (3377, 72),
+    ('fc3', 0.0): (487, 44),
+    ('fc3', 0.25): (216, 12),
+    ('fc3', 0.5): (216, 12),
+    ('fc3', 1.0): (216, 12),
+    ('fc4', 0.0): (1238, 87),
+    ('fc4', 0.25): (290, 14),
+    ('fc4', 0.5): (290, 14),
+    ('fc4', 1.0): (290, 14),
+    ('deep4', 0.0): (4277, 72),
+    ('deep4', 0.25): (2540, 40),
     ('deep4', 0.5): (105, 1),
     ('deep4', 1.0): (105, 1),
-    ('star3', 0.0): (10097, 121),
-    ('star3', 0.25): (10097, 121),
+    ('star3', 0.0): (5221, 61),
+    ('star3', 0.25): (5221, 61),
     ('star3', 0.5): (198, 1),
     ('star3', 1.0): (198, 1),
 }
@@ -654,17 +767,17 @@ def test_enumeration_ops_are_pinned(name, eps, rng):
 
 
 # storage ops of enumerate_result() and the first next() on the databases of
-# ENUM_OPS; with eager buckets and every bucket probed they were chain2 169
-# at eps 0 and 0.25, fc3-0.0 45, semi-0.25 192, deep4 614 and 208, star3 153
-# at eps 0 and 0.25, the others equal.  semi-0.25 and deep4-0.25 each pay
-# 2 index fetches that do not narrow; deep4-0.0 narrows 12 of its 16
+# ENUM_OPS; before union rows were totalled once and pass-through views
+# elided they were chain2 137 at eps 0 and 0.25, semi 202 and 194, fc3-0.0
+# 35, fc3 13 at eps >= 0.25, fc4-0.0 56, fc4 15 at eps >= 0.25, deep4 470
+# and 139, star3 89 at eps 0 and 0.25, the others equal
 FIRST_ROW_OPS = {
-    ('chain2', 0.0): 137, ('chain2', 0.25): 137, ('chain2', 0.5): 3, ('chain2', 1.0): 3,
-    ('semi', 0.0): 202, ('semi', 0.25): 194, ('semi', 0.5): 3, ('semi', 1.0): 3,
-    ('fc3', 0.0): 35, ('fc3', 0.25): 13, ('fc3', 0.5): 13, ('fc3', 1.0): 13,
-    ('fc4', 0.0): 56, ('fc4', 0.25): 15, ('fc4', 0.5): 15, ('fc4', 1.0): 15,
-    ('deep4', 0.0): 470, ('deep4', 0.25): 139, ('deep4', 0.5): 3, ('deep4', 1.0): 3,
-    ('star3', 0.0): 89, ('star3', 0.25): 89, ('star3', 0.5): 3, ('star3', 1.0): 3,
+    ('chain2', 0.0): 85, ('chain2', 0.25): 85, ('chain2', 0.5): 3, ('chain2', 1.0): 3,
+    ('semi', 0.0): 105, ('semi', 0.25): 117, ('semi', 0.5): 3, ('semi', 1.0): 3,
+    ('fc3', 0.0): 22, ('fc3', 0.25): 10, ('fc3', 0.5): 10, ('fc3', 1.0): 10,
+    ('fc4', 0.0): 34, ('fc4', 0.25): 13, ('fc4', 0.5): 13, ('fc4', 1.0): 13,
+    ('deep4', 0.0): 270, ('deep4', 0.25): 98, ('deep4', 0.5): 3, ('deep4', 1.0): 3,
+    ('star3', 0.0): 61, ('star3', 0.25): 61, ('star3', 0.5): 3, ('star3', 1.0): 3,
 }
 
 
