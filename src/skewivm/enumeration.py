@@ -34,16 +34,17 @@ grounded iterator it reaches, not one per view.
 
 A grounded node also gets a *bucket selector* (:func:`_compile_selector`)
 when one of its plan's views is keyed by the heavy key and by the
-looked-up tuple: an index on that view by the rest of its key.  A
-lookup of ``t`` at a grounded iterator with at least 3 buckets fetches
-the index bucket of ``t`` (1 op); a bucket whose heavy key no row there
-carries reads that view at an absent key, so its term is 0.  If
-``2 * rows + 1 <= buckets``, the lookup reads the rows (1 op each) and
-runs the plan over the buckets they name only; otherwise over every
-bucket.  A skipped bucket costs at least one get, so a narrowed lookup
-never costs more than probing every bucket, and any lookup at most the
-fetch more.  This is the intersection rule of worst-case-optimal joins:
-iterate the smaller side, probe the larger.
+looked-up tuple: an index on that view by the rest of its key.  The
+candidates for ``t`` at a grounded iterator with at least 3 buckets
+(:meth:`TreeIter._named`, the one routine that reads the selector) come
+from the index bucket of ``t`` (1 op to fetch): a bucket whose heavy key
+no row there carries reads that view at an absent key, so its term is 0.
+If ``2 * rows + 1 <= buckets``, the rows are read (1 op each) and only the
+buckets they name are candidates; otherwise every bucket is.  A lookup
+runs the plan over the candidates.  A skipped bucket costs at least one
+get, so a narrowed lookup never costs more than probing every bucket, and
+any lookup at most the fetch more.  This is the intersection rule of
+worst-case-optimal joins: iterate the smaller side, probe the larger.
 
 Sibling subtrees under one view row, and the components of the result,
 combine through one product routine: :func:`_odometer` restarts an exhausted
@@ -67,11 +68,21 @@ carries the index of the member whose cursor drew it, and its total is
 taken once, when it is returned: its own multiplicity plus one lookup
 into each earlier member.  A later member needs none, as its survival
 lookup answered 0.  With n members that all hold every tuple, a row costs
-2(n-1) lookups.  Bucket copies are shallow: they share view contents and
-own only cursor state.
+2(n-1) lookups.  The union of a grounded iterator's buckets applies the
+rule to the candidates of each tuple it draws only: every other bucket's
+lookup is 0, so it would neither drop the tuple nor add to its total, and
+the rows come out as the unguided union gives them.  A row then costs its
+fetches and about one lookup per bucket that can hold its tuple, not one
+per bucket.  The union asks the selector only where the index buckets
+hold few rows on average (``2 * rows / keys + 1 <= buckets``); where they
+are fuller, a fetch would rarely narrow and every bucket is a candidate.
+It also skips the buckets it has found exhausted since the open.  Bucket
+copies are shallow: they share view contents and own only cursor state.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
 
 from .errors import CallBeforeOpenError, InvariantViolationError, IteratorInvalidatedError
 from .storage import projection
@@ -87,7 +98,7 @@ class EnumInfo:
     __slots__ = ("ctx_order", "scope", "out_schema", "covering", "set_semantics",
                  "heavy_idx", "h_positions", "h_key", "range_positions",
                  "range_key", "out_of", "slots", "compose", "plan", "plan_ops",
-                 "selector", "h_varying")
+                 "selector", "selector_rows", "h_varying")
 
     def __init__(self) -> None:
         self.heavy_idx = None
@@ -239,8 +250,9 @@ def _compile_selector(info: EnumInfo, heavy_schema: tuple[str, ...],
     buckets named by the view's rows that agree with ``ctx + t`` on the
     key's other positions can be nonzero.  Registers an index on those
     other positions and keeps ``info.selector = (index, key over ctx + t,
-    row -> varying heavy key)`` and ``info.h_varying``, heavy row ->
-    varying heavy key; no entry qualifying leaves no selector."""
+    row -> varying heavy key)``, ``info.selector_rows``, the view's
+    entries, and ``info.h_varying``, heavy row -> varying heavy key; no
+    entry qualifying leaves no selector."""
     ctx, scope, out = info.ctx_order, info.scope, info.out_schema
     varying = [v for v in heavy_schema if v not in ctx]
     if not varying:
@@ -260,6 +272,7 @@ def _compile_selector(info: EnumInfo, heavy_schema: tuple[str, ...],
             n.content.indexes[rest],
             projection(tuple(key[p] - shift if key[p] >= len(ctx) else key[p] for p in rest)),
             projection(tuple(key.index(k) for k in heavy_at)))
+        info.selector_rows = n.content.entries
         info.h_varying = projection(tuple(heavy_schema.index(v) for v in varying))
         return
 
@@ -306,8 +319,8 @@ class TreeIter:
     """Cursor state for one view tree (or one grounded bucket of it)."""
 
     __slots__ = ("node", "skip_heavy", "opened", "_ctx", "_range", "current",
-                 "buckets", "by_key", "children", "child_outs", "child_ctx",
-                 "foreign")
+                 "buckets", "by_key", "spent", "guided", "pos", "children",
+                 "child_outs", "child_ctx", "foreign")
 
     def __init__(self, node: ViewNode, skip_heavy: bool = False):
         self.node = node
@@ -317,7 +330,11 @@ class TreeIter:
         self._range = None
         self.current = None
         self.buckets: list[TreeIter] | None = None
+        # varying heavy key -> bucket, with a selector
         self.by_key: dict[tuple, TreeIter] | None = None
+        self.spent = 0  # buckets before this position are exhausted
+        self.guided = False  # the union of the buckets asks the selector
+        self.pos = 0  # a bucket's position among its owner's buckets
         self.children: list[TreeIter] | None = None
         self.child_outs: list | None = None
         self.child_ctx: tuple | None = None
@@ -363,19 +380,29 @@ class TreeIter:
         self._reopen_children()
 
     def _ground(self, ctx: tuple) -> None:
-        """One pending bucket per heavy key under ``ctx``, and with a
-        selector, the buckets by their varying heavy key."""
+        """One pending bucket per heavy key under ``ctx``.  With a selector
+        and at least 3 buckets, also the buckets by their varying heavy
+        key, which lookups and the union of the buckets narrow through;
+        the union does so only if the selector's index buckets hold few
+        enough rows on average for a fetch to narrow: ``2 * rows / keys +
+        1 <= buckets``."""
         info = self.node.enum
         hleaf = self.node.children[info.heavy_idx]
-        self.buckets = []
+        self.buckets = buckets = []
         by_key = {} if info.selector is not None else None
         for hrow, _ in hleaf.content.scan(info.h_positions, info.h_key(ctx)):
             bucket = TreeIter(self.node, skip_heavy=True)
             bucket.open(ctx + hrow)
-            self.buckets.append(bucket)
+            bucket.pos = len(buckets)
+            buckets.append(bucket)
             if by_key is not None:
                 by_key[info.h_varying(hrow)] = bucket
-        self.by_key = by_key
+        self.spent = 0
+        self.guided = False
+        if by_key is not None and len(buckets) >= 3:
+            self.by_key = by_key
+            keys = len(info.selector[0])
+            self.guided = 2 * len(info.selector_rows) + keys <= len(buckets) * keys
 
     def _reopen_children(self) -> None:
         """(Re)open the product children under the current view row and
@@ -406,7 +433,7 @@ class TreeIter:
             raise CallBeforeOpenError(self.node.name)
         info = self.node.enum
         if self.buckets is not None:
-            return union_next(self.buckets) if self.buckets else None
+            return union_next(self.buckets, self) if self.buckets else None
         if self._range is None:  # a pending bucket's first next()
             self._start()
         if info.covering:
@@ -434,11 +461,10 @@ class TreeIter:
         bucket, a non-grounded iterator being its own single bucket: the
         gets in preorder over ``scope + t``, a stop at the first zero, and
         one add of the gets made to ``storage_ops``.  With a bucket
-        selector and at least 3 buckets, it first fetches the selector's
-        index bucket at ``ctx + t`` (1 op); if ``2 * rows + 1 <= buckets``
-        it adds 1 op per row and runs the plan over the buckets the rows
-        name only (every other term is 0), else over every bucket.  So it
-        costs at most 1 op more than the plan over every bucket, and a
+        selector and at least 3 buckets, it runs the plan over the
+        candidates :meth:`_named` finds for ``t`` (every other term is 0),
+        paying their fetch (1 op, and 1 per row read if they narrow).  So
+        it costs at most 1 op more than the plan over every bucket, and a
         narrowed lookup no more.  The view entries read only the bucket's
         scope, so a pending bucket stays pending, and a skipped one is
         never started.  A grounded descendant's entry starts a pending
@@ -450,23 +476,23 @@ class TreeIter:
         (counted), and keeps it in ``foreign`` for later lookups under the
         same context.  So the result is
         ``t``'s multiplicity in a fresh enumeration of this iterator,
-        wherever its cursors and those below it stand."""
+        wherever its cursors and those below it stand.  Raises
+        :class:`CallBeforeOpenError` before ``open`` and after ``close``."""
         buckets = self.buckets
+        ops = 0
         if buckets is None:
+            if not self.opened:
+                raise CallBeforeOpenError(self.node.name)
             buckets = (self,)
         elif not buckets:
             return 0
+        elif self.by_key is not None:
+            named, ops = self._named(t)
+            if named is not None:
+                buckets = named
         info = self.node.enum
         plan, plan_ops = info.plan, info.plan_ops
-        ops = total = 0
-        if info.selector is not None and len(buckets) >= 3:
-            index, key_of, row_key = info.selector
-            rows = index.get(key_of(self._ctx + t), ())
-            ops = 1
-            if 2 * len(rows) + 1 <= len(buckets):
-                ops += len(rows)
-                by_key = self.by_key
-                buckets = [b for b in map(by_key.get, map(row_key, rows)) if b is not None]
+        total = 0
         for it in buckets:
             st = it._ctx + t
             m = 1
@@ -500,10 +526,27 @@ class TreeIter:
         self.node.content.counters.storage_ops += ops
         return total
 
+    def _named(self, t: Row) -> tuple[list | None, int]:
+        """The buckets that can hold ``t``, or None for every bucket, and
+        the ops spent finding them, which the caller counts; only for an
+        iterator with ``by_key``.  It fetches the selector's index bucket
+        at ``ctx + t`` (1 op), and if ``2 * rows + 1 <= buckets`` reads
+        its rows (1 op each): the buckets they name are the candidates, as
+        every other bucket's plan reads the selector's view at an absent
+        key, so its term is 0."""
+        index, key_of, row_key = self.node.enum.selector
+        rows = index.get(key_of(self._ctx + t), ())
+        if 2 * len(rows) + 1 > len(self.buckets):
+            return None, 1
+        by_key = self.by_key
+        return [b for b in map(by_key.get, map(row_key, rows)) if b is not None], 1 + len(rows)
+
     def grounded_buckets(self) -> int:
-        """Total grounded bucket count below this iterator (delay driver):
-        every bucket, pending ones included, and the buckets below the
-        started ones.  A pending bucket has no children yet, so the buckets
+        """Total grounded bucket count below this iterator: every bucket,
+        pending ones included, and the buckets below the started ones.  It
+        bounds the delay; a row of a union guided by the selector pays only
+        for the buckets its tuple names, so those drive the delay there.
+        A pending bucket has no children yet, so the buckets
         that its start will ground are not counted until it starts: the
         value depends on when it is called, and at open it counts no more
         than eager opening would have."""
@@ -518,7 +561,7 @@ class TreeIter:
         return n
 
 
-def union_next(members: list):
+def union_next(members: list, owner: TreeIter | None = None):
     """One distinct tuple of the union of ``members`` with its total
     multiplicity, or None when all members are exhausted.
 
@@ -530,30 +573,50 @@ def union_next(members: list):
     lookup into each member before that one (each member after it looked
     the tuple up and found 0).  Every member shares one output schema, so
     the tuples pass to ``lookup`` as they are.
+
+    With an ``owner``, the members are its buckets.  The fold starts past
+    the buckets it has found exhausted since the owner opened.  If the
+    owner is ``guided``, each tuple the fold draws is looked up only in
+    its candidates (:meth:`TreeIter._named`), at the positions after the
+    tuple's source for survival and before it for the total; every other
+    bucket's lookup is 0, so the rows are those of the unguided fold.
     """
-    r = members[0].next()
-    src = 0
-    for i in range(1, len(members)):
-        last = members[i]
-        if r is not None:
-            t = r[0]
-            if last.lookup(t) == 0:
-                continue  # not in member i: the prefix tuple survives
-            r = last.next()
+    n = len(members)
+    src = 0 if owner is None else owner.spent
+    while (r := members[src].next()) is None:
+        src += 1
+        if src == n:
+            return None
+    if owner is not None:
+        owner.spent = src
+        if not owner.guided:
+            owner = None  # every bucket is a candidate
+    t = r[0]
+    named = None
+    while True:
+        if owner is not None:  # the positions of t's candidates
+            named, ops = owner._named(t)
+            owner.node.content.counters.storage_ops += ops
+            if named is not None:
+                named = sorted([b.pos for b in named])
+        for i in range(src + 1, n) if named is None else named[bisect_right(named, src):]:
+            if members[i].lookup(t) == 0:
+                continue  # not in member i: the tuple survives
+            r = members[i].next()
             # a tuple of member i still pending in the prefix implies the
             # member's cursor has tuples left
             if r is None:
                 raise InvariantViolationError(
                     f"union member {i} holds {t} but its cursor is exhausted")
+            src, t = i, r[0]
+            if owner is not None:  # the new tuple has its own candidates
+                break
         else:
-            r = last.next()
-            if r is None:
-                continue
-        src = i
+            break
     if not src:
         return r
-    t, total = r
-    for j in range(src):
+    total = r[1]
+    for j in range(src) if named is None else named[:bisect_left(named, src)]:
         total += members[j].lookup(t)
     return (t, total)
 

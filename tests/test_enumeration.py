@@ -728,7 +728,10 @@ def test_component_union_never_finds_a_member_exhausted():
 # (6473, 149), deep4-0.25 (3377, 72), star3 at eps 0 and 0.25 (10097, 121));
 # the rest are equal.  deep4-0.0 narrows most of its bucket-selector index
 # fetches to the buckets a tuple names, while semi-0.25 and deep4-0.25 pay
-# fetches that do not narrow.
+# fetches that do not narrow.  The union of V_A@t1's buckets in deep4-0.25
+# asks its selector too, and skips the buckets a tuple cannot be in:
+# (2540, 40) -> (2016, 42); the other unions' selector indexes are too full
+# for a fetch to pay, so they look up every bucket as before.
 ENUM_OPS = {
     ('chain2', 0.0): (961, 55),
     ('chain2', 0.25): (961, 55),
@@ -747,7 +750,7 @@ ENUM_OPS = {
     ('fc4', 0.5): (290, 14),
     ('fc4', 1.0): (290, 14),
     ('deep4', 0.0): (4277, 72),
-    ('deep4', 0.25): (2540, 40),
+    ('deep4', 0.25): (2016, 42),
     ('deep4', 0.5): (105, 1),
     ('deep4', 1.0): (105, 1),
     ('star3', 0.0): (5221, 61),
@@ -770,13 +773,14 @@ def test_enumeration_ops_are_pinned(name, eps, rng):
 # ENUM_OPS; before union rows were totalled once and pass-through views
 # elided they were chain2 137 at eps 0 and 0.25, semi 202 and 194, fc3-0.0
 # 35, fc3 13 at eps >= 0.25, fc4-0.0 56, fc4 15 at eps >= 0.25, deep4 470
-# and 139, star3 89 at eps 0 and 0.25, the others equal
+# and 139, star3 89 at eps 0 and 0.25, the others equal; deep4-0.25 was 98
+# before its bucket union asked the selector
 FIRST_ROW_OPS = {
     ('chain2', 0.0): 85, ('chain2', 0.25): 85, ('chain2', 0.5): 3, ('chain2', 1.0): 3,
     ('semi', 0.0): 105, ('semi', 0.25): 117, ('semi', 0.5): 3, ('semi', 1.0): 3,
     ('fc3', 0.0): 22, ('fc3', 0.25): 10, ('fc3', 0.5): 10, ('fc3', 1.0): 10,
     ('fc4', 0.0): 34, ('fc4', 0.25): 13, ('fc4', 0.5): 13, ('fc4', 1.0): 13,
-    ('deep4', 0.0): 270, ('deep4', 0.25): 98, ('deep4', 0.5): 3, ('deep4', 1.0): 3,
+    ('deep4', 0.0): 270, ('deep4', 0.25): 95, ('deep4', 0.5): 3, ('deep4', 1.0): 3,
     ('star3', 0.0): 61, ('star3', 0.25): 61, ('star3', 0.5): 3, ('star3', 1.0): 3,
 }
 
@@ -893,6 +897,21 @@ def test_next_on_a_closed_tree_iterator_raises():
             it.next()
 
 
+def test_lookup_on_an_unopened_or_closed_tree_iterator_raises():
+    q = parse("chain2")
+    st = preprocess(q, _zipf_chain2(random.Random(11), n=64, keys=8, pool=64), 0.25)
+    for tree in st.trees:  # the light tree and the grounded heavy tree
+        it = TreeIter(tree.root)
+        with pytest.raises(CallBeforeOpenError):
+            it.lookup((0, 0))
+        it.open(())
+        a, c = it.next()[0]
+        assert it.lookup((a, c)) > 0
+        it.close()
+        with pytest.raises(CallBeforeOpenError):
+            it.lookup((a, c))
+
+
 def test_grounded_view_holds_no_context_index():
     # a grounded view is only ever ranged over by its buckets, whose scope
     # is the context plus the heavy key; the six grounded view positions of
@@ -941,6 +960,14 @@ def test_selector_indexes_are_registered_on_the_views_they_read():
     assert (0,) in st.base["R"].indexes
 
 
+def _celebrity_chain2() -> dict:
+    """The Zipf chain2 database plus a celebrity A joined with every B: a
+    tuple of the celebrity names every bucket, so its fetch cannot narrow."""
+    db = _zipf_chain2(random.Random(11), n=256, keys=32, pool=512)
+    db["R"].update({(10_000, b): 1 for b in range(32)})
+    return db
+
+
 def test_selector_narrows_a_lookup_to_the_buckets_its_tuple_names():
     # chain2 at eps 0.25: the heavy tree has one bucket per heavy B, and a
     # lookup of (a, c) reads R at (a, B) in each.  An a of R-degree d with
@@ -948,9 +975,8 @@ def test_selector_narrows_a_lookup_to_the_buckets_its_tuple_names():
     # the buckets its rows name; a celebrity a joined with every B costs
     # 1 + every bucket's plan.  Either gives the full-bucket sum.
     q = parse("chain2")
-    db = _zipf_chain2(random.Random(11), n=256, keys=32, pool=512)
+    db = _celebrity_chain2()
     celebrity = 10_000
-    db["R"].update({(celebrity, b): 1 for b in range(32)})
     st = preprocess(q, db, 0.25, mode="dynamic")
     heavy = next(t for t in st.trees if "xH_B" in t.leaves)
     it = TreeIter(heavy.root)
@@ -988,6 +1014,70 @@ def test_selector_narrows_a_lookup_to_the_buckets_its_tuple_names():
         assert it.lookup((a, c)) == want, (a, c)
         assert st.counters.storage_ops - before == cost, (a, c, d)
     assert light > 10 and full >= 10
+
+
+GUIDED_STATES = [(n, e, None) for n in SUITE for e in EPS_GRID] + [
+    ("chain2", 0.25, "zipf-11"), ("chain2", 0.25, "zipf-13"), ("chain2", 0.25, "celebrity")]
+
+
+@pytest.mark.parametrize("name,eps,db_name", GUIDED_STATES,
+                         ids=[f"{n}-{e}" if d is None else d for n, e, d in GUIDED_STATES])
+def test_guided_bucket_union_emits_what_the_unguided_one_does(name, eps, db_name, monkeypatch):
+    # every grounded iterator a full enumeration opens, opened afresh: its
+    # own next(), which unions its buckets through its selector, emits the
+    # same (tuple, multiplicity) sequence as the union of a twin's buckets
+    # with no owner, which looks every tuple up in every bucket
+    q = parse(name)
+    if db_name is None:
+        db = rand_db(q, random.Random(f"guided/{name}/{eps}"), per_rel=40, dom=6)
+    elif db_name == "celebrity":
+        db = _celebrity_chain2()
+    else:
+        db = _zipf_chain2(random.Random(int(db_name[5:])), n=256, keys=32, pool=512)
+    st = preprocess(q, db, eps, mode="dynamic")
+    opened = {}
+    ground, named = TreeIter._ground, TreeIter._named
+
+    def recorded_ground(it, ctx):
+        ground(it, ctx)
+        opened.setdefault((it.node.name, ctx), (it.node, ctx))
+
+    monkeypatch.setattr(TreeIter, "_ground", recorded_ground)
+    assert st.result_multiset() == brute_force_eval(q, db)
+    fetched = []
+
+    def recorded_named(it, t):
+        out = named(it, t)
+        fetched.append(out[0] is not None)
+        return out
+
+    monkeypatch.setattr(TreeIter, "_named", recorded_named)
+    guided = 0
+    for node, ctx in opened.values():
+        it, twin = TreeIter(node), TreeIter(node)
+        it.open(ctx)
+        twin.open(ctx)
+        got = list(iter(it.next, None))
+        want = list(iter(lambda: union_next(twin.buckets), None)) if twin.buckets else []
+        assert got == want, (node.name, ctx)
+        guided += it.guided
+    if db_name is not None:  # every heavy bucket under one guided union
+        assert guided == 1 and any(fetched)
+    if db_name == "celebrity":
+        assert not all(fetched), "no fetch was too full to narrow"
+
+
+def test_guided_bucket_union_cost_is_pinned():
+    # draining the Zipf chain2 read at eps 0.25 (13 heavy B buckets) cost
+    # 146,451 ops with a largest next() of 51 when each row was looked up
+    # in every bucket; a row now pays for the buckets its A names
+    q = parse("chain2")
+    st = preprocess(q, _zipf_chain2(random.Random(11), n=256, keys=32, pool=512), 0.25)
+    it = st.enumerate_result()
+    before = st.counters.storage_ops
+    rows = list(it)
+    assert len(rows) == 5649
+    assert (st.counters.storage_ops - before, st.counters.max_next_ops) == (31_952, 29)
 
 
 def test_shared_node_reached_under_another_layout_raises():
