@@ -4,12 +4,14 @@ The complexity claims of the engine are RAM-model operation counts, so the
 observable we track is the number of storage primitives (dictionary lookups,
 inserts, deletes and index-scan steps), not wall-clock time.  Every primitive
 in :mod:`skewivm.storage` increments ``storage_ops`` exactly once.  Two
-routines count the same primitives in bulk: the join fold of
-:func:`skewivm.viewtree.run_join` (one per lookup, one per index-bucket
-fetch plus one per row it yields, one per entry of a full scan), and
-:meth:`skewivm.storage.Relation.add`, which writes a view delta in one call
-(one per row, plus one per index for each entry it creates or removes).
-So the totals do not depend on which path did the work.
+routines count the same primitives in bulk.  The join fold of
+:func:`skewivm.viewtree.run_join` is a kernel generated per plan shape: each
+step tallies its ops in a local (one per lookup, one per index-bucket fetch
+plus one per row it yields, one per entry of a full scan) and adds the
+tally, once per fold, to the ``Counters`` of the relation it reads.
+:meth:`skewivm.storage.Relation.add` writes a view delta in one call (one
+per row, plus one per index for each entry it creates or removes).  So the
+totals do not depend on which path did the work.
 """
 
 from __future__ import annotations

@@ -5,9 +5,12 @@ map and keeps, for every registered proper sub-schema, an index from
 sub-tuple keys to the matching entries.  All primitives are constant time
 (amortized) and each one bumps the owning :class:`~skewivm.metrics.Counters`
 by exactly one, which is what the counter-based complexity tests measure.
-Two routines count the same primitives in bulk: the join fold in
-:func:`skewivm.viewtree.run_join` reads entries and index buckets directly
-(one op per lookup, one per bucket fetch plus one per scanned row), and
+Two routines count the same primitives in bulk.  The join fold of
+:func:`skewivm.viewtree.run_join` runs a kernel generated for its plan's
+shape, which reads entries and index buckets directly and tallies each
+step's ops in a local (one op per lookup, one per bucket fetch plus one per
+scanned row, one per entry of a cross product), then adds the tally, once
+per fold, to the counters of the relation that step reads.
 :meth:`Relation.add` writes a whole view delta in one call (one op per row,
 plus one per index for each entry it creates or removes, as :meth:`delta`).
 

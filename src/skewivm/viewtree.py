@@ -302,14 +302,6 @@ class JoinStep:
     acc_positions: tuple[int, ...]  # matching positions in the accumulator
     new_positions: tuple[int, ...]  # child positions appended to the accumulator
     is_set: bool = False  # the child has set semantics: nonzero counts as 1
-    # resolved from the positions: accumulator row -> child key, child row
-    # -> appended values
-    key_of: Callable = field(init=False, repr=False, compare=False)
-    extend: Callable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "key_of", projection(self.acc_positions))
-        object.__setattr__(self, "extend", projection(self.new_positions))
 
 
 @dataclass(frozen=True)
@@ -318,47 +310,144 @@ class JoinPlan:
     steps: tuple[JoinStep, ...]
     acc_schema: tuple[str, ...]
     out_positions: tuple[int, ...]  # projection of acc onto the view schema
-    project: Callable = field(init=False, repr=False, compare=False)
-    lookups_only: bool = field(init=False, repr=False, compare=False)
-    # the steps over the live dicts of the relations they read, see bind()
-    bound: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "project", projection(self.out_positions))
-        object.__setattr__(self, "lookups_only",
-                           all(step.mode == "lookup" for step in self.steps))
+    # the plan's kernel over the live dicts of the relations it reads
+    fold: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def bind(self, children: list[ViewNode]) -> None:
-        """Bind the steps, once, to the relations of ``children`` (the
-        children of the one view the plan belongs to).  A relation keeps
-        its ``entries`` and index dicts for its lifetime, ``load`` and
-        ``clear`` included, so the binding stays valid; a scan step whose
-        index is not registered raises :class:`UnregisteredIndexError`
-        here."""
-        object.__setattr__(self, "bound", _bind_steps(self.steps, children))
+        """Bind the plan, once, to the relations of ``children`` (the
+        children of the one view the plan belongs to): the kernel of the
+        plan's shape (see :func:`kernel_source`) is given each step's
+        ``get`` (a lookup's ``entries.get``, an index scan's ``index.get``),
+        entries and counters.  A relation keeps its ``entries`` and index
+        dicts for its lifetime, ``load`` and ``clear`` included, so the
+        binding stays valid; a scan step whose index is not registered
+        raises :class:`UnregisteredIndexError` here."""
+        object.__setattr__(self, "fold", _bind(self, children))
 
 
-def _bind_steps(steps: tuple[JoinStep, ...], children: list[ViewNode]) -> tuple:
-    """Each step as ``(key_of, is_set, get, entries, extend, counters)``
-    over the relation of the child it reads: a lookup's ``entries.get``
-    (``extend`` is None), an index scan's ``index.get`` and the entries
-    it reads, a scan with no shared positions its entries (``get`` is
-    None)."""
-    out = []
-    for step in steps:
+def plan_shape(plan: JoinPlan) -> tuple:
+    """What the plan's kernel is generated from: the start-row width, each
+    step's kind (lookup, index scan or cross product), positions and set
+    flag, and the output positions.  Integers and kinds only."""
+    width = len(plan.acc_schema) - sum(len(s.new_positions) for s in plan.steps)
+    steps = tuple(("lookup" if s.mode == "lookup" else "index" if s.child_positions
+                   else "cross", s.acc_positions, s.new_positions, s.is_set)
+                  for s in plan.steps)
+    return width, steps, plan.out_positions
+
+
+def kernel_source(shape: tuple) -> str:
+    """Python source of the kernel factory for ``shape`` (a
+    :func:`plan_shape`).  ``factory(g0, e0, k0, g1, ...)`` takes, per step,
+    the ``get`` it calls, the entries it reads and the counters it credits,
+    and returns ``fold(rows)``.  The steps are nested loops over the start
+    rows and the rows each scan yields; every key and output row is a tuple
+    display of the start row's values (``a0, a1, ...``) and of scanned child
+    rows (``c1[0]``).  Step ``j`` tallies its ops in ``nj`` and adds them
+    to ``kj`` once at the end: one per row that reaches it, plus the size
+    of an index bucket it fetches, or, for a cross product, the child's
+    entries per row instead.  Where the output keeps every accumulated
+    position, distinct start rows give distinct output rows, and each is
+    stored as it is made; otherwise their multiplicities are summed and a
+    zero sum dropped."""
+    width, steps, out_positions = shape
+    expr = [f"a{p}" for p in range(width)]  # accumulator position -> value
+    whole = {tuple(range(width)): "r"} if width else {}
+    unpack = False  # whether a key reads the start row's values one by one
+
+    def display(positions: tuple[int, ...]) -> str:
+        nonlocal unpack
+        if positions in whole:
+            return whole[positions]
+        unpack = unpack or any(p < width for p in positions)
+        values = [expr[p] for p in positions]
+        return f"({values[0]},)" if len(values) == 1 else f"({', '.join(values)})"
+
+    body: list[str] = []
+    depth, mult = 3, "m"
+
+    def emit(*texts: str) -> None:
+        body.extend("    " * depth + text for text in texts)
+
+    for j, (kind, acc_positions, new_positions, is_set) in enumerate(steps):
+        factor = f"x{j}"
+        if kind == "cross":
+            if j:
+                emit(f"n{j} += len(e{j})")
+            emit(f"for c{j} in e{j}:" if is_set else f"for c{j}, x{j} in e{j}.items():")
+            whole[tuple(range(len(expr), len(expr) + len(new_positions)))] = f"c{j}"
+        else:
+            if j:
+                emit(f"n{j} += 1")
+            if kind == "lookup":
+                emit(f"x{j} = g{j}({display(acc_positions)})", f"if not x{j}:", "    continue")
+            else:
+                emit(f"b{j} = g{j}({display(acc_positions)})", f"if not b{j}:", "    continue",
+                     f"n{j} += len(b{j})", f"for c{j} in b{j}:")
+                factor = f"e{j}[c{j}]"
+        if kind != "lookup":
+            depth += 1
+            expr.extend(f"c{j}[{p}]" for p in new_positions)
+        if is_set:
+            continue
+        if j == len(steps) - 1:  # the output takes it as it is
+            mult = f"{mult} * {factor}"
+        else:
+            emit(f"m{j} = {mult} * {factor}")
+            mult = f"m{j}"
+    key = display(out_positions)
+    if set(out_positions) == set(range(len(expr))):
+        emit(f"out[{key}] = {mult}")
+    else:
+        emit(f"k = {key}", "if k in out:", f"    v = out[k] + {mult}", "    if v:",
+             "        out[k] = v", "    else:", "        del out[k]", "else:",
+             f"    out[k] = {mult}")
+    args = ", ".join(f"g{j}, e{j}, k{j}" for j in range(len(steps)))
+    lines = [f"def factory({args}):", "    def fold(rows):", "        out = {}"]
+    for j, (kind, *_) in enumerate(steps):
+        start = "0" if j else "len(rows) * len(e0)" if kind == "cross" else "len(rows)"
+        lines.append(f"        n{j} = {start}")
+    lines.append("        for r, m in rows:")
+    if unpack:
+        lines.append(f"            {', '.join(expr[:width])}, = r")
+    lines += body
+    lines += [f"        k{j}.storage_ops += n{j}" for j in range(len(steps))]
+    lines += ["        return out", "    return fold", ""]
+    return "\n".join(lines)
+
+
+# plan shape -> kernel factory, each compiled once per process
+_FACTORIES: dict[tuple, Callable] = {}
+
+
+def _factory(shape: tuple) -> Callable:
+    factory = _FACTORIES.get(shape)
+    if factory is None:
+        namespace: dict = {}
+        # one file name per shape, so that profiles tell the kernels apart
+        name = f"<join kernel {len(_FACTORIES)}>"
+        exec(compile(kernel_source(shape), name, "exec"), namespace)
+        factory = _FACTORIES[shape] = namespace["factory"]
+    return factory
+
+
+def _bind(plan: JoinPlan, children: list[ViewNode]) -> Callable:
+    """The kernel of ``plan``'s shape over the relations of ``children``."""
+    args: list = []
+    for step in plan.steps:
         rel = children[step.child_index].content
         if step.mode == "lookup":
-            get, extend = rel.entries.get, None
+            get = rel.entries.get
         elif step.child_positions:
             index = rel.indexes.get(step.child_positions)
             if index is None:
                 raise UnregisteredIndexError(
                     f"{rel.name}: no index on positions {step.child_positions}")
-            get, extend = index.get, step.extend
+            get = index.get
         else:
-            get, extend = None, step.extend
-        out.append((step.key_of, step.is_set, get, rel.entries, extend, rel.counters))
-    return tuple(out)
+            get = None
+        args += (get, rel.entries, rel.counters)
+    return _factory(plan_shape(plan))(*args)
 
 
 def _plan_steps(children: list[ViewNode], start: int,
@@ -414,70 +503,24 @@ def delta_plan(node: ViewNode, child_index: int) -> JoinPlan:
 
 def run_join(plan: JoinPlan, children: list[ViewNode],
              start_rows) -> dict[tuple, int]:
-    """Fold ``start_rows`` (a sized iterable of (row, mult) over the plan's
-    start schema) through the plan's steps, returning the aggregated
-    projection.  A bound plan (see :meth:`JoinPlan.bind`) reads the
-    relations it was bound to; an unbound one is bound to ``children`` for
-    this call.
+    """Fold ``start_rows`` (distinct rows over the plan's start schema with
+    nonzero multiplicities, as a dict's items, and sized) through the
+    plan's steps, returning the aggregated projection.  A bound plan (see
+    :meth:`JoinPlan.bind`) runs its kernel; an unbound one is bound to
+    ``children`` for this call.
 
-    The fold reads the children's entries and index buckets directly and
+    The kernel reads the children's entries and index buckets directly and
     adds to ``Counters.storage_ops`` in bulk what the storage primitives
-    would count one by one: a lookup is one ``get``, an index scan is one
-    bucket fetch plus one per matching row, and a scan with no shared
-    positions is one per entry of the child.  A single start row through
-    a plan of lookups only builds no intermediate rows: its multiplicity
-    is multiplied by each get up to the first miss, one op per step
-    reached, which is what the general path counts for it."""
-    steps = plan.bound
-    if steps is None:
-        steps = _bind_steps(plan.steps, children)
-    if plan.lookups_only and len(start_rows) == 1:
-        ((row, m),) = start_rows
-        for key_of, is_set, get, _, _, counters in steps:
-            counters.storage_ops += 1
-            cm = get(key_of(row))
-            if not cm:
-                return {}
-            if not is_set:
-                m *= cm
-        return {plan.project(row): m} if m else {}
-    rows = start_rows
-    for key_of, is_set, get, entries, extend, counters in steps:
-        if not rows:
-            return {}
-        ops = len(rows)
-        next_rows: list = []
-        append = next_rows.append
-        if extend is None:
-            for row, m in rows:
-                cm = get(key_of(row))
-                if cm:
-                    append((row, m if is_set else m * cm))
-        elif get is not None:
-            for row, m in rows:
-                bucket = get(key_of(row))
-                if bucket:
-                    ops += len(bucket)
-                    for crow in bucket:
-                        append((row + extend(crow),
-                                m if is_set else m * entries[crow]))
-        else:
-            ops *= len(entries)
-            for row, m in rows:
-                for crow, cm in entries.items():
-                    append((row + extend(crow), m if is_set else m * cm))
-        counters.storage_ops += ops
-        rows = next_rows
-    out: dict[tuple, int] = {}
-    project = plan.project
-    for row, m in rows:
-        key = project(row)
-        new = out.get(key, 0) + m
-        if new:
-            out[key] = new
-        elif key in out:
-            del out[key]
-    return out
+    would count one by one, crediting the counters of the relation each
+    step reads: a lookup is one ``get``, an index scan is one bucket fetch
+    plus one per matching row, and a scan with no shared positions is one
+    per entry of the child, for each row that reaches the step.  Rows are
+    made depth first, in the order a step-by-step fold makes them, so the
+    result's insertion order is that fold's too."""
+    fold = plan.fold
+    if fold is None:
+        fold = _bind(plan, children)
+    return fold(start_rows)
 
 
 def materialize_node(node: ViewNode, plan: JoinPlan) -> None:

@@ -1,17 +1,22 @@
-"""The compiled join fold against the generator-based fold it replaced.
+"""The generated join kernels against the generator-based fold they replaced.
 
 ``reference_run_join`` and ``reference_materialize`` are the fold as it was
 written over the storage primitives (``Relation.get`` and the
-``Relation.scan`` generator), each bumping ``storage_ops`` once.  The
-compiled fold must give the same result and count the same ops.
+``Relation.scan`` generator), each bumping ``storage_ops`` once.  A kernel
+must give the same result and count the same ops, on the counters of the
+relation each op reads.
 """
 
 from __future__ import annotations
 
+import io
 import random
+import tokenize
 
 import pytest
 
+from skewivm import viewtree
+from skewivm.engine import EngineState, preprocess
 from skewivm.errors import UnregisteredIndexError
 from skewivm.metrics import Counters
 from skewivm.storage import Relation
@@ -20,10 +25,14 @@ from skewivm.viewtree import (
     JOIN,
     ViewNode,
     delta_plan,
+    kernel_source,
     materialize_node,
     materialize_plan,
+    plan_shape,
     run_join,
 )
+
+from conftest import parse
 
 
 def reference_run_join(plan, children, start_rows):
@@ -74,7 +83,10 @@ def reference_materialize(node, plan):
 
 
 # (child schemas, view schema, set-semantics child indexes): every plan over
-# these folds at least one lookup, index scan or cross product
+# these folds at least one lookup, index scan or cross product, and the
+# delta plans from child 0 of the last four nest a step in an index scan's
+# loop: a second index scan, a lookup whose miss skips one scanned row, a
+# cross product, and a scan of a set-semantics child
 CASES = {
     "lookup": ((("A", "B"), ("A", "B"), ("A",)), ("A", "B"), ()),
     "index-scan": ((("A", "B"), ("B", "C")), ("A", "C"), ()),
@@ -82,26 +94,35 @@ CASES = {
     "cross": ((("A",), ("B", "C")), ("A", "C"), ()),
     "boolean": ((("A", "B"), ("B",)), (), (1,)),
     "wide": ((("A", "B", "C"), ("C", "A", "D"), ("D",)), ("B", "D"), ()),
+    "index-index": ((("A", "B"), ("B", "C"), ("C", "D")), ("A", "D"), ()),
+    "index-lookup": ((("A", "B"), ("B", "C"), ("A", "C")), ("A", "C"), ()),
+    "index-cross": ((("A", "B"), ("B", "C"), ("D",)), ("A", "C", "D"), ()),
+    "set-scan": ((("A", "B"), ("B", "C"), ("C",)), ("A", "C"), (1,)),
 }
 
 
-def make_node(case, counters):
+def make_node(case, counters, child_counters=None):
+    """The view of ``case`` over leaves; child ``i``'s relation counts on
+    ``child_counters[i]`` if given, else on ``counters`` as the view does."""
     schemas, view_schema, set_children = CASES[case]
     children = []
     for i, schema in enumerate(schemas):
         leaf = ViewNode(f"C{i}", schema, ATOM, leaf_name=f"C{i}",
                         semantics="set" if i in set_children else "multiset")
-        leaf.content = Relation(leaf.name, schema, counters)
+        leaf.content = Relation(leaf.name, schema,
+                                child_counters[i] if child_counters else counters)
         children.append(leaf)
     node = ViewNode("V", view_schema, JOIN, children)
     node.content = Relation("V", view_schema, counters)
     return node
 
 
-def fill(node, rng, negative):
+def fill(node, rng, negative, values=None):
+    """Up to 24 rows per child over ``values`` (default: 0 to 3)."""
     for child in node.children:
         for _ in range(rng.randrange(0, 25)):
-            row = tuple(rng.randrange(4) for _ in child.schema)
+            row = tuple(rng.randrange(4) if values is None else rng.choice(values)
+                        for _ in child.schema)
             m = rng.choice((-2, -1, 1, 2, 3) if negative else (1, 2, 3))
             child.content.delta(row, m)
 
@@ -136,7 +157,7 @@ def test_compiled_delta_fold_matches_reference(case, negative):
             want, want_ops = counted(counters, reference_run_join, plan,
                                      node.children, delta.items())
             got, got_ops = counted(counters, run_join, plan, node.children, delta.items())
-            assert got == want
+            assert list(got.items()) == list(want.items())  # in the same order
             assert got_ops == want_ops
 
 
@@ -151,26 +172,37 @@ def test_compiled_materialize_matches_reference(case, negative):
         register(node, plan)
         fill(node, rng, negative)
         _, want_ops = counted(counters, reference_materialize, node, plan)
-        want = dict(node.content.entries)
+        want = list(node.content.entries.items())
         _, got_ops = counted(counters, materialize_node, node, plan)
-        assert node.content.entries == want
+        assert list(node.content.entries.items()) == want  # in the same order
         assert got_ops == want_ops
+
+
+def all_plans(node):
+    """The node's delta plan from each child, then its materialization plan."""
+    return [delta_plan(node, i) for i in range(len(node.children))] + [materialize_plan(node)]
 
 
 def test_cases_cover_every_step_kind():
     kinds = set()
     for case in CASES:
-        node = make_node(case, Counters())
-        plans = [delta_plan(node, i) for i in range(len(node.children))]
-        for plan in plans + [materialize_plan(node)]:
+        for plan in all_plans(make_node(case, Counters())):
+            earlier = set()
             for step in plan.steps:
                 if step.mode == "lookup":
-                    kinds.add("lookup")
+                    kind = "lookup"
                 else:
-                    kinds.add("index" if step.child_positions else "cross")
+                    kind = "index" if step.child_positions else "cross"
+                    if step.is_set:
+                        kinds.add("set scanned")
+                kinds.add(kind)
                 if step.is_set:
                     kinds.add("set")
-    assert kinds == {"lookup", "index", "cross", "set"}
+                if "index" in earlier:
+                    kinds.add(f"{kind} after index")
+                earlier.add(kind)
+    assert kinds == {"lookup", "index", "cross", "set", "set scanned",
+                     "index after index", "lookup after index", "cross after index"}
 
 
 def test_missing_index_raises():
@@ -188,9 +220,9 @@ def test_missing_index_raises():
 
 @pytest.mark.parametrize("miss", (1, 2, 3, None))
 def test_one_row_lookup_fold_counts_each_step_reached(miss):
-    # a single row through a plan of lookups only takes the short path: it
-    # stops at the first step whose get misses, having counted one op per
-    # step reached, as the general path and the reference count
+    # a single row through a plan of lookups only stops at the first step
+    # whose get misses, having counted one op per step reached, as the
+    # reference counts
     counters = Counters()
     schemas = (("A", "B"), ("A", "B"), ("A",), ("B",))
     children = []
@@ -201,7 +233,7 @@ def test_one_row_lookup_fold_counts_each_step_reached(miss):
         children.append(leaf)
     node = ViewNode("V", ("A",), JOIN, children)
     plan = delta_plan(node, 0)
-    assert plan.lookups_only
+    assert all(step.mode == "lookup" for step in plan.steps)
     assert [step.child_index for step in plan.steps] == [1, 2, 3]
     for i, row in ((1, (1, 2)), (2, (1,)), (3, (2,))):
         if i != miss:
@@ -212,3 +244,100 @@ def test_one_row_lookup_fold_counts_each_step_reached(miss):
     assert got == counted(counters, reference_run_join, plan, children, start.items())
     # 2 * 3 * (a set child counts 1) * 3
     assert got == (({}, miss) if miss else ({(1,): 18}, 3))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_each_step_credits_the_counters_of_the_relation_it_reads(case):
+    # children alternate between two Counters objects, the view has a third
+    rng = random.Random(f"counters:{case}")
+    for _ in range(10):
+        everything = [Counters(), Counters(), Counters()]
+        node = make_node(case, everything[0],
+                         [everything[1 + i % 2] for i in range(len(CASES[case][0]))])
+        plans = all_plans(node)
+        for plan in plans:
+            register(node, plan)
+        fill(node, rng, negative=False)
+        for plan in plans:
+            start = node.children[plan.start_index].content.entries
+            if plan is not plans[-1]:
+                schema = node.children[plan.start_index].schema
+                start = {tuple(rng.randrange(4) for _ in schema): 2}
+            ops = []
+            for fold in (reference_run_join, run_join):
+                before = [c.storage_ops for c in everything]
+                fold(plan, node.children, start.items())
+                ops.append([c.storage_ops - b for c, b in zip(everything, before)])
+            assert ops[0] == ops[1]
+            assert ops[1][0] == 0  # nothing reads the view's own relation
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_values_never_reach_the_generated_source(case):
+    # quotes, newlines and code in values, None, nested tuples and floats
+    # fold as any other value does, since only positions make the source
+    values = ('"', "'", '"""', "a\"b'c", "x\ny", "\\", "__import__('os')",
+              "}); raise SystemExit(1); ({", None, (1, ("t", None)), ((),), 0.5, -2.25, 1e300)
+    rng = random.Random(f"values:{case}")
+    for negative in (False, True):
+        counters = Counters()
+        node = make_node(case, counters)
+        plans = all_plans(node)
+        for plan in plans:
+            register(node, plan)
+        fill(node, rng, negative, values)
+        for plan in plans[:-1]:
+            schema = node.children[plan.start_index].schema
+            delta = {tuple(rng.choice(values) for _ in schema): -1,
+                     tuple(rng.choice(values) for _ in schema): 3}
+            want = counted(counters, reference_run_join, plan, node.children, delta.items())
+            assert counted(counters, run_join, plan, node.children, delta.items()) == want
+        _, want_ops = counted(counters, reference_materialize, node, plans[-1])
+        want = dict(node.content.entries)
+        assert counted(counters, materialize_node, node, plans[-1]) == (None, want_ops)
+        assert node.content.entries == want
+    for plan in plans:
+        source = kernel_source(plan_shape(plan))
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            assert tok.type != tokenize.STRING, source
+            if tok.type == tokenize.NUMBER:
+                assert tok.string.isdigit(), source
+
+
+def test_kernels_compile_once_per_shape_and_bind_to_their_own_state(monkeypatch):
+    # a second preprocess of a query and a major's rebuild reuse the kernels
+    # compiled for the first preprocess; each state's kernels read only its
+    # own relations.  The database is test_maintenance's rebuilding major.
+    q = parse("semi")
+    db = {"R": {(a, b): 1 for b in range(8) for a in range(24)},
+          "S": {(b,): 1 for b in range(8)}}
+    preprocess(q, db, 0.5, mode="dynamic", m_override=400)
+    compiled = len(viewtree._FACTORIES)
+    generated = []
+    source = viewtree.kernel_source
+    monkeypatch.setattr(viewtree, "kernel_source",
+                        lambda shape: generated.append(shape) or source(shape))
+    st = preprocess(q, db, 0.5, mode="dynamic", m_override=400)
+    other = preprocess(q, db, 0.5, mode="dynamic", m_override=400)
+    assert len(viewtree._FACTORIES) == compiled and generated == []
+    for mine, theirs in zip(st.dag.views, other.dag.views):
+        assert mine.plan.fold is not theirs.plan.fold
+        assert mine.plan.fold.__code__ is theirs.plan.fold.__code__
+    untouched = other.fingerprint()
+    rebuilds = []
+    repartition = EngineState._repartition
+
+    def spy(self, parts):
+        repartition(self, parts)
+        rebuilds.append(len(viewtree._FACTORIES))
+
+    monkeypatch.setattr(EngineState, "_repartition", spy)
+    i = 0
+    while st.counters.major_rebalances == 0:
+        st.on_update("S", (100 + i,), 1)
+        i += 1
+    assert rebuilds == [compiled]
+    st.check_invariants(deep=True)
+    assert other.fingerprint() == untouched
+    other.check_invariants(deep=True)
+    assert len(viewtree._FACTORIES) == compiled and generated == []

@@ -27,7 +27,7 @@ from skewivm.errors import (
 )
 from skewivm.oracle import brute_force_eval
 from skewivm.query import parse_query
-from skewivm.storage import iceil
+from skewivm.storage import iceil, projection
 from skewivm.viewtree import ATOM, JOIN, ViewNode
 
 from conftest import EPS_GRID, SUITE, parse, run_trace
@@ -483,7 +483,8 @@ def _unbound_run_join(plan, children, start_rows):
             return {}
         rel = children[step.child_index].content
         entries = rel.entries
-        key_of, is_set = step.key_of, step.is_set
+        key_of, is_set = projection(step.acc_positions), step.is_set
+        extend = projection(step.new_positions)
         ops = len(rows)
         next_rows = []
         if step.mode == "lookup":
@@ -498,18 +499,19 @@ def _unbound_run_join(plan, children, start_rows):
                 if bucket:
                     ops += len(bucket)
                     for crow in bucket:
-                        next_rows.append((row + step.extend(crow),
+                        next_rows.append((row + extend(crow),
                                           m if is_set else m * entries[crow]))
         else:
             ops *= len(entries)
             for row, m in rows:
                 for crow, cm in entries.items():
-                    next_rows.append((row + step.extend(crow), m if is_set else m * cm))
+                    next_rows.append((row + extend(crow), m if is_set else m * cm))
         rel.counters.storage_ops += ops
         rows = next_rows
     out = {}
+    project = projection(plan.out_positions)
     for row, m in rows:
-        key = plan.project(row)
+        key = project(row)
         new = out.get(key, 0) + m
         if new:
             out[key] = new
