@@ -255,10 +255,14 @@ class EngineState:
         for sym in symbols:
             arity = len(self.query.occurrences(sym)[0].schema)
             for row, m in db[sym].items():
-                _check_multiplicity(sym, row, m)
-                _check_row(sym, row, arity)
-                if m <= 0:
-                    raise EngineError(f"{sym}: nonpositive input multiplicity for {row}")
+                # the common case inline; any other row gets the full checks,
+                # which accept int subclasses and tuple subclasses too
+                if not (type(m) is int and m > 0 and type(row) is tuple
+                        and len(row) == arity):
+                    _check_multiplicity(sym, row, m)
+                    _check_row(sym, row, arity)
+                    if m <= 0:
+                        raise EngineError(f"{sym}: nonpositive input multiplicity for {row}")
         for sym in symbols:
             first, *later = self.query.occurrences(sym)
             rel = Relation(sym, first.schema, counters, base=True)
@@ -318,20 +322,21 @@ class EngineState:
     def _unsettled_parts(self) -> Iterator[tuple[IndicatorTriple, LightPart, dict, dict]]:
         """Each light part that may differ from its strict partition at the
         current threshold, with the key degrees of its base relation and of
-        itself, from one pass over each that counts one op per entry read.
-        A part that already holds every tuple of a base relation smaller
-        than the threshold is skipped in O(1): every key is light, so the
-        part is its own strict partition.  (At preprocessing a light part is
-        still empty, so only a part of an empty relation is skipped, and the
-        pass reads the base relation alone.)"""
+        itself (:meth:`Relation.degrees`: the bucket sizes of the key index
+        both hold, in its key order), counted as one pass over each, one op
+        per entry.  A part that already holds every tuple of a base relation
+        smaller than the threshold is skipped in O(1): every key is light,
+        so the part is its own strict partition.  (At preprocessing a light
+        part is still empty, so only a part of an empty relation is skipped,
+        and the pass reads the base relation alone.)"""
         theta = self._theta()
         for triple in self.triples:
             for lp in triple.light_parts:
-                rel, light = lp.base.entries, lp.content.entries
-                if len(rel) >= theta or len(light) != len(rel):
-                    self.counters.storage_ops += len(rel) + len(light)
-                    yield (triple, lp, key_degrees(rel, lp.key_positions),
-                           key_degrees(light, lp.key_positions))
+                rel, light = lp.base, lp.content
+                if len(rel.entries) >= theta or len(light.entries) != len(rel.entries):
+                    self.counters.storage_ops += len(rel.entries) + len(light.entries)
+                    yield (triple, lp, rel.degrees(lp.key_positions),
+                           light.degrees(lp.key_positions))
 
     def _repartition(self, parts: list[tuple[LightPart, dict]]) -> None:
         """Load each of ``parts``, a light part with its base relation's key
@@ -428,9 +433,11 @@ class EngineState:
                       light: list[bool]) -> None:
         """One occurrence's pass of the update algorithm, after the
         occurrence's relation took the update: propagate it through every
-        view above the occurrence's leaf, All roots included, then forward
-        each affected triple's H change and, on the light path (``light``,
-        per pair), the light part's change."""
+        view above the occurrence's leaf, All roots included, then per
+        affected triple, on the light path (``light``, per pair), the light
+        part's change, and last the triple's H change, settled once from
+        both passes.  No view above a light part reads its triple's H, so
+        the light pass does not depend on when H changes."""
         delta = {row: mult}
         keys, before = [], []
         for triple, lp in pairs:
@@ -440,23 +447,20 @@ class EngineState:
         self._apply(self.dag, leaf_name, delta)
         for (triple, lp), key, count, on_light in zip(pairs, keys, before, light):
             d_all = self._update_ind_tree(triple.all_root, key, count)
-            d_h = self._h_all_change(triple, key, d_all)
-            if d_h:
-                self._apply(self.dag, triple.support_name, d_h)
+            d_light = 0
             if on_light:
                 lp.content.delta(row, mult)
-                self._light_change(triple, lp, delta, key)
+                d_light = self._light_pass(triple, lp, delta, key)
+            self._settle_h(triple, key, d_all, d_light)
 
-    def _light_change(self, triple: IndicatorTriple, lp: LightPart,
-                      delta: Multiset, key: Row) -> None:
+    def _light_pass(self, triple: IndicatorTriple, lp: LightPart,
+                    delta: Multiset, key: Row) -> int:
         """Propagate a change the light part has taken through every view
-        above it, the L root included, then forward any H change."""
+        above it, the L root included; returns the L root's support
+        transition at ``key`` (+1/-1/0)."""
         before = triple.light_root.content.get(key)
         self._apply(self.dag, lp.name, delta)
-        d_light = self._update_ind_tree(triple.light_root, key, before)
-        d_h = self._h_light_change(triple, key, d_light)
-        if d_h:
-            self._apply(self.dag, triple.support_name, d_h)
+        return self._update_ind_tree(triple.light_root, key, before)
 
     def _apply(self, dag: ViewDag, leaf_name: str, delta: Multiset) -> list[Multiset]:
         """Propagate ``delta`` from the leaf through every view above it,
@@ -495,6 +499,19 @@ class EngineState:
     # indicator's defining join.  Each takes a support transition (+1/-1/0)
     # of All or L at ``key`` and returns the delta it made to H.
 
+    def _settle_h(self, triple: IndicatorTriple, key: Row, d_all: int, d_light: int) -> None:
+        """Write and propagate H's change at ``key`` once both of its
+        triple's passes are done: from L's transition if it has one, else
+        from All's.  L's support lies inside All's, and where every light
+        part holds a key (all of its base tuples) L and All agree on it, so
+        when L's support changes All's changes the same way or not at all:
+        a key that enters (or leaves) All and L in one update never touches
+        H."""
+        d_h = (self._h_light_change(triple, key, d_light) if d_light
+               else self._h_all_change(triple, key, d_all))
+        if d_h:
+            self._apply(self.dag, triple.support_name, d_h)
+
     def _h_all_change(self, triple: IndicatorTriple, key: Row, d_all: int) -> Multiset:
         if d_all == 0 or triple.light_root.content.get(key) != 0:
             return {}
@@ -520,12 +537,15 @@ class EngineState:
         relaxed band.  A light part holds all of a key's base tuples or none,
         so the degree pass of :meth:`_unsettled_parts` gives every key's
         side, and the keys whose side differs are inserted or evicted one
-        tuple at a time, at O(M^(delta*eps)) each.  When the k tuples to
-        move would cost more than a rebuild, k * M^(delta*eps) >
-        M^(1+(w-1)*eps), the light parts are loaded and the views that
-        depend on them recomputed instead.  The All trees do not depend on the partition and stay as
-        they are.  A part skipped by :meth:`_unsettled_parts` costs nothing
-        (at eps=1 every part is, and a major costs no ops)."""
+        tuple at a time, at O(M^(delta*eps)) each, in key index order (the
+        base relation's for keys entering the light part, the part's own
+        for keys leaving it): the order in which keys first came in and
+        stayed.  When the k tuples to move would cost more than a rebuild,
+        k * M^(delta*eps) > M^(1+(w-1)*eps), the light parts are loaded and
+        the views that depend on them recomputed instead.  The All trees do
+        not depend on the partition and stay as they are.  A part skipped by
+        :meth:`_unsettled_parts` costs nothing (at eps=1 every part is, and
+        a major costs no ops)."""
         self.counters.major_rebalances += 1
         theta = self._theta()
         parts, moves = [], []
@@ -576,9 +596,8 @@ class EngineState:
         rows = list(lp.base.scan(lp.key_positions, key))
         for row, base_mult in rows:
             cnt = base_mult if insert else -base_mult
-            delta = {row: cnt}
             lp.content.delta(row, cnt)
-            self._light_change(triple, lp, delta, key)
+            self._settle_h(triple, key, 0, self._light_pass(triple, lp, {row: cnt}, key))
 
     # ------------------------------------------------------------------
     # reads

@@ -5,7 +5,7 @@ map and keeps, for every registered proper sub-schema, an index from
 sub-tuple keys to the matching entries.  All primitives are constant time
 (amortized) and each one bumps the owning :class:`~skewivm.metrics.Counters`
 by exactly one, which is what the counter-based complexity tests measure.
-Two routines count the same primitives in bulk.  The join fold of
+Three routines count the same primitives in bulk.  The join fold of
 :func:`skewivm.viewtree.run_join` runs a kernel generated for its plan's
 shape, which reads entries and index buckets directly and tallies each
 step's ops in a local (one op per lookup, one per bucket fetch plus one per
@@ -13,6 +13,17 @@ scanned row, one per entry of a cross product), then adds the tally, once
 per fold, to the counters of the relation that step reads.
 :meth:`Relation.add` writes a whole view delta in one call (one op per row,
 plus one per index for each entry it creates or removes, as :meth:`delta`).
+:meth:`Relation.load`, the one bulk writer of a whole content (base
+relations, light parts, materialized views, H), writes all rows with one
+``dict.update``, fills each index in one pass and adds ``rows * (1 +
+indexes)`` ops at once.
+
+Preprocessing and majors read key degrees as the bucket sizes of a key
+index (:meth:`Relation.degrees`) and take a strict light part
+(:func:`strict_partition`) as a copy of the entries less the heavy keys'
+buckets.  Every bulk routine keeps the order of entries, index keys and
+buckets that one-row writes in the same order would give; enumeration order
+depends on it.
 
 Base relations only ever hold strictly positive multiplicities; views may go
 negative transiently while a delta propagates.
@@ -22,7 +33,7 @@ from __future__ import annotations
 
 import math
 from operator import itemgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Mapping
 
 from .errors import ArityMismatchError, RejectedDeleteError, UnregisteredIndexError
 from .metrics import Counters
@@ -72,8 +83,7 @@ class Relation:
             return
         key_of = projection(positions)
         index: dict[Row, dict[Row, None]] = {}
-        for row in self.entries:
-            index.setdefault(key_of(row), {})[row] = None
+        _fill(index, key_of, self.entries)
         self.indexes[positions] = index
         self.keyed.append((key_of, index))
 
@@ -175,16 +185,32 @@ class Relation:
         for index in self.indexes.values():
             index.clear()
 
-    def load(self, entries: dict[Row, int]) -> None:
-        """Replace the whole content (used by materialization/rebalancing)."""
+    def load(self, entries: Mapping[Row, int]) -> None:
+        """Replace the whole content with the nonzero entries of ``entries``,
+        in their order, in one call: one op per row plus one per registered
+        index, as that many :meth:`add` insertions would count.  The rows
+        are written with one ``dict.update`` and each index is filled in one
+        pass, keys and buckets in row order.  The ``entries`` and index
+        dicts are cleared and refilled, never replaced, so join plans bound
+        to them stay valid.  Base loads, light parts, materialized views and
+        H all take their content this way."""
         self.clear()
-        for row, m in entries.items():
-            if m == 0:
-                continue
-            self.counters.storage_ops += 1 + len(self.keyed)
-            self.entries[row] = m
-            for key_of, index in self.keyed:
-                index.setdefault(key_of(row), {})[row] = None
+        if 0 in entries.values():
+            entries = {row: m for row, m in entries.items() if m}
+        self.entries.update(entries)
+        self.counters.storage_ops += len(entries) * (1 + len(self.keyed))
+        for key_of, index in self.keyed:
+            _fill(index, key_of, entries)
+
+    def degrees(self, positions: tuple[int, ...]) -> dict[Row, int]:
+        """Number of distinct rows per key on ``positions``, read as the
+        bucket sizes of the key index, in its key order; where the key is
+        the whole schema, so that no index exists, one per row, by
+        :func:`key_degrees`.  Counts no ops; the caller counts its pass."""
+        index = self.indexes.get(positions)
+        if index is None:
+            return key_degrees(self.entries, positions)
+        return dict(zip(index, map(len, index.values())))
 
     def rebuilt_indexes(self) -> dict[tuple[int, ...], dict[Row, dict[Row, None]]]:
         """Fresh index structures recomputed from `entries` (test oracle)."""
@@ -195,6 +221,18 @@ class Relation:
                 index.setdefault(tuple(row[p] for p in positions), {})[row] = None
             out[positions] = index
         return out
+
+
+def _fill(index: dict[Row, dict[Row, None]], key_of, rows: Iterable[Row]) -> None:
+    """Add each of ``rows``, in order, to its key's bucket of ``index``."""
+    get = index.get
+    for row in rows:
+        key = key_of(row)
+        bucket = get(key)
+        if bucket is None:
+            index[key] = {row: None}
+        else:
+            bucket[row] = None
 
 
 def key_degrees(rows: Iterable[Row], positions: tuple[int, ...]) -> dict[Row, int]:
@@ -211,18 +249,31 @@ def key_degrees(rows: Iterable[Row], positions: tuple[int, ...]) -> dict[Row, in
 def strict_partition(rel: Relation, positions: tuple[int, ...], theta: float,
                      degrees: dict[Row, int]) -> dict[Row, int]:
     """Entries of the strict light part of ``rel`` on ``positions``, given
-    ``degrees``, the :func:`key_degrees` of ``rel`` on ``positions``.
+    ``degrees``, the number of distinct rows of ``rel`` per key (see
+    :meth:`Relation.degrees`).
 
     A key is light iff strictly fewer than ``theta`` distinct tuples of
     ``rel`` carry it; the returned dict holds exactly those tuples with their
-    multiplicities.  One pass over ``rel``, one op per entry; the caller
-    counts the pass that gave ``degrees``.  Used at preprocessing time and
-    by the rebuild a major falls back to, which reuses the degrees of its
-    own pass.
+    multiplicities, in ``rel``'s entry order: a copy of the entries less the
+    rows of each heavy key's index bucket.  A relation with no index on
+    ``positions`` (the key is its whole schema) is filtered row by row.
+    Counted as one pass over ``rel``, one op per entry; the caller counts
+    the pass that gave ``degrees``.  Used at preprocessing time and by the
+    rebuild a major falls back to, which reuses the degrees of its own
+    pass.
     """
-    entries, key_of = rel.entries, projection(positions)
+    entries = rel.entries
     rel.counters.storage_ops += len(entries)
-    return {row: m for row, m in entries.items() if degrees[key_of(row)] < theta}
+    index = rel.indexes.get(positions)
+    if index is None:
+        key_of = projection(positions)
+        return {row: m for row, m in entries.items() if degrees[key_of(row)] < theta}
+    light = entries.copy()
+    for key, degree in degrees.items():
+        if degree >= theta:
+            for row in index[key]:
+                del light[row]
+    return light
 
 
 def iceil(x: float) -> int:

@@ -27,7 +27,7 @@ from skewivm.errors import (
 )
 from skewivm.oracle import brute_force_eval
 from skewivm.query import parse_query
-from skewivm.storage import iceil, projection
+from skewivm.storage import iceil, key_degrees, projection
 from skewivm.viewtree import ATOM, JOIN, ViewNode
 
 from conftest import EPS_GRID, SUITE, parse, run_trace
@@ -392,6 +392,81 @@ def test_major_rebuilds_when_moving_costs_more(monkeypatch):
     assert ops == [2248]
     _assert_fresh(st, q, 0.5)
     st.check_invariants(deep=True)
+
+
+def test_major_after_deletes_moves_keys_in_index_key_order(monkeypatch):
+    # a major reads key degrees from the key index, which keeps a key where
+    # its first row came in: S's light part holds keys 1, 2 in that order,
+    # though its entries start with (2, 20) since (1, 10) was deleted.  The
+    # halving major evicts both (degree 9 >= threshold 7) in index order
+    q = parse("chain2")
+    fillers = [(100 + i, 200 + i) for i in range(48)]
+    db = {"R": {(5, 1): 1, (6, 2): 1, **{row: 1 for row in fillers}}, "S": {}}
+    st = preprocess(q, db, 0.5, mode="dynamic")
+    assert (st.N, st.M) == (50, 101)  # threshold 10.05, evict at 16
+    for row, m in (((1, 10), 1), ((2, 20), 1), ((1, 11), 1), ((1, 10), -1)):
+        st.on_update("S", row, m)
+    for j in range(8):
+        st.on_update("S", (1, 12 + j), 1)
+    for j in range(8):
+        st.on_update("S", (2, 21 + j), 1)
+    lp_s = _light_part(st, "S")
+    assert list(lp_s.content.indexes[lp_s.key_positions]) == [(1,), (2,)]
+    assert list(key_degrees(lp_s.content.entries, lp_s.key_positions)) == [(2,), (1,)]
+    moved = _spy(monkeypatch, "_move_key", st)
+    rebuilt = _spy(monkeypatch, "_repartition", st)
+    for row in fillers:
+        st.on_update("R", row, -1)
+        if st.counters.major_rebalances:
+            break
+    assert (st.N, st.M, st.counters.major_rebalances) == (24, 49, 1)  # threshold 7
+    assert [(key, insert) for _, _, key, insert in moved] == [((1,), False), ((2,), False)]
+    assert rebuilt == [] and lp_s.content.size == 0
+    _assert_fresh(st, q, 0.5)
+    st.check_invariants(deep=True)
+    assert st.result_multiset() == brute_force_eval(q, st.db_snapshot())
+
+
+@pytest.mark.parametrize("eps", EPS_GRID)
+@pytest.mark.parametrize("name", sorted(SUITE))
+def test_no_update_writes_h_deltas_that_cancel(name, eps):
+    # a key that enters (or leaves) All and L in one update never touches H:
+    # each triple's H is settled once per pass, after the All and light
+    # passes.  Skewed inserts from the empty database, then deletes of half
+    # of the tuples, so keys enter and leave both ways and majors and
+    # minors run in between
+    q = parse(name)
+    st = preprocess(q, {s: {} for s in q.symbols()}, eps, mode="dynamic")
+    support = {t.support_name for t in st.triples}
+    for triple in st.triples:  # what lets the light pass run before H's
+        above_h = {id(n) for n, _, _ in st.dag.leaf_paths[triple.support_name]}
+        for lp in triple.light_parts:
+            assert not above_h & {id(n) for n, _, _ in st.dag.leaf_paths[lp.name]}
+    writes: list[tuple[str, dict]] = []
+    apply = st._apply
+
+    def spy(dag, leaf_name, delta):
+        if leaf_name in support:
+            writes.append((leaf_name, delta))
+        return apply(dag, leaf_name, delta)
+
+    st._apply = spy
+    trace = skewed_trace(q, 400, seed=zlib.crc32(name.encode()))
+    rng = random.Random(zlib.crc32(f"{name}:{eps}".encode()))
+    deletes = [(sym, row, -1) for sym, row, _ in rng.sample(trace, len(trace) // 2)]
+    cancelled = 0
+    for sym, row, mult in trace + deletes:
+        writes.clear()
+        st.on_update(sym, row, mult)
+        net: dict[tuple, list[int]] = {}
+        for leaf_name, delta in writes:
+            for key, m in delta.items():
+                net.setdefault((leaf_name, key), []).append(m)
+        cancelled += sum(1 for ms in net.values() if len(ms) > 1 and sum(ms) == 0)
+    assert cancelled == 0
+    assert st.counters.major_rebalances > 0
+    st.check_invariants(deep=True)
+    assert st.result_multiset() == brute_force_eval(q, st.db_snapshot())
 
 
 # share of a random trace's inserts on its hot key (see ``run_trace``): with

@@ -76,6 +76,70 @@ def test_register_index_backfills_existing_entries():
     assert r.count((1,), ("b",)) == 1
 
 
+def _layout(r):
+    return (list(r.entries.items()),
+            {pos: [(key, list(bucket)) for key, bucket in index.items()]
+             for pos, index in r.indexes.items()})
+
+
+def test_load_replaces_the_content_in_bulk():
+    r = make_rel(schema=("A", "B"))
+    r.register_index((0,))
+    r.register_index((1,))
+    r.delta(("old", 9), 1)
+    entries, indexes = r.entries, dict(r.indexes)
+    get = r.entries.get  # as a bound join kernel holds it
+    before = r.counters.storage_ops
+    r.load({("b", 1): 2, ("a", 2): 0, ("a", 1): 1, ("c", 2): 3, ("b", 2): -1})
+    # the zero is skipped; the dicts are the same objects, refilled
+    assert r.entries is entries
+    assert all(r.indexes[pos] is index for pos, index in indexes.items())
+    assert get(("c", 2)) == 3 and get(("old", 9)) is None
+    # rows, keys and buckets in the order of the loaded entries
+    assert _layout(r) == (
+        [(("b", 1), 2), (("a", 1), 1), (("c", 2), 3), (("b", 2), -1)],
+        {(0,): [(("b",), [("b", 1), ("b", 2)]), (("a",), [("a", 1)]), (("c",), [("c", 2)])],
+         (1,): [((1,), [("b", 1), ("a", 1)]), ((2,), [("c", 2), ("b", 2)])]})
+    # one op per row, plus one per row and index
+    assert r.counters.storage_ops - before == 4 * (1 + 2)
+    assert r.indexes == r.rebuilt_indexes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                       st.integers(-2, 3), max_size=30))
+def test_load_equals_one_add_per_nonzero_row(rows):
+    """``load`` leaves what a cleared relation would hold after adding the
+    nonzero rows one at a time, in order, and counts as many ops."""
+    loaded, added = make_rel(), make_rel()
+    for r in (loaded, added):
+        r.register_index((1,))
+        r.delta((9, 9), 1)
+    loaded_ops, added_ops = loaded.counters.storage_ops, added.counters.storage_ops
+    loaded.load(rows)
+    added.clear()
+    for row, m in rows.items():
+        if m:
+            added.add({row: m})
+    assert _layout(loaded) == _layout(added)
+    assert loaded.counters.storage_ops - loaded_ops == added.counters.storage_ops - added_ops
+
+
+def test_degrees_are_index_bucket_sizes_in_key_order():
+    # the key index keeps a key where its first row came; the entries drop
+    # a deleted row, so counting over them puts that key later
+    r = make_rel(base=True)
+    r.register_index((0,))
+    for row in ((1, 10), (2, 20), (1, 11)):
+        r.delta(row, 1)
+    r.delta((1, 10), -1)
+    assert list(r.degrees((0,)).items()) == [((1,), 1), ((2,), 1)]
+    assert list(key_degrees(r.entries, (0,)).items()) == [((2,), 1), ((1,), 1)]
+    # no index on the whole schema: one per row, in entry order
+    assert r.degrees((0, 1)) == {(2, 20): 1, (1, 11): 1}
+    assert r.degrees((1, 0)) == {(20, 2): 1, (11, 1): 1}
+
+
 def test_strict_partition_threshold():
     r = make_rel(schema=("A", "B"))
     pos = r.positions(["B"])
@@ -90,6 +154,23 @@ def test_strict_partition_threshold():
     assert r.counters.storage_ops - before == r.size  # one pass; degrees came given
     everything = strict_partition(r, pos, 100, degrees)
     assert everything == dict(r.entries)
+
+
+def test_strict_partition_keeps_entry_order():
+    # the heavy key's rows are deleted from a copy of the entries, so the
+    # light rows keep their order, though their keys interleave
+    r = make_rel(schema=("A", "B"))
+    pos = r.positions(["B"])
+    r.register_index(pos)
+    rows = [("x0", "hot"), ("y", "b"), ("x1", "hot"), ("z", "a"), ("w", "b"), ("x2", "hot")]
+    for row in rows:
+        r.delta(row, 1)
+    light = strict_partition(r, pos, 3, r.degrees(pos))
+    assert list(light) == [("y", "b"), ("z", "a"), ("w", "b")]
+    assert list(strict_partition(r, pos, 4, r.degrees(pos)).items()) == list(r.entries.items())
+    # keyed on the whole schema (no index): every degree is 1
+    assert strict_partition(r, (1, 0), 1, r.degrees((1, 0))) == {}
+    assert list(strict_partition(r, (1, 0), 2, r.degrees((1, 0)))) == rows
 
 
 def test_strict_partition_heavy_key_count_bound():
