@@ -625,8 +625,8 @@ class EngineState:
 
     def check_invariants(self, deep: bool = False) -> None:
         """Raise :class:`InvariantViolationError` unless the size invariant,
-        the relaxed partition conditions and every H support hold (with
-        ``deep``, also every view's content)."""
+        the relaxed partition conditions and every H support hold, every H
+        entry is 1 (with ``deep``, also every view's content)."""
         if self.mode == "dynamic" and not self.M // 4 <= self.N < self.M:
             raise InvariantViolationError(
                 f"size invariant broken: M={self.M} N={self.N}")
@@ -653,6 +653,8 @@ class EngineState:
             h_supp = set(triple.h_content.entries)
             if h_supp != all_supp - light_supp:
                 raise InvariantViolationError(f"{triple.h_name}: support mismatch")
+            if any(m != 1 for m in triple.h_content.entries.values()):
+                raise InvariantViolationError(f"{triple.h_name}: an entry is not 1")
         if deep:
             self._check_contents()
 

@@ -95,10 +95,10 @@ class EnumInfo:
     """Static per-node facts and compiled projections used by the iterators
     (computed once)."""
 
-    __slots__ = ("ctx_order", "scope", "out_schema", "covering", "set_semantics",
-                 "heavy_idx", "h_positions", "h_key", "range_positions",
-                 "range_key", "out_of", "slots", "compose", "plan", "plan_ops",
-                 "selector", "selector_rows", "h_varying")
+    __slots__ = ("ctx_order", "scope", "out_schema", "covering", "heavy_idx",
+                 "h_positions", "h_key", "range_positions", "range_key",
+                 "out_of", "slots", "compose", "plan", "plan_ops", "selector",
+                 "selector_rows", "h_varying")
 
     def __init__(self) -> None:
         self.heavy_idx = None
@@ -123,7 +123,6 @@ def annotate(root: ViewNode, free: frozenset[str],
     info = EnumInfo()
     root.enum = info
     info.ctx_order = info.scope = ctx_order
-    info.set_semantics = root.semantics == "set"
     schema, ctx_vars = root.schema, set(ctx_order)
     info.range_positions = root.content.positions(ctx_vars & set(schema))
 
@@ -204,8 +203,8 @@ def _compile_plan(info: EnumInfo, node: ViewNode) -> list[tuple[ViewNode, tuple[
     an output variable comes from ``t``, any other from the scope, which
     holds each of them (a child's scope is its parent's scope and row, and
     a variable bound below is bound in that prefix).  ``ops`` counts the
-    gets up to and including the entry; a covering multiset view's
-    multiplicity multiplies, any other entry only has to be nonzero.
+    gets up to and including the entry; a covering view's multiplicity
+    multiplies, any other entry only has to be nonzero.
     Returns the view entries' nodes and key positions, in plan order."""
     scope, out = info.scope, info.out_schema
     in_scope = {v: scope.index(v) for v in scope}
@@ -228,8 +227,7 @@ def _compile_plan(info: EnumInfo, node: ViewNode) -> list[tuple[ViewNode, tuple[
             raise InvariantViolationError(f"{n.name}: view key not bound by context") from None
         ops += 1
         views.append((n, key))
-        plan.append((n.content.entries.get, projection(key),
-                     e.covering and not e.set_semantics, ops, None))
+        plan.append((n.content.entries.get, projection(key), e.covering, ops, None))
         if not e.covering:
             for k, c in enumerate(e.slots):
                 visit(c, path + (k,))
@@ -297,7 +295,6 @@ def _odometer(slots: list, outs: list, ctx: tuple) -> bool:
         if hole == 0:
             return False
         slot = slots[hole]
-        slot.close()
         slot.open(ctx)
         outs[hole] = slot.next()
         outs[hole - 1] = slots[hole - 1].next()
@@ -355,7 +352,8 @@ class TreeIter:
     def open(self, ctx: tuple) -> None:
         """Open under ``ctx``, a tuple laid out by ``enum.ctx_order``
         (``enum.scope`` for a bucket).  A bucket stays *pending*: it holds
-        its scope and starts nothing until :meth:`_start`."""
+        its scope and starts nothing until :meth:`_start`.  Reopening needs
+        no :meth:`close`: this resets every field a reopened one reads."""
         self._ctx = ctx
         self.opened = True
         self.buckets = self.by_key = self.children = self.child_outs = None
@@ -412,7 +410,6 @@ class TreeIter:
             return
         self.child_ctx = ctx = self._ctx + self.current[0]
         for ch in self.children:
-            ch.close()
             ch.open(ctx)
         self.child_outs = [ch.next() for ch in self.children]
 

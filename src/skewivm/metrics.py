@@ -5,10 +5,11 @@ observable we track is the number of storage primitives (dictionary lookups,
 inserts, deletes and index-scan steps), not wall-clock time.  Every primitive
 in :mod:`skewivm.storage` increments ``storage_ops`` exactly once.  Two
 routines count the same primitives in bulk.  The join fold of
-:func:`skewivm.viewtree.run_join` is a kernel generated per plan shape: each
-step tallies its ops in a local (one per lookup, one per index-bucket fetch
-plus one per row it yields, one per entry of a full scan) and adds the
-tally, once per fold, to the ``Counters`` of the relation it reads.
+:func:`skewivm.viewtree.run_join` is a kernel generated per plan shape: it
+tallies its steps' ops in one local (one per lookup, one per index-bucket
+fetch plus one per row it yields, one per entry of a full scan) and adds
+it, once per fold, to the ``Counters`` of its start relation, in a state
+the one ``Counters`` every relation counts on.
 :meth:`skewivm.storage.Relation.add` writes a view delta in one call (one
 per row, plus one per index for each entry it creates or removes).  So the
 totals do not depend on which path did the work.

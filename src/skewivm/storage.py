@@ -7,10 +7,10 @@ sub-tuple keys to the matching entries.  All primitives are constant time
 by exactly one, which is what the counter-based complexity tests measure.
 Three routines count the same primitives in bulk.  The join fold of
 :func:`skewivm.viewtree.run_join` runs a kernel generated for its plan's
-shape, which reads entries and index buckets directly and tallies each
-step's ops in a local (one op per lookup, one per bucket fetch plus one per
-scanned row, one per entry of a cross product), then adds the tally, once
-per fold, to the counters of the relation that step reads.
+shape, which reads entries and index buckets directly, tallies its steps'
+ops in one local (one op per lookup, one per bucket fetch plus one per
+scanned row, one per entry of a cross product) and adds it, once per fold,
+to the counters of its start relation, which a state's relations share.
 :meth:`Relation.add` writes a whole view delta in one call (one op per row,
 plus one per index for each entry it creates or removes, as :meth:`delta`).
 :meth:`Relation.load`, the one bulk writer of a whole content (base
@@ -96,10 +96,6 @@ class Relation:
     def get(self, row: Row) -> int:
         self.counters.storage_ops += 1
         return self.entries.get(row, 0)
-
-    def __contains__(self, row: Row) -> bool:
-        self.counters.storage_ops += 1
-        return row in self.entries
 
     def delta(self, row: Row, m: int) -> None:
         """Add multiplicity ``m`` to ``row``; drop the entry when it hits 0.

@@ -5,7 +5,7 @@ canonical variable order, single-node creation with the same-schema collapse
 rule, auxiliary aggregation views for dynamic maintenance, indicator triples
 (All / L / H) for bound join variables, and the top-level skew-aware
 splitter that forks into a light strategy over partitioned relations and
-heavy strategies gated by set-semantics indicators.
+heavy strategies gated by the H indicators, sets of heavy keys.
 
 Nodes built here carry no data.  The builders may return one node object in
 several places; :func:`intern` then turns a forest into a DAG with one node
@@ -28,7 +28,7 @@ from .vorder import VariableOrder
 # node kinds
 ATOM = "base-atom"
 LIGHT = "light-part"
-HEAVY_REF = "indicator-heavy"  # set-semantics H support used inside a tree
+HEAVY_REF = "indicator-heavy"  # H support used inside a tree: each key once, as 1
 JOIN = "join-view"
 AUX = "aux-view"
 
@@ -36,16 +36,15 @@ AUX = "aux-view"
 class ViewNode:
     """One view in a tree: a join of its children projected to ``schema``."""
 
-    __slots__ = ("name", "schema", "kind", "semantics", "children", "content",
-                 "leaf_name", "enum", "plan")
+    __slots__ = ("name", "schema", "kind", "children", "content", "leaf_name",
+                 "enum", "plan")
 
     def __init__(self, name: str, schema: tuple[str, ...], kind: str,
                  children: list["ViewNode"] | None = None,
-                 semantics: str = "multiset", leaf_name: str | None = None):
+                 leaf_name: str | None = None):
         self.name = name
         self.schema = schema
         self.kind = kind
-        self.semantics = semantics
         self.children = children or []
         self.content: Relation | None = None
         self.leaf_name = leaf_name  # delta dispatch key for leaves
@@ -55,6 +54,11 @@ class ViewNode:
     @property
     def is_leaf(self) -> bool:
         return not self.children
+
+    @property
+    def semantics(self) -> str:
+        """``"set"`` for an H leaf (each key once, as 1), else ``"multiset"``."""
+        return "set" if self.kind == HEAVY_REF else "multiset"
 
     def postorder(self) -> list["ViewNode"]:
         out: list[ViewNode] = []
@@ -139,7 +143,7 @@ def light_leaf(lp: LightPart) -> ViewNode:
 
 def heavy_ref_leaf(triple: IndicatorTriple) -> ViewNode:
     return ViewNode(triple.support_name, triple.keys, HEAVY_REF,
-                    semantics="set", leaf_name=triple.support_name)
+                    leaf_name=triple.support_name)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +268,7 @@ def tau(ctx: BuildContext, node) -> list[ViewNode]:
 def intern(root: ViewNode, table: dict) -> ViewNode:
     """The node ``table`` holds for the subtree at ``root``, interning it
     first if it is new.  A leaf is keyed by its ``leaf_name``, a view by its
-    schema, semantics and interned children, so a view equals another when
+    schema and interned children, so a view equals another when
     it computes the same relation; kind and name stay out of the key, and
     a new node keeps its own.  Children are interned in place, in
     postorder.
@@ -278,7 +282,7 @@ def intern(root: ViewNode, table: dict) -> ViewNode:
     else:
         plan = materialize_plan(root)
         root.children = [intern(c, table) for c in root.children]
-        key = (root.schema, root.semantics, tuple(id(c) for c in root.children))
+        key = (root.schema, tuple(id(c) for c in root.children))
     node = table.get(key)
     if node is None:
         node = table[key] = root
@@ -301,7 +305,6 @@ class JoinStep:
     child_positions: tuple[int, ...]  # key positions in the child schema
     acc_positions: tuple[int, ...]  # matching positions in the accumulator
     new_positions: tuple[int, ...]  # child positions appended to the accumulator
-    is_set: bool = False  # the child has set semantics: nonzero counts as 1
 
 
 @dataclass(frozen=True)
@@ -316,40 +319,40 @@ class JoinPlan:
     def bind(self, children: list[ViewNode]) -> None:
         """Bind the plan, once, to the relations of ``children`` (the
         children of the one view the plan belongs to): the kernel of the
-        plan's shape (see :func:`kernel_source`) is given each step's
-        ``get`` (a lookup's ``entries.get``, an index scan's ``index.get``),
-        entries and counters.  A relation keeps its ``entries`` and index
-        dicts for its lifetime, ``load`` and ``clear`` included, so the
-        binding stays valid; a scan step whose index is not registered
-        raises :class:`UnregisteredIndexError` here."""
+        plan's shape (see :func:`kernel_source`) is given the start child's
+        counters and each step's ``get`` (a lookup's ``entries.get``, an
+        index scan's ``index.get``) and entries.  A relation keeps its
+        ``entries`` and index dicts for its lifetime, ``load`` and ``clear``
+        included, so the binding stays valid; a scan step whose index is
+        not registered raises :class:`UnregisteredIndexError` here."""
         object.__setattr__(self, "fold", _bind(self, children))
 
 
 def plan_shape(plan: JoinPlan) -> tuple:
     """What the plan's kernel is generated from: the start-row width, each
-    step's kind (lookup, index scan or cross product), positions and set
-    flag, and the output positions.  Integers and kinds only."""
+    step's kind (lookup, index scan or cross product) and positions, and
+    the output positions.  Integers and kinds only."""
     width = len(plan.acc_schema) - sum(len(s.new_positions) for s in plan.steps)
     steps = tuple(("lookup" if s.mode == "lookup" else "index" if s.child_positions
-                   else "cross", s.acc_positions, s.new_positions, s.is_set)
-                  for s in plan.steps)
+                   else "cross", s.acc_positions, s.new_positions) for s in plan.steps)
     return width, steps, plan.out_positions
 
 
 def kernel_source(shape: tuple) -> str:
     """Python source of the kernel factory for ``shape`` (a
-    :func:`plan_shape`).  ``factory(g0, e0, k0, g1, ...)`` takes, per step,
-    the ``get`` it calls, the entries it reads and the counters it credits,
-    and returns ``fold(rows)``.  The steps are nested loops over the start
-    rows and the rows each scan yields; every key and output row is a tuple
-    display of the start row's values (``a0, a1, ...``) and of scanned child
-    rows (``c1[0]``).  Step ``j`` tallies its ops in ``nj`` and adds them
-    to ``kj`` once at the end: one per row that reaches it, plus the size
-    of an index bucket it fetches, or, for a cross product, the child's
-    entries per row instead.  Where the output keeps every accumulated
-    position, distinct start rows give distinct output rows, and each is
-    stored as it is made; otherwise their multiplicities are summed and a
-    zero sum dropped."""
+    :func:`plan_shape`).  ``factory(counters, g0, e0, g1, ...)`` takes the
+    counters the fold credits and, per step, the ``get`` it calls and the
+    entries it reads, and returns ``fold(rows)``.  The steps are nested
+    loops over the start rows and the rows each scan yields; every key and
+    output row is a tuple display of the start row's values (``a0, a1,
+    ...``) and of scanned child rows (``c1[0]``), and every multiplicity
+    is the product of the start row's and each step's.  The fold tallies
+    its ops in ``n`` and adds them to ``counters`` once at the end: per
+    step, one per row that reaches it, plus the size of an index bucket it
+    fetches, or, for a cross product, the child's entries per row instead.
+    Where the output keeps every accumulated position, distinct start rows
+    give distinct output rows, and each is stored as it is made; otherwise
+    their multiplicities are summed and a zero sum dropped."""
     width, steps, out_positions = shape
     expr = [f"a{p}" for p in range(width)]  # accumulator position -> value
     whole = {tuple(range(width)): "r"} if width else {}
@@ -369,27 +372,25 @@ def kernel_source(shape: tuple) -> str:
     def emit(*texts: str) -> None:
         body.extend("    " * depth + text for text in texts)
 
-    for j, (kind, acc_positions, new_positions, is_set) in enumerate(steps):
+    for j, (kind, acc_positions, new_positions) in enumerate(steps):
         factor = f"x{j}"
         if kind == "cross":
             if j:
-                emit(f"n{j} += len(e{j})")
-            emit(f"for c{j} in e{j}:" if is_set else f"for c{j}, x{j} in e{j}.items():")
+                emit(f"n += len(e{j})")
+            emit(f"for c{j}, x{j} in e{j}.items():")
             whole[tuple(range(len(expr), len(expr) + len(new_positions)))] = f"c{j}"
         else:
             if j:
-                emit(f"n{j} += 1")
+                emit("n += 1")
             if kind == "lookup":
                 emit(f"x{j} = g{j}({display(acc_positions)})", f"if not x{j}:", "    continue")
             else:
                 emit(f"b{j} = g{j}({display(acc_positions)})", f"if not b{j}:", "    continue",
-                     f"n{j} += len(b{j})", f"for c{j} in b{j}:")
+                     f"n += len(b{j})", f"for c{j} in b{j}:")
                 factor = f"e{j}[c{j}]"
         if kind != "lookup":
             depth += 1
             expr.extend(f"c{j}[{p}]" for p in new_positions)
-        if is_set:
-            continue
         if j == len(steps) - 1:  # the output takes it as it is
             mult = f"{mult} * {factor}"
         else:
@@ -402,16 +403,16 @@ def kernel_source(shape: tuple) -> str:
         emit(f"k = {key}", "if k in out:", f"    v = out[k] + {mult}", "    if v:",
              "        out[k] = v", "    else:", "        del out[k]", "else:",
              f"    out[k] = {mult}")
-    args = ", ".join(f"g{j}, e{j}, k{j}" for j in range(len(steps)))
-    lines = [f"def factory({args}):", "    def fold(rows):", "        out = {}"]
-    for j, (kind, *_) in enumerate(steps):
-        start = "0" if j else "len(rows) * len(e0)" if kind == "cross" else "len(rows)"
-        lines.append(f"        n{j} = {start}")
+    args = "".join(f", g{j}, e{j}" for j in range(len(steps)))
+    lines = [f"def factory(counters{args}):", "    def fold(rows):", "        out = {}"]
+    if steps:  # a plan with no steps projects its start rows and reads nothing
+        lines.append(f"        n = len(rows){' * len(e0)' if steps[0][0] == 'cross' else ''}")
     lines.append("        for r, m in rows:")
     if unpack:
         lines.append(f"            {', '.join(expr[:width])}, = r")
     lines += body
-    lines += [f"        k{j}.storage_ops += n{j}" for j in range(len(steps))]
+    if steps:
+        lines.append("        counters.storage_ops += n")
     lines += ["        return out", "    return fold", ""]
     return "\n".join(lines)
 
@@ -433,7 +434,7 @@ def _factory(shape: tuple) -> Callable:
 
 def _bind(plan: JoinPlan, children: list[ViewNode]) -> Callable:
     """The kernel of ``plan``'s shape over the relations of ``children``."""
-    args: list = []
+    args: list = [children[plan.start_index].content.counters]
     for step in plan.steps:
         rel = children[step.child_index].content
         if step.mode == "lookup":
@@ -446,7 +447,7 @@ def _bind(plan: JoinPlan, children: list[ViewNode]) -> Callable:
             get = index.get
         else:
             get = None
-        args += (get, rel.entries, rel.counters)
+        args += (get, rel.entries)
     return _factory(plan_shape(plan))(*args)
 
 
@@ -470,8 +471,7 @@ def _plan_steps(children: list[ViewNode], start: int,
             acc_pos = tuple(acc.index(cs[p]) for p in child_pos)
             new_pos = tuple(p for p, v in enumerate(cs) if v not in acc)
             acc.extend(cs[p] for p in new_pos)
-        steps.append(JoinStep(i, mode, child_pos, acc_pos, new_pos,
-                              child.semantics == "set"))
+        steps.append(JoinStep(i, mode, child_pos, acc_pos, new_pos))
     out_positions = tuple(acc.index(v) for v in view_schema)
     return JoinPlan(start, tuple(steps), tuple(acc), out_positions)
 
@@ -510,11 +510,12 @@ def run_join(plan: JoinPlan, children: list[ViewNode],
     ``children`` for this call.
 
     The kernel reads the children's entries and index buckets directly and
-    adds to ``Counters.storage_ops`` in bulk what the storage primitives
-    would count one by one, crediting the counters of the relation each
-    step reads: a lookup is one ``get``, an index scan is one bucket fetch
-    plus one per matching row, and a scan with no shared positions is one
-    per entry of the child, for each row that reaches the step.  Rows are
+    adds to the start child's ``Counters.storage_ops``, in one sum, what
+    the storage primitives would count one by one: a lookup is one
+    ``get``, an index scan is one bucket fetch plus one per matching row,
+    and a scan with no shared positions is one per entry of the child, for
+    each row that reaches the step.  An H leaf, all 1s, multiplies as any
+    child does.  Rows are
     made depth first, in the order a step-by-step fold makes them, so the
     result's insertion order is that fold's too."""
     fold = plan.fold
@@ -526,14 +527,9 @@ def run_join(plan: JoinPlan, children: list[ViewNode],
 def materialize_node(node: ViewNode, plan: JoinPlan) -> None:
     """Recompute ``node.content`` from the children (leaves untouched); the
     full scan of the outer child counts one op per entry."""
-    outer = node.children[plan.start_index]
-    rel = outer.content
+    rel = node.children[plan.start_index].content
     rel.counters.storage_ops += len(rel.entries)
-    if outer.semantics == "set":
-        start = [(row, 1) for row in rel.entries]
-    else:
-        start = rel.entries.items()
-    node.content.load(run_join(plan, node.children, start))
+    node.content.load(run_join(plan, node.children, rel.entries.items()))
 
 
 # ---------------------------------------------------------------------------

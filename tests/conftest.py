@@ -136,3 +136,34 @@ def run_trace(state, q: ConjunctiveQuery, rng: random.Random, steps: int,
 
 def parse(name: str) -> ConjunctiveQuery:
     return parse_query(SUITE[name])
+
+
+def reference_run_join(plan, children, start_rows):
+    """The join fold written over the storage primitives (``Relation.get``
+    and the ``Relation.scan`` generator), each counting one op on the
+    relation it reads: what a generated kernel must return and count."""
+    out: dict[tuple, int] = {}
+    rows = [(row, m) for row, m in start_rows]
+    for step in plan.steps:
+        rel = children[step.child_index].content
+        next_rows = []
+        if step.mode == "lookup":
+            for row, m in rows:
+                cm = rel.get(tuple(row[p] for p in step.acc_positions))
+                if cm:
+                    next_rows.append((row, m * cm))
+        else:
+            for row, m in rows:
+                key = tuple(row[p] for p in step.acc_positions)
+                for crow, cm in rel.scan(step.child_positions, key):
+                    next_rows.append(
+                        (row + tuple(crow[p] for p in step.new_positions), m * cm))
+        rows = next_rows
+    for row, m in rows:
+        key = tuple(row[p] for p in plan.out_positions)
+        new = out.get(key, 0) + m
+        if new:
+            out[key] = new
+        elif key in out:
+            del out[key]
+    return out

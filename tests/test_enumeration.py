@@ -418,7 +418,7 @@ def _reference_lookup(it: TreeIter, assign: dict) -> tuple[int, int, int]:
     key = tuple(merged[v] for v in it.node.schema)
     m = it.node.content.entries.get(key, 0)
     if info.covering:
-        return ((1 if m else 0) if it.node.semantics == "set" else m), 1, 1
+        return m, 1, 1
     if m == 0:
         return 0, 1, 1
     total = ref_ops = ops = 1

@@ -27,10 +27,10 @@ from skewivm.errors import (
 )
 from skewivm.oracle import brute_force_eval
 from skewivm.query import parse_query
-from skewivm.storage import iceil, key_degrees, projection
+from skewivm.storage import iceil, key_degrees
 from skewivm.viewtree import ATOM, JOIN, ViewNode
 
-from conftest import EPS_GRID, SUITE, parse, run_trace
+from conftest import EPS_GRID, SUITE, parse, reference_run_join, run_trace
 
 
 # ---------------------------------------------------------------------------
@@ -549,54 +549,8 @@ def test_update_trace_tracks_oracle():
     assert st.counters.minor_rebalances > 0
 
 
-def _unbound_run_join(plan, children, start_rows):
-    """The join fold before plans were bound: it reads each child's entries
-    and indexes when it runs and counts in bulk as ``run_join`` does."""
-    rows = list(start_rows)
-    for step in plan.steps:
-        if not rows:
-            return {}
-        rel = children[step.child_index].content
-        entries = rel.entries
-        key_of, is_set = projection(step.acc_positions), step.is_set
-        extend = projection(step.new_positions)
-        ops = len(rows)
-        next_rows = []
-        if step.mode == "lookup":
-            for row, m in rows:
-                cm = entries.get(key_of(row))
-                if cm:
-                    next_rows.append((row, m if is_set else m * cm))
-        elif step.child_positions:
-            index = rel.indexes[step.child_positions]
-            for row, m in rows:
-                bucket = index.get(key_of(row))
-                if bucket:
-                    ops += len(bucket)
-                    for crow in bucket:
-                        next_rows.append((row + extend(crow),
-                                          m if is_set else m * entries[crow]))
-        else:
-            ops *= len(entries)
-            for row, m in rows:
-                for crow, cm in entries.items():
-                    next_rows.append((row + extend(crow), m if is_set else m * cm))
-        rel.counters.storage_ops += ops
-        rows = next_rows
-    out = {}
-    project = projection(plan.out_positions)
-    for row, m in rows:
-        key = project(row)
-        new = out.get(key, 0) + m
-        if new:
-            out[key] = new
-        elif key in out:
-            del out[key]
-    return out
-
-
 def _reference_apply(self, dag, leaf_name, delta):
-    """``EngineState._apply`` over the unbound fold, writing each view
+    """``EngineState._apply`` over the reference fold, writing each view
     delta row by row with ``Relation.delta``."""
     out = []
     if not delta:
@@ -604,7 +558,7 @@ def _reference_apply(self, dag, leaf_name, delta):
     for node, plan, src in dag.leaf_paths.get(leaf_name, ()):
         current = delta if src < 0 else out[src]
         if current:
-            current = _unbound_run_join(plan, node.children, current.items())
+            current = reference_run_join(plan, node.children, current.items())
             for row, m in current.items():
                 node.content.delta(row, m)
         out.append(current)
@@ -654,7 +608,7 @@ def _pinned_replay(q, eps, db, replay, reference, m_override=None):
 def test_compiled_propagation_matches_the_unbound_path():
     # bound plans, the one-row fold and one write per view delta change no
     # count and no content: every update of a skewed trace costs what it
-    # did over the unbound fold with per-row writes, on every query and eps
+    # does over the reference fold with per-row writes, on every query and eps
     minors = major_moves = 0
     for name in SUITE:
         q = parse(name)
@@ -826,6 +780,18 @@ def test_corrupted_h_support_raises_invariant_violation():
         st.check_invariants()
 
 
+def test_h_entry_other_than_one_raises_invariant_violation():
+    # the join folds multiply by H's entries, so each must be 1; B=7 is heavy
+    db = {"R": {(a, 7): 1 for a in range(4)}, "S": {(7, 5): 1}}
+    st = preprocess(parse("chain2"), db, 0.5, mode="dynamic")
+    (triple,) = st.triples
+    assert triple.h_content.entries == {(7,): 1}
+    st.check_invariants(deep=True)
+    triple.h_content.entries[(7,)] = 2
+    with pytest.raises(InvariantViolationError, match="H_B"):
+        st.check_invariants()
+
+
 def test_diverged_occurrence_relation_raises_invariant_violation():
     q = parse_query("Q(A) = R(A,B), R(B,C).")
     st = preprocess(q, {"R": {(1, 2): 1, (2, 3): 1}}, 0.5, mode="dynamic")
@@ -882,10 +848,17 @@ def test_invariant_checks_survive_python_O():
         "    ViewTree(ViewNode('V', ('A',), JOIN, leaves), 't0')\n"
         "except InvariantViolationError:\n"
         "    print('caught')\n"
+        "st = preprocess(parse_query('Q(A,C) = R(A,B), S(B,C).'),\n"
+        "                {'R': {(a, 7): 1 for a in range(4)}, 'S': {(7, 5): 1}}, 0.5)\n"
+        "st.triples[0].h_content.entries[(7,)] = 2\n"
+        "try:\n"
+        "    st.check_invariants()\n"
+        "except InvariantViolationError as e:\n"
+        "    print('caught', 'H_B' in str(e))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["caught", "caught"]
+    assert out.stdout.split() == ["caught", "caught", "caught", "True"]

@@ -212,10 +212,13 @@ def test_index_consistency_fuzz(ops):
 
 
 def test_exists_semantics_via_membership():
+    # membership is a nonzero get, or a count on the whole schema, one op each
     r = make_rel()
     r.delta(("a", "b"), 4)
-    assert (("a", "b") in r) is True
-    assert (("a", "c") in r) is False
+    before = r.counters.storage_ops
+    assert r.get(("a", "b")) != 0 and r.get(("a", "c")) == 0
+    assert r.count((0, 1), ("a", "b")) == 1 and r.count((0, 1), ("a", "c")) == 0
+    assert r.counters.storage_ops - before == 4
 
 
 def test_iceil_boundaries():
