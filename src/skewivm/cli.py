@@ -1,8 +1,12 @@
 """Command-line entry points: analyze, run, bench.
 
-Exit codes: 0 success, 1 query syntax error or data error (a bad relation
-file, input multiplicity, epsilon or update line), 2 non-hierarchical
-query, 3 verification failure, 4 rejected delete.
+Exit codes, the same for every subcommand: 0 success, 1 query syntax error
+or data error (a bad relation file, input multiplicity, epsilon or update
+line, or a file that cannot be read), 2 non-hierarchical query, 3
+verification failure, 4 rejected delete.  The subcommands let errors
+propagate; :func:`main` alone maps each to its exit code and a one-line
+message on stderr.  ``analyze`` also reports a syntax error and a
+non-hierarchical query as JSON on stdout.
 """
 
 from __future__ import annotations
@@ -85,25 +89,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_run(args) -> int:
-    try:
-        q = _read_query(args.query)
-    except QuerySyntaxError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
-    try:
-        db = load_database(q, args.data)
-    except EngineError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
+    q = _read_query(args.query)
+    db = load_database(q, args.data)
     mode = "dynamic" if args.updates else "static"
-    try:
-        state = preprocess(q, db, args.epsilon, mode=mode)
-    except NotHierarchicalError as exc:
-        print(f"not hierarchical: {exc}", file=sys.stderr)
-        return EXIT_NOT_HIERARCHICAL
-    except EngineError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
+    state = preprocess(q, db, args.epsilon, mode=mode)
 
     def verify() -> bool:
         try:
@@ -111,29 +100,14 @@ def cmd_run(args) -> int:
         except TooLargeError as exc:
             print(f"verification skipped: {exc}", file=sys.stderr)
             want = None
-        try:
-            if mode == "dynamic":
-                state.check_invariants()
-            return want is None or state.result_multiset() == want
-        except InvariantViolationError as exc:
-            print(f"invariant violated: {exc}", file=sys.stderr)
-            return False
+        if mode == "dynamic":
+            state.check_invariants()
+        return want is None or state.result_multiset() == want
 
     applied = 0
     if args.updates:
-        updates = read_updates(args.updates, q)
-        while True:
-            try:
-                update = next(updates, None)
-                if update is None:
-                    break
-                state.on_update(*update)
-            except RejectedDeleteError as exc:
-                print(f"rejected delete: {exc}", file=sys.stderr)
-                return EXIT_REJECTED
-            except (EngineError, OSError) as exc:
-                print(f"data error: {exc}", file=sys.stderr)
-                return EXIT_SYNTAX
+        for update in read_updates(args.updates, q):
+            state.on_update(*update)
             applied += 1
             if args.verify and args.checkpoint_every and applied % args.checkpoint_every == 0:
                 if not verify():
@@ -165,15 +139,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    try:
-        q = _read_query(args.query)
-    except QuerySyntaxError as exc:
-        print(f"syntax error: {exc}", file=sys.stderr)
-        return EXIT_SYNTAX
-    pair = hierarchy_violation(q)
-    if pair is not None:
-        print(f"not hierarchical: {pair}", file=sys.stderr)
-        return EXIT_NOT_HIERARCHICAL
+    q = _read_query(args.query)
     sizes = [int(s) for s in args.bench_sizes.split(",")]
     epsilons = [float(e) for e in args.epsilon_grid.split(",")]
     print(",".join(BenchRow.field_order))
@@ -221,9 +187,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# what main reports for an error a subcommand raises: the first entry
+# whose class matches gives the stderr prefix and the exit code
+FAILURES = (
+    (QuerySyntaxError, "syntax error", EXIT_SYNTAX),
+    (NotHierarchicalError, "not hierarchical", EXIT_NOT_HIERARCHICAL),
+    (InvariantViolationError, "invariant violated", EXIT_VERIFY),
+    (RejectedDeleteError, "rejected delete", EXIT_REJECTED),
+    ((EngineError, OSError), "data error", EXIT_SYNTAX),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (EngineError, OSError) as exc:
+        prefix, code = next((prefix, code) for cls, prefix, code in FAILURES
+                            if isinstance(exc, cls))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -26,8 +26,25 @@ def _candidate_files(data_dir: Path, symbol: str, occurrences: list[int]) -> lis
     return [data_dir / n for n in names if (data_dir / n).exists()]
 
 
+def _parse_row(cells: list[str], arity: int, where: str, symbol: str) -> tuple[Row, int]:
+    """``cells``, stripped values with an optional trailing integer
+    multiplicity (default 1), as an interned row and its multiplicity;
+    ``where`` (``path:line`` or ``update line N``) starts each message."""
+    mult = 1
+    if len(cells) == arity + 1:
+        try:
+            mult = int(cells[-1])
+        except ValueError as exc:
+            raise EngineError(f"{where}: bad multiplicity {cells[-1]!r}") from exc
+        cells = cells[:-1]
+    if len(cells) != arity:
+        raise EngineError(
+            f"{where}: {len(cells)} values for arity-{arity} relation {symbol}")
+    return tuple(sys.intern(c) for c in cells), mult
+
+
 def load_relation_csv(path: Path, schema: tuple[str, ...]) -> Multiset:
-    arity = len(schema)
+    symbol = path.name.split(".")[0]  # R.csv or R.<occurrence>.csv
     out: Multiset = {}
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -41,18 +58,7 @@ def load_relation_csv(path: Path, schema: tuple[str, ...]) -> Multiset:
         cells = [c.strip() for c in raw]
         if not cells or cells == [""]:
             continue
-        if len(cells) == arity:
-            mult = 1
-        elif len(cells) == arity + 1:
-            try:
-                mult = int(cells[-1])
-            except ValueError as exc:
-                raise EngineError(f"{path}:{lineno}: bad multiplicity {cells[-1]!r}") from exc
-            cells = cells[:-1]
-        else:
-            raise EngineError(
-                f"{path}:{lineno}: {len(cells)} columns for arity-{arity} relation")
-        row = tuple(sys.intern(c) for c in cells)
+        row, mult = _parse_row(cells, len(schema), f"{path}:{lineno}", symbol)
         out[row] = out.get(row, 0) + mult
     return {r: m for r, m in out.items() if m != 0}
 
@@ -89,19 +95,7 @@ def parse_update_line(line: str, lineno: int,
     symbol = fields[0]
     if symbol not in arities:
         raise MissingRelationError(f"update line {lineno}: unknown relation {symbol}")
-    arity = arities[symbol]
-    values = fields[1:]
-    mult = 1
-    if len(values) == arity + 1:
-        try:
-            mult = int(values[-1])
-        except ValueError as exc:
-            raise EngineError(f"update line {lineno}: bad multiplicity") from exc
-        values = values[:-1]
-    if len(values) != arity:
-        raise EngineError(
-            f"update line {lineno}: {len(values)} values for arity-{arity} relation {symbol}")
-    row = tuple(sys.intern(v) for v in values)
+    row, mult = _parse_row(fields[1:], arities[symbol], f"update line {lineno}", symbol)
     return symbol, row, sign * abs(mult)
 
 

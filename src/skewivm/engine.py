@@ -265,7 +265,7 @@ class EngineState:
                         raise EngineError(f"{sym}: nonpositive input multiplicity for {row}")
         for sym in symbols:
             first, *later = self.query.occurrences(sym)
-            rel = Relation(sym, first.schema, counters, base=True)
+            rel = Relation(sym, first.schema, counters)
             rel.load(db[sym])  # no index yet: one op per row, as a delta
             self.base[sym] = rel
             self.atom_rels[first.name] = rel
@@ -391,7 +391,7 @@ class EngineState:
 
         routes = self._routes[symbol]
         pre = self._light_path_conditions(routes, row)
-        rel.delta(row, mult)
+        rel.add({row: mult})
         if old == 0:
             self.N += 1
         elif old + mult == 0:
@@ -401,7 +401,7 @@ class EngineState:
             # a later self-join occurrence turns new just before its own
             # pass: each pass sees earlier occurrences new, later ones old
             if occurrence_rel is not rel:
-                occurrence_rel.delta(row, mult)
+                occurrence_rel.add({row: mult})
             self._update_trees(leaf_name, pairs, row, mult, light)
 
         if self.N == self.M:
@@ -449,7 +449,7 @@ class EngineState:
             d_all = self._update_ind_tree(triple.all_root, key, count)
             d_light = 0
             if on_light:
-                lp.content.delta(row, mult)
+                lp.content.add(delta)
                 d_light = self._light_pass(triple, lp, delta, key)
             self._settle_h(triple, key, d_all, d_light)
 
@@ -463,15 +463,13 @@ class EngineState:
         return self._update_ind_tree(triple.light_root, key, before)
 
     def _apply(self, dag: ViewDag, leaf_name: str, delta: Multiset) -> list[Multiset]:
-        """Propagate ``delta`` from the leaf through every view above it,
-        writing each view's delta into its relation in one call; returns
-        the deltas in the order of ``dag.leaf_paths[leaf_name]`` (empty
-        where a delta died out, and no step at all for an unknown leaf).
-        The caller has already written ``delta`` into the relation the leaf
-        reads."""
+        """Propagate ``delta``, nonempty, from the leaf through every view
+        above it, writing each view's delta into its relation in one call;
+        returns the deltas in the order of ``dag.leaf_paths[leaf_name]``
+        (empty where a delta died out, and no step at all for an unknown
+        leaf).  The caller has already written ``delta`` into the relation
+        the leaf reads."""
         out: list[Multiset] = []
-        if not delta:
-            return out
         append = out.append
         for node, plan, src in dag.leaf_paths.get(leaf_name, ()):
             current = delta if src < 0 else out[src]
@@ -515,19 +513,19 @@ class EngineState:
     def _h_all_change(self, triple: IndicatorTriple, key: Row, d_all: int) -> Multiset:
         if d_all == 0 or triple.light_root.content.get(key) != 0:
             return {}
-        triple.h_content.delta(key, d_all)
-        return {key: d_all}
+        d_h = {key: d_all}
+        triple.h_content.add(d_h)
+        return d_h
 
     def _h_light_change(self, triple: IndicatorTriple, key: Row, d_light: int) -> Multiset:
-        if d_light == 0:
-            return {}
         # a key entering L leaves H if H has it; one leaving L enters H if
         # All has it
         holder = triple.h_content if d_light > 0 else triple.all_root.content
         if holder.get(key) == 0:
             return {}
-        triple.h_content.delta(key, -d_light)
-        return {key: -d_light}
+        d_h = {key: -d_light}
+        triple.h_content.add(d_h)
+        return d_h
 
     # -- rebalancing -----------------------------------------------------
 
@@ -595,9 +593,9 @@ class EngineState:
         part, one signed single-tuple delta at a time."""
         rows = list(lp.base.scan(lp.key_positions, key))
         for row, base_mult in rows:
-            cnt = base_mult if insert else -base_mult
-            lp.content.delta(row, cnt)
-            self._settle_h(triple, key, 0, self._light_pass(triple, lp, {row: cnt}, key))
+            delta = {row: base_mult if insert else -base_mult}
+            lp.content.add(delta)
+            self._settle_h(triple, key, 0, self._light_pass(triple, lp, delta, key))
 
     # ------------------------------------------------------------------
     # reads

@@ -10,8 +10,8 @@ tallies its steps' ops in one local (one per lookup, one per index-bucket
 fetch plus one per row it yields, one per entry of a full scan) and adds
 it, once per fold, to the ``Counters`` of its start relation, in a state
 the one ``Counters`` every relation counts on.
-:meth:`skewivm.storage.Relation.add` writes a view delta in one call (one
-per row, plus one per index for each entry it creates or removes).  So the
+:meth:`skewivm.storage.Relation.add` writes a delta of any size in one call
+(one per row, plus one per index for each entry it creates or removes).  So the
 totals do not depend on which path did the work.
 """
 

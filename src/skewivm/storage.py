@@ -11,8 +11,11 @@ shape, which reads entries and index buckets directly, tallies its steps'
 ops in one local (one op per lookup, one per bucket fetch plus one per
 scanned row, one per entry of a cross product) and adds it, once per fold,
 to the counters of its start relation, which a state's relations share.
-:meth:`Relation.add` writes a whole view delta in one call (one op per row,
-plus one per index for each entry it creates or removes, as :meth:`delta`).
+:meth:`Relation.add`, the one incremental writer, writes a delta of any
+number of rows in one call: one op per row, plus one per index for each
+entry it creates or removes.  It checks nothing; the engine's input
+boundary (``preprocess`` and ``EngineState.on_update``) has already checked
+every row's arity and multiplicity.
 :meth:`Relation.load`, the one bulk writer of a whole content (base
 relations, light parts, materialized views, H), writes all rows with one
 ``dict.update``, fills each index in one pass and adds ``rows * (1 +
@@ -25,8 +28,10 @@ buckets.  Every bulk routine keeps the order of entries, index keys and
 buckets that one-row writes in the same order would give; enumeration order
 depends on it.
 
-Base relations only ever hold strictly positive multiplicities; views may go
-negative transiently while a delta propagates.
+Base relations only ever hold strictly positive multiplicities, because
+``on_update`` rejects a delete that would leave one nonpositive before it
+writes anything; views may go negative transiently while a delta
+propagates.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ import math
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, Mapping
 
-from .errors import ArityMismatchError, RejectedDeleteError, UnregisteredIndexError
+from .errors import UnregisteredIndexError
 from .metrics import Counters
 
 Value = Any
@@ -55,13 +60,11 @@ def projection(positions: tuple[int, ...]):
 class Relation:
     """A multiset of fixed-arity tuples with registered prefix indexes."""
 
-    __slots__ = ("name", "schema", "base", "entries", "indexes", "keyed", "counters")
+    __slots__ = ("name", "schema", "entries", "indexes", "keyed", "counters")
 
-    def __init__(self, name: str, schema: tuple[str, ...], counters: Counters,
-                 base: bool = False):
+    def __init__(self, name: str, schema: tuple[str, ...], counters: Counters):
         self.name = name
         self.schema = schema
-        self.base = base
         self.entries: dict[Row, int] = {}
         # positions tuple -> {key tuple -> {row -> None}}
         self.indexes: dict[tuple[int, ...], dict[Row, dict[Row, None]]] = {}
@@ -97,26 +100,10 @@ class Relation:
         self.counters.storage_ops += 1
         return self.entries.get(row, 0)
 
-    def delta(self, row: Row, m: int) -> None:
-        """Add multiplicity ``m`` to ``row``; drop the entry when it hits 0.
-        Checks the arity, and on a base relation that the multiplicity
-        stays positive, then writes through :meth:`add`."""
-        if m == 0:
-            return
-        if len(row) != len(self.schema):
-            raise ArityMismatchError(
-                f"{self.name}: tuple arity {len(row)} != schema arity {len(self.schema)}")
-        if self.base:
-            new = self.entries.get(row, 0) + m
-            if new < 0:
-                raise RejectedDeleteError(
-                    f"{self.name}: delete of {row} by {m} would leave multiplicity {new}")
-        self.add({row: m})
-
     def add(self, delta: dict[Row, int]) -> None:
         """Write ``delta``, ``row -> nonzero multiplicity``, in one call: one
         op per row, plus one per index for each entry created or removed.
-        Views take their deltas this way, unchecked; they may go negative."""
+        Unchecked: a view may go negative."""
         entries, keyed = self.entries, self.keyed
         get = entries.get
         moved = 0  # entries created or removed
@@ -162,10 +149,9 @@ class Relation:
             yield row, self.entries[row]
 
     def count(self, positions: tuple[int, ...], key: Row) -> int:
-        """|sigma_{positions=key}| in constant time."""
+        """|sigma_{positions=key}| in constant time; ``positions`` is never
+        empty (the engine counts by a light part's key)."""
         self.counters.storage_ops += 1
-        if not positions:
-            return len(self.entries)
         if len(positions) == len(self.schema):
             return 1 if key in self.entries else 0
         index = self.indexes.get(positions)
@@ -182,8 +168,8 @@ class Relation:
             index.clear()
 
     def load(self, entries: Mapping[Row, int]) -> None:
-        """Replace the whole content with the nonzero entries of ``entries``,
-        in their order, in one call: one op per row plus one per registered
+        """Replace the whole content with ``entries``, ``row -> nonzero
+        multiplicity``, in their order, in one call: one op per row plus one per registered
         index, as that many :meth:`add` insertions would count.  The rows
         are written with one ``dict.update`` and each index is filled in one
         pass, keys and buckets in row order.  The ``entries`` and index
@@ -191,8 +177,6 @@ class Relation:
         to them stay valid.  Base loads, light parts, materialized views and
         H all take their content this way."""
         self.clear()
-        if 0 in entries.values():
-            entries = {row: m for row, m in entries.items() if m}
         self.entries.update(entries)
         self.counters.storage_ops += len(entries) * (1 + len(self.keyed))
         for key_of, index in self.keyed:

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +30,7 @@ def demo(tmp_path):
 
 
 QUERY = "Q(A,C) = R(A,B), S(B,C)."
+NON_HIERARCHICAL = "Q(A) = R(A,B), S(B,C), T(C)."
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +86,30 @@ def test_update_line_parsing():
         parse_update_line("+ Z, a", 6, arities)
 
 
+@pytest.mark.parametrize("content, message", [
+    ("x,y,many\n", ":1: bad multiplicity 'many'"),
+    ("x,y\nx,y,1,2\n", ":2: 4 values for arity-2 relation R"),
+], ids=["bad-multiplicity", "column-count"])
+def test_load_database_rejects_a_bad_csv_row(tmp_path, content, message):
+    (tmp_path / "R.csv").write_text(content)
+    (tmp_path / "S.csv").write_text("y,z\n")
+    with pytest.raises(EngineError, match=re.escape(f"{tmp_path / 'R.csv'}{message}")):
+        load_database(parse_query(QUERY), tmp_path)
+
+
+def test_load_database_rejects_disagreeing_occurrence_files(tmp_path):
+    (tmp_path / "R.csv").write_text("x,y\n")
+    (tmp_path / "R.0.csv").write_text("x,z\n")
+    message = f"{tmp_path / 'R.0.csv'}: occurrence file disagrees with {tmp_path / 'R.csv'}"
+    with pytest.raises(EngineError, match=re.escape(message)):
+        load_database(parse_query("Q(A) = R(A,B)."), tmp_path)
+
+
+def test_update_line_rejects_a_bad_multiplicity():
+    with pytest.raises(EngineError, match=re.escape("update line 3: bad multiplicity 'x'")):
+        parse_update_line("+ R, a, b, x", 3, {"R": 2})
+
+
 # ---------------------------------------------------------------------------
 # analyze
 # ---------------------------------------------------------------------------
@@ -122,6 +151,27 @@ def test_analyze_non_hierarchical_exit_2(capsys):
 
 def test_analyze_syntax_error_exit_1(capsys):
     assert main(["analyze", "--query", "Q(A = R(A).", "--json"]) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", "--query", QUERY, "--epsilon", "3"],
+    ["bench", "--query", QUERY, "--bench-sizes", "8", "--epsilon-grid", "2"],
+], ids=["analyze", "bench"])
+def test_epsilon_out_of_range_exit_1(capsys, args):
+    rc = main(args)
+    assert rc == 1
+    assert re.match(r"data error: epsilon \S+ outside \[0, 1\]\n\Z", capsys.readouterr().err)
+
+
+def test_module_entry_point_reports_an_error_without_a_traceback():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-m", "skewivm.cli", "analyze", "--query", QUERY, "--epsilon", "3"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr == "data error: epsilon 3.0 outside [0, 1]\n"
 
 
 def test_analyze_dot_output(tmp_path, capsys):
@@ -180,6 +230,29 @@ def test_run_verify_reports_invariant_violation_exit_3(demo, tmp_path, capsys,
                "--verify"])
     assert rc == 3
     assert "invariant violated: H_B: support mismatch" in capsys.readouterr().err
+
+
+def test_run_verify_failure_at_a_checkpoint_exit_3(demo, tmp_path, capsys, monkeypatch):
+    upd = tmp_path / "u.txt"
+    upd.write_text("+ R, a3, b1\n+ R, a4, b1\n")
+    monkeypatch.setattr("skewivm.cli.brute_force_eval", lambda q, db: {})
+    rc = main(["run", "--query", QUERY, "--data", str(demo), "--updates", str(upd),
+               "--verify", "--checkpoint-every", "1"])
+    assert rc == 3
+    assert capsys.readouterr().err == "verification failed after update 1\n"
+
+
+@pytest.mark.parametrize("command", ["run", "bench"])
+@pytest.mark.parametrize("query, prefix, code", [
+    ("Q(A = R(A).", "syntax error: ", 1),
+    (NON_HIERARCHICAL, "not hierarchical: ", 2),
+], ids=["syntax", "not-hierarchical"])
+def test_query_error_exit_code(demo, capsys, command, query, prefix, code):
+    (demo / "T.csv").write_text("c1\n")
+    extra = ["--data", str(demo)] if command == "run" else ["--bench-sizes", "8"]
+    rc = main([command, "--query", query] + extra)
+    assert rc == code
+    assert capsys.readouterr().err.startswith(prefix)
 
 
 def test_run_over_delete_exit_4(demo, tmp_path, capsys):

@@ -25,7 +25,7 @@ def _covering_member(name: str, entries: dict, schema=("X",)):
     node = ViewNode(name, schema, "join-view")
     node.content = Relation(name, schema, Counters())
     for row, m in entries.items():
-        node.content.delta(row, m)
+        node.content.add({row: m})
     annotate(node, frozenset(schema))
     it = TreeIter(node)
     it.open(())

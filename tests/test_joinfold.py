@@ -84,10 +84,10 @@ def fill(node, rng, negative, values=None):
                         for _ in child.schema)
             if child.kind == HEAVY_REF:
                 if row not in child.content.entries:
-                    child.content.delta(row, 1)
+                    child.content.add({row: 1})
                 continue
             m = rng.choice((-2, -1, 1, 2, 3) if negative else (1, 2, 3))
-            child.content.delta(row, m)
+            child.content.add({row: m})
 
 
 def register(node, plan):
@@ -173,7 +173,7 @@ def test_cases_cover_every_step_kind():
 def test_missing_index_raises():
     counters = Counters()
     node = make_node("index-scan", counters)
-    node.children[1].content.delta((1, 2), 1)
+    node.children[1].content.add({(1, 2): 1})
     plan = delta_plan(node, 0)  # scans child 1 on B, whose index is unregistered
     with pytest.raises(UnregisteredIndexError):
         reference_run_join(plan, node.children, [((0, 1), 1)])
@@ -201,7 +201,7 @@ def test_one_row_lookup_fold_counts_each_step_reached(miss):
     assert [step.child_index for step in plan.steps] == [1, 2, 3]
     for i, row in ((1, (1, 2)), (2, (1,)), (3, (2,))):
         if i != miss:  # an H entry is 1
-            children[i].content.delta(row, 1 if i == 2 else 3)
+            children[i].content.add({row: 1 if i == 2 else 3})
     plan.bind(children)
     start = {(1, 2): 2}
     got = counted(counters, run_join, plan, children, start.items())

@@ -22,6 +22,7 @@ from skewivm.errors import (
     InvalidMultiplicityError,
     InvariantViolationError,
     MissingRelationError,
+    NotHierarchicalError,
     RejectedDeleteError,
     UnhashableValueError,
 )
@@ -560,7 +561,7 @@ def _reference_apply(self, dag, leaf_name, delta):
         if current:
             current = reference_run_join(plan, node.children, current.items())
             for row, m in current.items():
-                node.content.delta(row, m)
+                node.content.add({row: m})
         out.append(current)
     return out
 
@@ -685,6 +686,14 @@ def test_preprocess_validations():
     for m_override in ("7", True, 7.0):
         with pytest.raises(EngineError, match="threshold base"):
             preprocess(q, {"R": {(1, 2): 1}, "S": {}}, 0.5, m_override=m_override)
+    for m_override in (1, 8):  # N = 1 needs M/4 <= N < M
+        with pytest.raises(EngineError, match=f"threshold base {m_override} violates"):
+            preprocess(q, {"R": {(1, 2): 1}, "S": {}}, 0.5, m_override=m_override)
+    with pytest.raises(EngineError, match="unknown mode 'bogus'"):
+        preprocess(q, {"R": {}, "S": {}}, 0.5, mode="bogus")
+    with pytest.raises(NotHierarchicalError) as caught:
+        preprocess("Q(A) = R(A,B), S(B,C), T(C).", {"R": {}, "S": {}, "T": {}}, 0.5)
+    assert caught.value.pair == ("B", "C")
     for rows in ([(1, 2)], {(1, 2)}, None):
         with pytest.raises(EngineError, match="R: .* is not a mapping"):
             preprocess(q, {"R": rows, "S": {}}, 0.5)
@@ -728,6 +737,16 @@ def test_rejected_update_changes_nothing(symbol, row, mult, error):
         st.on_update(symbol, row, mult)
     assert _observable(st) == before
     st.check_invariants(deep=True)
+
+
+def test_zero_multiplicity_update_changes_nothing():
+    st = _chain2_state()
+    it = st.enumerate_result()  # still valid after the no-op updates
+    before, ops = _observable(st), st.counters.storage_ops
+    for row in ((1, 7), (9, 9)):
+        st.on_update("R", row, 0)
+    assert _observable(st) == before and st.counters.storage_ops == ops
+    assert dict(it) == brute_force_eval(st.query, st.db_snapshot()) != {}
 
 
 @pytest.mark.parametrize("mult", (1.5, True, None))
@@ -789,6 +808,45 @@ def test_h_entry_other_than_one_raises_invariant_violation():
     st.check_invariants(deep=True)
     triple.h_content.entries[(7,)] = 2
     with pytest.raises(InvariantViolationError, match="H_B"):
+        st.check_invariants()
+
+
+def _light_part(st, symbol):
+    return next(lp for lp in st.triples[0].light_parts if lp.atom.symbol == symbol)
+
+
+def _overfull_light_key(st):
+    # M = 11: a light key holds at most iceil(1.5 * 11^0.5) - 1 = 4 tuples;
+    # key B=7 holds 2
+    for a in range(10, 13):
+        _light_part(st, "R").content.entries[(a, 7)] = 1
+    return "R#0^B: light key (7,) has degree 5 >= 5"
+
+
+def _light_key_not_in_base(st):
+    _light_part(st, "R").content.entries[(9, 9)] = 1
+    return "R#0^B: light key (9,) not in base"
+
+
+def _underfull_heavy_key(st):
+    # key B=4 has one base tuple, below 0.5 * 11^0.5, so it must be light
+    del _light_part(st, "S").content.entries[(4, 4)]
+    return "S#0^B: heavy key (4,) has base degree 1 < "
+
+
+def _broken_size_invariant(st):
+    st.M = 4 * st.N + 4
+    return "size invariant broken: M=24 N=5"
+
+
+@pytest.mark.parametrize("corrupt", (_overfull_light_key, _light_key_not_in_base,
+                                     _underfull_heavy_key, _broken_size_invariant),
+                         ids=lambda f: f.__name__.lstrip("_"))
+def test_broken_partition_raises_invariant_violation(corrupt):
+    st = _chain2_state()
+    st.check_invariants(deep=True)
+    message = corrupt(st)
+    with pytest.raises(InvariantViolationError, match=re.escape(message)):
         st.check_invariants()
 
 
@@ -855,10 +913,17 @@ def test_invariant_checks_survive_python_O():
         "    st.check_invariants()\n"
         "except InvariantViolationError as e:\n"
         "    print('caught', 'H_B' in str(e))\n"
+        "st.triples[0].h_content.entries[(7,)] = 1\n"
+        "lp = st.triples[0].light_parts[0]\n"
+        "lp.content.entries[(9, 9)] = 1\n"
+        "try:\n"
+        "    st.check_invariants()\n"
+        "except InvariantViolationError as e:\n"
+        "    print('caught', 'not in base' in str(e))\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["caught", "caught", "caught", "True"]
+    assert out.stdout.split() == ["caught", "caught", "caught", "True", "caught", "True"]

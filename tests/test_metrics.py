@@ -23,7 +23,7 @@ def test_primitives_increment_exactly_once():
     assert c.storage_ops == before + 1
 
     before = c.storage_ops
-    r.delta(("a", "b"), 1)  # one entry op + one op per index
+    r.add({("a", "b"): 1})  # one entry op + one op per index
     assert c.storage_ops == before + 2
 
     before = c.storage_ops
@@ -36,12 +36,12 @@ def test_primitives_increment_exactly_once():
     assert c.storage_ops == before + 2
 
     before = c.storage_ops
-    r.delta(("a", "b"), -1)  # removal also touches each index once
+    r.add({("a", "b"): -1})  # removal also touches each index once
     assert c.storage_ops == before + 2
 
-    # a view delta written in one call counts one delta() per row: an
-    # insert and a removal touch the index, an increment does not
-    r.delta(("a", "c"), 2)
+    # a delta of several rows written in one call counts one op per row:
+    # an insert and a removal touch the index too, an increment does not
+    r.add({("a", "c"): 2})
     before = c.storage_ops
     r.add({("a", "b"): 3, ("a", "c"): 1})  # insert + increment
     assert c.storage_ops == before + 2 + 1
@@ -64,10 +64,10 @@ def test_primitives_increment_exactly_once():
 def test_snapshot_and_reset():
     c = Counters()
     r = Relation("R", ("A",), c)
-    r.delta(("x",), 1)
+    r.add({("x",): 1})
     snap = c.snapshot()
     assert snap.storage_ops == c.storage_ops
-    r.delta(("y",), 1)
+    r.add({("y",): 1})
     assert snap.storage_ops < c.storage_ops  # snapshot is a copy
     c.reset()
     assert c.storage_ops == 0 and c.max_update_ops == 0
@@ -92,7 +92,7 @@ def test_cumulative_monotone():
     r = Relation("R", ("A",), c)
     seen = [c.storage_ops]
     for i in range(5):
-        r.delta((i,), 1)
+        r.add({(i,): 1})
         seen.append(c.storage_ops)
     assert seen == sorted(seen)
 
