@@ -1,12 +1,14 @@
 """Command-line entry points: analyze, run, bench.
 
 Exit codes, the same for every subcommand: 0 success, 1 query syntax error
-or data error (a bad relation file, input multiplicity, epsilon or update
-line, or a file that cannot be read), 2 non-hierarchical query, 3
-verification failure, 4 rejected delete.  The subcommands let errors
-propagate; :func:`main` alone maps each to its exit code and a one-line
-message on stderr.  ``analyze`` also reports a syntax error and a
-non-hierarchical query as JSON on stdout.
+or data error (a bad relation file, input multiplicity, epsilon, bench
+size list or update line, or a file that cannot be read), 2
+non-hierarchical query, 3 verification failure, 4 rejected delete, 5
+usage error (an unknown option, a missing or malformed argument; the usage
+line, then ``usage error: ...``).  The subcommands let errors propagate;
+:func:`main` alone maps each to its exit code and a one-line message on
+stderr.  ``analyze`` also reports a syntax error and a non-hierarchical
+query as JSON on stdout.
 """
 
 from __future__ import annotations
@@ -45,6 +47,21 @@ EXIT_SYNTAX = 1
 EXIT_NOT_HIERARCHICAL = 2
 EXIT_VERIFY = 3
 EXIT_REJECTED = 4
+EXIT_USAGE = 5
+
+
+class UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, subcommand parsers included, that raises
+    :class:`UsageError` after printing its usage line, where argparse would
+    exit with code 2, the code of a non-hierarchical query."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
 
 
 def _read_query(spec: str) -> ConjunctiveQuery:
@@ -138,19 +155,31 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _numbers(option: str, text: str, kind: type) -> list:
+    try:
+        return [kind(item) for item in text.split(",")]
+    except ValueError:
+        raise EngineError(f"{option} {text!r} is not a comma-separated list of "
+                          f"{kind.__name__}s") from None
+
+
 def cmd_bench(args) -> int:
     q = _read_query(args.query)
-    sizes = [int(s) for s in args.bench_sizes.split(",")]
-    epsilons = [float(e) for e in args.epsilon_grid.split(",")]
+    sizes = _numbers("--bench-sizes", args.bench_sizes, int)
+    epsilons = _numbers("--epsilon-grid", args.epsilon_grid, float)
+    points = (bench_mod.run_point(q, n, eps, args.seed) for eps in epsilons for n in sizes)
+    # the first point runs before the header, so that a bench that cannot
+    # start prints no CSV at all
+    first = next(points)
     print(",".join(BenchRow.field_order))
-    for eps in epsilons:
-        for n in sizes:
-            print(bench_mod.run_point(q, n, eps, args.seed).as_csv())
+    print(first.as_csv())
+    for point in points:
+        print(point.as_csv())
     return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="skewivm",
         description="Skew-aware incremental view maintenance for hierarchical queries")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -195,14 +224,15 @@ FAILURES = (
     (InvariantViolationError, "invariant violated", EXIT_VERIFY),
     (RejectedDeleteError, "rejected delete", EXIT_REJECTED),
     ((EngineError, OSError), "data error", EXIT_SYNTAX),
+    (UsageError, "usage error", EXIT_USAGE),
 )
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (EngineError, OSError) as exc:
+    except (EngineError, OSError, UsageError) as exc:
         prefix, code = next((prefix, code) for cls, prefix, code in FAILURES
                             if isinstance(exc, cls))
         print(f"{prefix}: {exc}", file=sys.stderr)

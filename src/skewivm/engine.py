@@ -3,11 +3,14 @@
 The maintained object is a tuple (epsilon, threshold base M, result view
 trees, indicator triples).  The trees share their views: they are interned
 into one DAG (:class:`ViewDag`) that holds each distinct view once, and a
-leaf delta reaches every view above the leaf in one pass.  Preprocessing at database size N fixes
-M = 2N + 1 and partitions with threshold M^epsilon; updates keep the size
-invariant floor(M/4) <= N < M by doubling or halving M with a *major*
-rebalancing, and keep the relaxed partition conditions per key by migrating
-single keys between light and heavy with *minor* rebalancing.  A major
+leaf delta reaches every view above the leaf in one pass: in dynamic mode,
+each leaf's steps are compiled at preprocessing into one straight-line
+*trigger* that folds every view's delta and writes it into the view's
+relation, with the view's indexes unrolled.  Preprocessing at database
+size N fixes M = 2N + 1 and partitions with threshold M^epsilon; updates
+keep the size invariant floor(M/4) <= N < M by doubling or halving M with
+a *major* rebalancing, and keep the relaxed partition conditions per key by
+migrating single keys between light and heavy with *minor* rebalancing.  A major
 brings every light part to its strict partition at the new threshold: one
 counted degree pass over each base relation and its light part finds the
 keys whose side differs, which move through the same per-tuple path as a
@@ -21,7 +24,7 @@ access, and any open iterator is invalidated by a generation counter.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 
 from . import enumeration
@@ -46,11 +49,11 @@ from .viewtree import (
     JoinPlan,
     LightPart,
     ViewNode,
+    compile_trigger,
     delta_plan,
     forest_dot,
     intern,
     make_context,
-    materialize_node,
     run_join,
     tau,
     tree_to_dict,
@@ -86,7 +89,7 @@ class ViewDag:
     """The interned forest as one DAG: every distinct node once, named
     ``name@tag`` after the first tree that holds it, and per leaf name the
     steps that carry a delta from that leaf to every view above it, across
-    all trees.
+    all trees, and in dynamic mode the trigger compiled from those steps.
 
     A tree holds a leaf name once, so a view has at most one child above a
     given leaf and the views above a leaf form a tree; its steps list each
@@ -119,6 +122,8 @@ class ViewDag:
                 kinds = reads[id(node)] = set().union(*(reads[id(c)] for c in node.children))
                 self.stages[2 if HEAVY_REF in kinds else 1 if LIGHT in kinds else 0].append(node)
         self.leaf_paths: dict[str, list[tuple[ViewNode, JoinPlan, int]]] = {}
+        # leaf name -> trigger(delta), which runs the leaf's steps
+        self.triggers: dict[str, Callable] = {}
 
     def resolve_paths(self, plans: dict[tuple[int, int], JoinPlan]) -> None:
         """Fill ``leaf_paths`` from the delta plans, keyed by (id of the
@@ -134,6 +139,14 @@ class ViewDag:
                     steps.append((parent, plans[id(parent), i], src))
                     stack.append((parent, len(steps) - 1))
             self.leaf_paths[leaf.leaf_name] = steps
+
+    def compile_triggers(self, counters: Counters) -> None:
+        """One trigger per leaf, over its steps in ``leaf_paths`` order (see
+        :func:`skewivm.viewtree.trigger_source`), crediting ``counters``.
+        Each write is unrolled over the indexes its view has now, so this
+        runs once every index is registered."""
+        self.triggers = {leaf_name: compile_trigger(steps, counters)
+                         for leaf_name, steps in self.leaf_paths.items()}
 
 
 @dataclass
@@ -238,6 +251,8 @@ class EngineState:
         for comp in self.components:
             for tree in comp.trees:
                 enumeration.annotate(tree.root, self.query.free, buckets=buckets)
+        if self.mode == "dynamic":
+            self.dag.compile_triggers(self.counters)
 
         self.N = sum(len(db[sym]) for sym in q.symbols())
         self.M = m_override if m_override is not None else 2 * self.N + 1
@@ -295,24 +310,24 @@ class EngineState:
     def _register_plans(self) -> None:
         """Register the indexes every distinct view's materialization plan
         scans and bind the plan to its children's relations; in dynamic
-        mode, also build its delta plans once, register and bind theirs,
-        and resolve the DAG's per-leaf propagation steps."""
+        mode, also build its delta plans once, register the indexes theirs
+        scan, and resolve the DAG's per-leaf propagation steps, which the
+        triggers compile."""
         delta_plans: dict[tuple[int, int], JoinPlan] = {}
         for node in self.dag.views:
-            self._bind_plan(node, node.plan)
+            plans = [node.plan]
             if self.mode == "dynamic":
                 for i in range(len(node.children)):
                     dplan = delta_plans[id(node), i] = delta_plan(node, i)
-                    self._bind_plan(node, dplan)
+                    plans.append(dplan)
+            for plan in plans:
+                for step in plan.steps:
+                    if step.mode == "scan":
+                        node.children[step.child_index].content.register_index(
+                            step.child_positions)
+            node.plan.bind(node.children)
         if self.mode == "dynamic":
             self.dag.resolve_paths(delta_plans)
-
-    @staticmethod
-    def _bind_plan(node: ViewNode, plan: JoinPlan) -> None:
-        for step in plan.steps:
-            if step.mode == "scan":
-                node.children[step.child_index].content.register_index(step.child_positions)
-        plan.bind(node.children)
 
     # -- loading + materialization ------------------------------------
 
@@ -463,22 +478,14 @@ class EngineState:
         return self._update_ind_tree(triple.light_root, key, before)
 
     def _apply(self, dag: ViewDag, leaf_name: str, delta: Multiset) -> list[Multiset]:
-        """Propagate ``delta``, nonempty, from the leaf through every view
-        above it, writing each view's delta into its relation in one call;
-        returns the deltas in the order of ``dag.leaf_paths[leaf_name]``
-        (empty where a delta died out, and no step at all for an unknown
-        leaf).  The caller has already written ``delta`` into the relation
-        the leaf reads."""
-        out: list[Multiset] = []
-        append = out.append
-        for node, plan, src in dag.leaf_paths.get(leaf_name, ()):
-            current = delta if src < 0 else out[src]
-            if current:
-                current = run_join(plan, node.children, current.items())
-                if current:
-                    node.content.add(current)
-            append(current)
-        return out
+        """Propagate ``delta`` from the leaf through every view above it by
+        the leaf's trigger (:meth:`ViewDag.compile_triggers`), which folds
+        each view's delta and writes it into the view's relation; returns
+        the deltas in the order of ``dag.leaf_paths[leaf_name]`` (empty
+        where a delta died out, and no step at all for an unknown leaf).
+        The caller has already written ``delta`` into the relation the leaf
+        reads."""
+        return dag.triggers.get(leaf_name, _no_steps)(delta)
 
     def _update_ind_tree(self, root: ViewNode, key: Row, before: int) -> int:
         """+1/-1 when an indicator root's support of ``key`` appeared/
@@ -624,7 +631,8 @@ class EngineState:
     def check_invariants(self, deep: bool = False) -> None:
         """Raise :class:`InvariantViolationError` unless the size invariant,
         the relaxed partition conditions and every H support hold, every H
-        entry is 1 (with ``deep``, also every view's content)."""
+        entry is 1 (with ``deep``, also every view's content and every
+        relation's indexes)."""
         if self.mode == "dynamic" and not self.M // 4 <= self.N < self.M:
             raise InvariantViolationError(
                 f"size invariant broken: M={self.M} N={self.N}")
@@ -658,7 +666,17 @@ class EngineState:
 
     def _check_contents(self) -> None:
         """Every later self-join occurrence's relation equals its base
-        relation, and every view equals its from-children recomputation."""
+        relation, every view equals its from-children recomputation, and
+        every relation's indexes equal their recomputation from its
+        entries: a trigger writes the indexes a view had when it was
+        compiled, so one registered later would go stale."""
+        relations = [*self.atom_rels.values(), *(node.content for node in self.dag.nodes)]
+        for triple in self.triples:
+            relations.append(triple.h_content)
+            relations.extend(lp.content for lp in triple.light_parts)
+        for rel in {id(rel): rel for rel in relations}.values():
+            if rel.indexes != rel.rebuilt_indexes():
+                raise InvariantViolationError(f"{rel.name}: an index diverged from the entries")
         for atom in self.query.atoms:
             if self.atom_rels[atom.name].entries != self.base[atom.symbol].entries:
                 raise InvariantViolationError(
@@ -714,6 +732,20 @@ class EngineState:
     def dot(self) -> str:
         named = [(t.tag, t.root) for t in self.trees]
         return forest_dot(named, self.triples)
+
+
+def materialize_node(node: ViewNode, plan: JoinPlan) -> None:
+    """Recompute ``node.content`` from the children (leaves untouched) by
+    :func:`run_join`; the full scan of the outer child counts one op per
+    entry."""
+    rel = node.children[plan.start_index].content
+    rel.counters.storage_ops += len(rel.entries)
+    node.content.load(run_join(plan, node.children, rel.entries.items()))
+
+
+def _no_steps(delta: Multiset) -> list[Multiset]:
+    """The trigger of a leaf that no view reads."""
+    return []
 
 
 def _is_int(x: object) -> bool:

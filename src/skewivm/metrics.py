@@ -3,7 +3,7 @@
 The complexity claims of the engine are RAM-model operation counts, so the
 observable we track is the number of storage primitives (dictionary lookups,
 inserts, deletes and index-scan steps), not wall-clock time.  Every primitive
-in :mod:`skewivm.storage` increments ``storage_ops`` exactly once.  Two
+in :mod:`skewivm.storage` increments ``storage_ops`` exactly once.  Three
 routines count the same primitives in bulk.  The join fold of
 :func:`skewivm.viewtree.run_join` is a kernel generated per plan shape: it
 tallies its steps' ops in one local (one per lookup, one per index-bucket
@@ -11,8 +11,10 @@ fetch plus one per row it yields, one per entry of a full scan) and adds
 it, once per fold, to the ``Counters`` of its start relation, in a state
 the one ``Counters`` every relation counts on.
 :meth:`skewivm.storage.Relation.add` writes a delta of any size in one call
-(one per row, plus one per index for each entry it creates or removes).  So the
-totals do not depend on which path did the work.
+(one per row, plus one per index for each entry it creates or removes).
+An update's trigger (:func:`skewivm.viewtree.trigger_source`) runs the
+same folds and writes for every view above a leaf and adds their ops once.
+So the totals do not depend on which path did the work.
 """
 
 from __future__ import annotations

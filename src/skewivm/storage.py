@@ -5,17 +5,24 @@ map and keeps, for every registered proper sub-schema, an index from
 sub-tuple keys to the matching entries.  All primitives are constant time
 (amortized) and each one bumps the owning :class:`~skewivm.metrics.Counters`
 by exactly one, which is what the counter-based complexity tests measure.
-Three routines count the same primitives in bulk.  The join fold of
+Several routines count the same primitives in bulk.  The join fold of
 :func:`skewivm.viewtree.run_join` runs a kernel generated for its plan's
 shape, which reads entries and index buckets directly, tallies its steps'
 ops in one local (one op per lookup, one per bucket fetch plus one per
 scanned row, one per entry of a cross product) and adds it, once per fold,
 to the counters of its start relation, which a state's relations share.
-:meth:`Relation.add`, the one incremental writer, writes a delta of any
-number of rows in one call: one op per row, plus one per index for each
-entry it creates or removes.  It checks nothing; the engine's input
-boundary (``preprocess`` and ``EngineState.on_update``) has already checked
-every row's arity and multiplicity.
+:meth:`Relation.add` writes a delta of any number of rows in one call: one
+op per row, plus one per index for each entry it creates or removes.  The
+engine writes base relations, light parts and H with it.  A view takes its
+update deltas from its leaf's generated trigger
+(:func:`skewivm.viewtree.trigger_source`) instead: ``add`` specialised to
+the view's registered indexes, which writes the entries and index dicts
+directly and counts what ``add`` counts, so an index registered after the
+trigger is compiled would not be maintained (``check_invariants(deep=True)``
+compares every index with :meth:`Relation.rebuilt_indexes`).  Neither checks
+anything; the engine's input boundary (``preprocess`` and
+``EngineState.on_update``) has already checked every row's arity and
+multiplicity.
 :meth:`Relation.load`, the one bulk writer of a whole content (base
 relations, light parts, materialized views, H), writes all rows with one
 ``dict.update``, fills each index in one pass and adds ``rows * (1 +

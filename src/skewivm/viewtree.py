@@ -12,6 +12,11 @@ several places; :func:`intern` then turns a forest into a DAG with one node
 per distinct view.  The engine gives every leaf, as its content, the
 relation it reads (a base relation, a light part or an H support) and every
 distinct view a relation of its own, which it materializes bottom-up.
+
+Join plans run as generated Python, from one emitter of fold lines
+(:func:`fold_lines`): a kernel per plan shape materializes a view, and a
+trigger per leaf path folds each view's delta and writes it into the view.
+Each is compiled once per process per shape.
 """
 
 from __future__ import annotations
@@ -313,7 +318,9 @@ class JoinPlan:
     steps: tuple[JoinStep, ...]
     acc_schema: tuple[str, ...]
     out_positions: tuple[int, ...]  # projection of acc onto the view schema
-    # the plan's kernel over the live dicts of the relations it reads
+    # the plan's kernel over the live dicts of the relations it reads; the
+    # engine binds materialization plans only, as its delta plans run
+    # inside the leaves' triggers
     fold: Callable | None = field(default=None, init=False, repr=False, compare=False)
 
     def bind(self, children: list[ViewNode]) -> None:
@@ -338,21 +345,23 @@ def plan_shape(plan: JoinPlan) -> tuple:
     return width, steps, plan.out_positions
 
 
-def kernel_source(shape: tuple) -> str:
-    """Python source of the kernel factory for ``shape`` (a
-    :func:`plan_shape`).  ``factory(counters, g0, e0, g1, ...)`` takes the
-    counters the fold credits and, per step, the ``get`` it calls and the
-    entries it reads, and returns ``fold(rows)``.  The steps are nested
-    loops over the start rows and the rows each scan yields; every key and
-    output row is a tuple display of the start row's values (``a0, a1,
-    ...``) and of scanned child rows (``c1[0]``), and every multiplicity
-    is the product of the start row's and each step's.  The fold tallies
-    its ops in ``n`` and adds them to ``counters`` once at the end: per
-    step, one per row that reaches it, plus the size of an index bucket it
-    fetches, or, for a cross product, the child's entries per row instead.
-    Where the output keeps every accumulated position, distinct start rows
-    give distinct output rows, and each is stored as it is made; otherwise
-    their multiplicities are summed and a zero sum dropped."""
+def fold_lines(shape: tuple, rows: str, out: str, prefix: str, depth: int) -> list[str]:
+    """Python lines, indented ``depth`` levels, that fold ``rows`` (an
+    expression for sized ``(row, multiplicity)`` pairs) through the plan of
+    ``shape`` (a :func:`plan_shape`) into the dict named ``out``.  Step
+    ``j`` calls the ``get`` named ``{prefix}g{j}`` and reads the entries
+    named ``{prefix}e{j}``.
+
+    The steps are nested loops over the start rows and the rows each scan
+    yields; every key and output row is a tuple display of the start row's
+    values (``a0, a1, ...``) and of scanned child rows (``c1[0]``), and
+    every multiplicity is the product of the start row's and each step's.
+    The lines add their ops to the local ``n``: per step, one per row that
+    reaches it, plus the size of an index bucket it fetches, or, for a
+    cross product, the child's entries per row instead.  Where the output
+    keeps every accumulated position, distinct start rows give distinct
+    output rows, and each is stored as it is made; otherwise their
+    multiplicities are summed and a zero sum dropped."""
     width, steps, out_positions = shape
     expr = [f"a{p}" for p in range(width)]  # accumulator position -> value
     whole = {tuple(range(width)): "r"} if width else {}
@@ -367,29 +376,29 @@ def kernel_source(shape: tuple) -> str:
         return f"({values[0]},)" if len(values) == 1 else f"({', '.join(values)})"
 
     body: list[str] = []
-    depth, mult = 3, "m"
+    level, mult = depth + 1, "m"
 
     def emit(*texts: str) -> None:
-        body.extend("    " * depth + text for text in texts)
+        body.extend("    " * level + text for text in texts)
 
     for j, (kind, acc_positions, new_positions) in enumerate(steps):
-        factor = f"x{j}"
+        get, entries, factor = f"{prefix}g{j}", f"{prefix}e{j}", f"x{j}"
         if kind == "cross":
             if j:
-                emit(f"n += len(e{j})")
-            emit(f"for c{j}, x{j} in e{j}.items():")
+                emit(f"n += len({entries})")
+            emit(f"for c{j}, x{j} in {entries}.items():")
             whole[tuple(range(len(expr), len(expr) + len(new_positions)))] = f"c{j}"
         else:
             if j:
                 emit("n += 1")
             if kind == "lookup":
-                emit(f"x{j} = g{j}({display(acc_positions)})", f"if not x{j}:", "    continue")
+                emit(f"x{j} = {get}({display(acc_positions)})", f"if not x{j}:", "    continue")
             else:
-                emit(f"b{j} = g{j}({display(acc_positions)})", f"if not b{j}:", "    continue",
+                emit(f"b{j} = {get}({display(acc_positions)})", f"if not b{j}:", "    continue",
                      f"n += len(b{j})", f"for c{j} in b{j}:")
-                factor = f"e{j}[c{j}]"
+                factor = f"{entries}[c{j}]"
         if kind != "lookup":
-            depth += 1
+            level += 1
             expr.extend(f"c{j}[{p}]" for p in new_positions)
         if j == len(steps) - 1:  # the output takes it as it is
             mult = f"{mult} * {factor}"
@@ -398,43 +407,127 @@ def kernel_source(shape: tuple) -> str:
             mult = f"m{j}"
     key = display(out_positions)
     if set(out_positions) == set(range(len(expr))):
-        emit(f"out[{key}] = {mult}")
+        emit(f"{out}[{key}] = {mult}")
     else:
-        emit(f"k = {key}", "if k in out:", f"    v = out[k] + {mult}", "    if v:",
-             "        out[k] = v", "    else:", "        del out[k]", "else:",
-             f"    out[k] = {mult}")
-    args = "".join(f", g{j}, e{j}" for j in range(len(steps)))
-    lines = [f"def factory(counters{args}):", "    def fold(rows):", "        out = {}"]
+        emit(f"k = {key}", f"if k in {out}:", f"    v = {out}[k] + {mult}", "    if v:",
+             f"        {out}[k] = v", "    else:", f"        del {out}[k]", "else:",
+             f"    {out}[k] = {mult}")
+    pad = "    " * depth
+    lines = []
     if steps:  # a plan with no steps projects its start rows and reads nothing
-        lines.append(f"        n = len(rows){' * len(e0)' if steps[0][0] == 'cross' else ''}")
-    lines.append("        for r, m in rows:")
+        cross = f" * len({prefix}e0)" if steps[0][0] == "cross" else ""
+        lines.append(f"{pad}n += len({rows}){cross}")
+    lines.append(f"{pad}for r, m in {rows}:")
     if unpack:
-        lines.append(f"            {', '.join(expr[:width])}, = r")
-    lines += body
-    if steps:
-        lines.append("        counters.storage_ops += n")
-    lines += ["        return out", "    return fold", ""]
-    return "\n".join(lines)
+        lines.append(f"{pad}    {', '.join(expr[:width])}, = r")
+    return lines + body
 
 
-# plan shape -> kernel factory, each compiled once per process
+def kernel_source(shape: tuple) -> str:
+    """Python source of the kernel factory for ``shape`` (a
+    :func:`plan_shape`).  ``factory(counters, g0, e0, g1, ...)`` takes the
+    counters the fold credits and, per step, the ``get`` it calls and the
+    entries it reads, and returns ``fold(rows)``: the lines of
+    :func:`fold_lines` into a new dict, their ops added to ``counters``
+    once at the end."""
+    args = "".join(f", g{j}, e{j}" for j in range(len(shape[1])))
+    return "\n".join([f"def factory(counters{args}):", "    def fold(rows):",
+                      "        out = {}", "        n = 0",
+                      *fold_lines(shape, "rows", "out", "", 2),
+                      "        counters.storage_ops += n", "        return out",
+                      "    return fold", ""])
+
+
+def write_lines(delta: str, prefix: str, indexes: tuple[tuple[int, ...], ...],
+                depth: int) -> list[str]:
+    """Python lines, indented ``depth`` levels, that write the dict named
+    ``delta`` into a relation and add to ``n`` what :meth:`Relation.add`
+    counts, as it does: ``{prefix}w`` names the relation's entries,
+    ``{prefix}get`` their ``get`` and ``{prefix}i{q}`` its index on
+    ``indexes[q]``, whose keys are tuple displays of the row's values."""
+    insert: list[str] = []
+    remove: list[str] = []
+    for q, positions in enumerate(indexes):
+        index = f"{prefix}i{q}"
+        values = [f"r[{p}]" for p in positions]
+        key = f"({values[0]},)" if len(values) == 1 else f"({', '.join(values)})"
+        insert += [f"k = {key}", f"b = {index}.get(k)", "if b is None:",
+                   f"    {index}[k] = {{r: None}}", "else:", "    b[r] = None"]
+        remove += [f"k = {key}", f"b = {index}[k]", "del b[r]", "if not b:",
+                   f"    del {index}[k]"]
+    if indexes:  # an entry created or removed touches each index once
+        insert.append(f"n += {len(indexes)}")
+        remove.append(f"n += {len(indexes)}")
+    lines = [f"n += len({delta})", f"for r, m in {delta}.items():",
+             f"    o = {prefix}get(r)", "    if o is None:", f"        {prefix}w[r] = m",
+             *("        " + text for text in insert),
+             "    else:", "        o += m", "        if o:", f"            {prefix}w[r] = o",
+             "        else:", f"            del {prefix}w[r]",
+             *("            " + text for text in remove)]
+    return ["    " * depth + text for text in lines]
+
+
+def trigger_shape(steps: list[tuple[ViewNode, JoinPlan, int]]) -> tuple:
+    """What the trigger of a leaf's ``steps`` (see
+    ``ViewDag.leaf_paths``) is generated from: per step, the shape of its
+    delta plan, the step its source delta comes from (-1 for the leaf) and
+    the positions of each index of the view's relation, in their order."""
+    return tuple((plan_shape(plan), src, tuple(node.content.indexes))
+                 for node, plan, src in steps)
+
+
+def trigger_source(shape: tuple) -> str:
+    """Python source of the trigger factory for ``shape`` (a
+    :func:`trigger_shape`).  ``factory(counters, ...)`` takes the counters
+    the trigger credits and, per step ``i``, the gets and entries its fold
+    reads (``s{i}_g0, s{i}_e0, ...``), the view's entries and their ``get``
+    and the view's index dicts, and returns ``trigger(d)``.  The trigger
+    runs the steps as straight-line code, in order: a step whose source
+    delta (``d``, the leaf's, or ``d{src}``) is empty keeps it as its own
+    delta ``d{i}``; any other folds it into ``d{i}`` (:func:`fold_lines`)
+    and writes a nonempty result into the view (:func:`write_lines`).  The
+    ops of every fold and write go to one local, added to ``counters``
+    once, and the trigger returns the steps' deltas."""
+    args, body = ["counters"], []
+    for i, (plan, src, indexes) in enumerate(shape):
+        prefix = f"s{i}_"
+        args += [f"{prefix}{name}{j}" for j in range(len(plan[1])) for name in "ge"]
+        args += [f"{prefix}w", f"{prefix}get"] + [f"{prefix}i{q}" for q in range(len(indexes))]
+        source = f"d{src}" if src >= 0 else "d"
+        body += [f"if {source}:", f"    d{i} = {{}}",
+                 *fold_lines(plan, f"{source}.items()", f"d{i}", prefix, 1),
+                 f"    if d{i}:", *write_lines(f"d{i}", prefix, indexes, 2),
+                 "else:", f"    d{i} = {source}"]
+    deltas = ", ".join(f"d{i}" for i in range(len(shape)))
+    return "\n".join([f"def factory({', '.join(args)}):", "    def trigger(d):", "        n = 0",
+                      *("        " + text for text in body),
+                      "        counters.storage_ops += n", f"        return [{deltas}]",
+                      "    return trigger", ""])
+
+
+# plan shape -> kernel factory and trigger shape -> trigger factory, each
+# compiled once per process
 _FACTORIES: dict[tuple, Callable] = {}
+_TRIGGERS: dict[tuple, Callable] = {}
 
 
-def _factory(shape: tuple) -> Callable:
-    factory = _FACTORIES.get(shape)
+def _compiled(cache: dict[tuple, Callable], shape: tuple, source: Callable,
+              kind: str) -> Callable:
+    factory = cache.get(shape)
     if factory is None:
         namespace: dict = {}
-        # one file name per shape, so that profiles tell the kernels apart
-        name = f"<join kernel {len(_FACTORIES)}>"
-        exec(compile(kernel_source(shape), name, "exec"), namespace)
-        factory = _FACTORIES[shape] = namespace["factory"]
+        # one file name per shape, so that profiles tell the factories apart
+        name = f"<{kind} {len(cache)}>"
+        exec(compile(source(shape), name, "exec"), namespace)
+        factory = cache[shape] = namespace["factory"]
     return factory
 
 
-def _bind(plan: JoinPlan, children: list[ViewNode]) -> Callable:
-    """The kernel of ``plan``'s shape over the relations of ``children``."""
-    args: list = [children[plan.start_index].content.counters]
+def _fold_args(plan: JoinPlan, children: list[ViewNode]) -> list:
+    """Per step of ``plan``, the ``get`` its fold calls over the relations
+    of ``children`` (a lookup's ``entries.get``, an index scan's
+    ``index.get``) and the entries it reads."""
+    args: list = []
     for step in plan.steps:
         rel = children[step.child_index].content
         if step.mode == "lookup":
@@ -448,7 +541,26 @@ def _bind(plan: JoinPlan, children: list[ViewNode]) -> Callable:
         else:
             get = None
         args += (get, rel.entries)
-    return _factory(plan_shape(plan))(*args)
+    return args
+
+
+def _bind(plan: JoinPlan, children: list[ViewNode]) -> Callable:
+    """The kernel of ``plan``'s shape over the relations of ``children``."""
+    factory = _compiled(_FACTORIES, plan_shape(plan), kernel_source, "join kernel")
+    return factory(children[plan.start_index].content.counters, *_fold_args(plan, children))
+
+
+def compile_trigger(steps: list[tuple[ViewNode, JoinPlan, int]], counters) -> Callable:
+    """The trigger of a leaf's ``steps`` (see :func:`trigger_source`) over
+    the relations they read and write, crediting ``counters``.  It writes
+    each view's indexes as they are now, so every index is registered
+    before it is compiled."""
+    args: list = [counters]
+    for node, plan, _ in steps:
+        rel = node.content
+        args += _fold_args(plan, node.children)
+        args += [rel.entries, rel.entries.get, *rel.indexes.values()]
+    return _compiled(_TRIGGERS, trigger_shape(steps), trigger_source, "trigger")(*args)
 
 
 def _plan_steps(children: list[ViewNode], start: int,
@@ -507,7 +619,10 @@ def run_join(plan: JoinPlan, children: list[ViewNode],
     nonzero multiplicities, as a dict's items, and sized) through the
     plan's steps, returning the aggregated projection.  A bound plan (see
     :meth:`JoinPlan.bind`) runs its kernel; an unbound one is bound to
-    ``children`` for this call.
+    ``children`` for this call.  The engine folds this way to materialize
+    a view and to check one against its recomputation; an update's delta
+    folds run inside the triggers (:func:`trigger_source`), from the same
+    generated lines.
 
     The kernel reads the children's entries and index buckets directly and
     adds to the start child's ``Counters.storage_ops``, in one sum, what
@@ -522,14 +637,6 @@ def run_join(plan: JoinPlan, children: list[ViewNode],
     if fold is None:
         fold = _bind(plan, children)
     return fold(start_rows)
-
-
-def materialize_node(node: ViewNode, plan: JoinPlan) -> None:
-    """Recompute ``node.content`` from the children (leaves untouched); the
-    full scan of the outer child counts one op per entry."""
-    rel = node.children[plan.start_index].content
-    rel.counters.storage_ops += len(rel.entries)
-    node.content.load(run_join(plan, node.children, rel.entries.items()))
 
 
 # ---------------------------------------------------------------------------

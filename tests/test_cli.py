@@ -163,6 +163,22 @@ def test_epsilon_out_of_range_exit_1(capsys, args):
     assert re.match(r"data error: epsilon \S+ outside \[0, 1\]\n\Z", capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("args, message", [
+    (["analyze", "--query", QUERY, "--epsilon", "abc"],
+     "argument --epsilon: invalid float value: 'abc'"),
+    (["run", "--query", QUERY], "the following arguments are required: --data"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' "
+                     "(choose from 'analyze', 'run', 'bench')"),
+], ids=["malformed", "missing", "unknown-command"])
+def test_usage_error_exit_5(capsys, args, message):
+    # a code of its own: argparse's 2 is the non-hierarchical query's
+    assert main(args) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: skewivm")
+    assert captured.err.endswith(f"\nusage error: {message}\n")
+
+
 def test_module_entry_point_reports_an_error_without_a_traceback():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
@@ -340,6 +356,28 @@ def test_bench_csv_shape(capsys):
     assert len(out) == 3
     n_col = [int(line.split(",")[0]) for line in out[1:]]
     assert n_col == sorted(n_col)
+
+
+@pytest.mark.parametrize("option, kind", [("--bench-sizes", "ints"),
+                                          ("--epsilon-grid", "floats")])
+@pytest.mark.parametrize("value", ["x", "8,", "0.5;1"])
+def test_bench_malformed_list_exit_1(capsys, option, kind, value):
+    rc = main(["bench", "--query", QUERY, option, value])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == (f"data error: {option} {value!r} is not a "
+                            f"comma-separated list of {kind}\n")
+
+
+@pytest.mark.parametrize("query, epsilons, code", [
+    (NON_HIERARCHICAL, "0.5", 2),
+    (QUERY, "2,0.5", 1),
+], ids=["not-hierarchical", "epsilon-out-of-range"])
+def test_bench_that_cannot_start_prints_no_csv(capsys, query, epsilons, code):
+    # the first point runs before the header is printed
+    rc = main(["bench", "--query", query, "--bench-sizes", "8", "--epsilon-grid", epsilons])
+    captured = capsys.readouterr()
+    assert rc == code and captured.out == "" and captured.err
 
 
 def test_bench_deterministic_for_fixed_seed(capsys):

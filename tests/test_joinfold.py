@@ -1,9 +1,12 @@
-"""The generated join kernels against the generator-based fold they replaced.
+"""The generated join kernels and triggers against the generator-based
+fold and the per-view writes they replaced.
 
 ``reference_run_join`` (in ``conftest``) and ``reference_materialize`` are
 the fold as it was written over the storage primitives (``Relation.get``
 and the ``Relation.scan`` generator), each bumping ``storage_ops`` once.  A
-kernel must give the same result and count the same ops.
+kernel must give the same result and count the same ops; a trigger must
+give the deltas, contents, index order and ops of that fold followed by
+``Relation.add`` on each view.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import tokenize
 import pytest
 
 from skewivm import viewtree
-from skewivm.engine import EngineState, preprocess
+from skewivm.engine import EngineState, materialize_node, preprocess
 from skewivm.errors import UnregisteredIndexError
 from skewivm.metrics import Counters
 from skewivm.storage import Relation
@@ -26,10 +29,12 @@ from skewivm.viewtree import (
     ViewNode,
     delta_plan,
     kernel_source,
-    materialize_node,
     materialize_plan,
+    compile_trigger,
     plan_shape,
     run_join,
+    trigger_shape,
+    trigger_source,
 )
 
 from conftest import parse, reference_run_join
@@ -100,6 +105,77 @@ def counted(counters, fn, *args):
     before = counters.storage_ops
     out = fn(*args)
     return out, counters.storage_ops - before
+
+
+def reference_trigger(steps, delta):
+    """A trigger's work over the reference fold, each view delta written
+    with ``Relation.add``."""
+    out = []
+    for node, plan, src in steps:
+        current = delta if src < 0 else out[src]
+        if current:
+            current = reference_run_join(plan, node.children, current.items())
+            if current:
+                node.content.add(current)
+        out.append(current)
+    return out
+
+
+def twin(case, node, counters):
+    """A copy of ``node`` of ``case`` counting on ``counters``: every
+    relation registers the same indexes and holds the same entries, in the
+    same order."""
+    copy = make_node(case, counters)
+    for mine, theirs in zip(copy.children + [copy], node.children + [node]):
+        for positions in theirs.content.indexes:
+            mine.content.register_index(positions)
+        mine.content.load(theirs.content.entries)
+    return copy
+
+
+def ordered(rel):
+    """Entries, and per index its keys and buckets, in their order."""
+    return (list(rel.entries.items()),
+            {p: [(k, list(b)) for k, b in ix.items()] for p, ix in rel.indexes.items()})
+
+
+def check_triggers(case, node, counters, rng, values=None):
+    """The one-step trigger of each of ``node``'s delta plans, over a few
+    deltas, against :func:`reference_trigger` on a twin; returns the
+    triggers' sources."""
+    sources = []
+    ref_counters = Counters()
+    ref = twin(case, node, ref_counters)
+    for i in range(len(node.children)):
+        steps = [(node, delta_plan(node, i), -1)]
+        ref_steps = [(ref, delta_plan(ref, i), -1)]
+        trigger = compile_trigger(steps, counters)
+        sources.append(trigger_source(trigger_shape(steps)))
+        for _ in range(3):
+            schema = node.children[i].schema
+            delta = {tuple(rng.randrange(4) if values is None else rng.choice(values)
+                           for _ in schema): rng.choice((-1, 1, 3))
+                     for _ in range(rng.randrange(1, 5))}
+            got = counted(counters, trigger, delta)
+            assert got == counted(ref_counters, reference_trigger, ref_steps, delta)
+            assert ordered(node.content) == ordered(ref.content)
+    assert trigger({}) == [{}]  # an empty delta is skipped
+    return sources
+
+
+@pytest.mark.parametrize("negative", (False, True), ids=("positive", "negative"))
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_trigger_matches_reference_fold_and_add(case, negative):
+    # a view with an index of its own, which each write keeps up to date
+    rng = random.Random(f"trigger:{case}:{negative}")
+    for _ in range(10):
+        counters = Counters()
+        node = make_node(case, counters)
+        for plan in all_plans(node):
+            register(node, plan)
+        node.content.register_index(tuple(range(1, len(node.schema))))
+        fill(node, rng, negative)
+        check_triggers(case, node, counters, rng)
 
 
 @pytest.mark.parametrize("negative", (False, True), ids=("positive", "negative"))
@@ -223,6 +299,7 @@ def test_values_never_reach_the_generated_source(case):
         plans = all_plans(node)
         for plan in plans:
             register(node, plan)
+        node.content.register_index(tuple(range(1, len(node.schema))))
         fill(node, rng, negative, values)
         for plan in plans[:-1]:
             schema = node.children[plan.start_index].schema
@@ -234,8 +311,8 @@ def test_values_never_reach_the_generated_source(case):
         want = dict(node.content.entries)
         assert counted(counters, materialize_node, node, plans[-1]) == (None, want_ops)
         assert node.content.entries == want
-    for plan in plans:
-        source = kernel_source(plan_shape(plan))
+        sources = check_triggers(case, node, counters, rng, values)
+    for source in [kernel_source(plan_shape(plan)) for plan in plans] + sources:
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             assert tok.type != tokenize.STRING, source
             if tok.type == tokenize.NUMBER:
@@ -244,30 +321,38 @@ def test_values_never_reach_the_generated_source(case):
 
 def test_kernels_compile_once_per_shape_and_bind_to_their_own_state(monkeypatch):
     # a second preprocess of a query and a major's rebuild reuse the kernels
-    # compiled for the first preprocess; each state's kernels read only its
-    # own relations.  The database is test_maintenance's rebuilding major.
+    # and triggers compiled for the first preprocess; each state's kernels
+    # and triggers read and write only its own relations.  The database is
+    # test_maintenance's rebuilding major.
     q = parse("semi")
     db = {"R": {(a, b): 1 for b in range(8) for a in range(24)},
           "S": {(b,): 1 for b in range(8)}}
     preprocess(q, db, 0.5, mode="dynamic", m_override=400)
-    compiled = len(viewtree._FACTORIES)
+    compiled = len(viewtree._FACTORIES), len(viewtree._TRIGGERS)
     generated = []
-    source = viewtree.kernel_source
-    monkeypatch.setattr(viewtree, "kernel_source",
-                        lambda shape: generated.append(shape) or source(shape))
+    for name in ("kernel_source", "trigger_source"):
+        source = getattr(viewtree, name)
+        monkeypatch.setattr(viewtree, name,
+                            lambda shape, source=source: generated.append(shape) or source(shape))
     st = preprocess(q, db, 0.5, mode="dynamic", m_override=400)
     other = preprocess(q, db, 0.5, mode="dynamic", m_override=400)
-    assert len(viewtree._FACTORIES) == compiled and generated == []
+    assert (len(viewtree._FACTORIES), len(viewtree._TRIGGERS)) == compiled and generated == []
     for mine, theirs in zip(st.dag.views, other.dag.views):
         assert mine.plan.fold is not theirs.plan.fold
         assert mine.plan.fold.__code__ is theirs.plan.fold.__code__
+    assert st.dag.triggers.keys() == other.dag.triggers.keys() == st.dag.leaf_paths.keys()
+    for leaf_name, mine in st.dag.triggers.items():
+        theirs = other.dag.triggers[leaf_name]
+        assert mine is not theirs and mine.__code__ is theirs.__code__
+        cells = {id(cell.cell_contents) for cell in mine.__closure__}
+        assert cells.isdisjoint(id(cell.cell_contents) for cell in theirs.__closure__)
     untouched = other.fingerprint()
     rebuilds = []
     repartition = EngineState._repartition
 
     def spy(self, parts):
         repartition(self, parts)
-        rebuilds.append(len(viewtree._FACTORIES))
+        rebuilds.append((len(viewtree._FACTORIES), len(viewtree._TRIGGERS)))
 
     monkeypatch.setattr(EngineState, "_repartition", spy)
     i = 0
@@ -278,4 +363,4 @@ def test_kernels_compile_once_per_shape_and_bind_to_their_own_state(monkeypatch)
     st.check_invariants(deep=True)
     assert other.fingerprint() == untouched
     other.check_invariants(deep=True)
-    assert len(viewtree._FACTORIES) == compiled and generated == []
+    assert (len(viewtree._FACTORIES), len(viewtree._TRIGGERS)) == compiled and generated == []

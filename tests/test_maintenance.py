@@ -864,6 +864,48 @@ def _root_with_duplicate_leaf() -> ViewNode:
     return ViewNode("V", ("A",), JOIN, leaves)
 
 
+def test_indexes_stay_maintained_through_updates_rebalancing_and_reads():
+    # a view's trigger writes the indexes the view had when the trigger was
+    # compiled, so no update, minor, major or enumeration open may register
+    # one later: on every query and eps, every index equals its
+    # recomputation at the end of a skewed trace of inserts, then deletes
+    # of half of them, with reads in between
+    minors = 0
+    for name in SUITE:
+        q = parse(name)
+        for eps in EPS_GRID:
+            st = preprocess(q, {s: {} for s in q.symbols()}, eps, mode="dynamic")
+            trace = skewed_trace(q, 300, seed=zlib.crc32(f"index:{name}".encode()))
+            rng = random.Random(zlib.crc32(f"index:{name}:{eps}".encode()))
+            deletes = [(sym, row, -1) for sym, row, _ in rng.sample(trace, len(trace) // 2)]
+            opened = 0
+            for i, (sym, row, mult) in enumerate(trace + deletes):
+                st.on_update(sym, row, mult)
+                if i % 40 == 39:
+                    it = st.enumerate_result()
+                    for _ in range(5):
+                        it.next()
+                    opened += 1
+            assert opened > 0 and st.counters.major_rebalances > 0, (name, eps)
+            st.check_invariants(deep=True)
+            minors += st.counters.minor_rebalances
+    assert minors > 0
+
+
+def test_index_registered_after_the_triggers_raises_invariant_violation():
+    # the triggers keep the indexes they were compiled with; an index
+    # registered later goes stale at the first write to its view
+    st = _chain2_state()
+    node = next(node for node, _, _ in st.dag.leaf_paths["R#0^B"] if len(node.schema) == 2)
+    assert (1,) not in node.content.indexes
+    node.content.register_index((1,))
+    st.check_invariants(deep=True)  # built from the entries, so fresh
+    st.on_update("R", (8, 4), 1)  # B=4 is light: V(A,C) gains (8, 4)
+    with pytest.raises(InvariantViolationError,
+                       match=re.escape(f"{node.name}: an index diverged")):
+        st.check_invariants(deep=True)
+
+
 def test_duplicate_leaf_name_raises_invariant_violation():
     with pytest.raises(InvariantViolationError, match="duplicate leaf R#0"):
         ViewTree(_root_with_duplicate_leaf(), "t0")
