@@ -2,7 +2,7 @@
 
 Exit codes, the same for every subcommand: 0 success, 1 query syntax error
 or data error (a bad relation file, input multiplicity, epsilon, bench
-size list or update line, or a file that cannot be read), 2
+size or list, or update line, or a file that cannot be read), 2
 non-hierarchical query, 3 verification failure, 4 rejected delete, 5
 usage error (an unknown option, a missing or malformed argument; the usage
 line, then ``usage error: ...``).  The subcommands let errors propagate;
@@ -167,14 +167,21 @@ def cmd_bench(args) -> int:
     q = _read_query(args.query)
     sizes = _numbers("--bench-sizes", args.bench_sizes, int)
     epsilons = _numbers("--epsilon-grid", args.epsilon_grid, float)
-    points = (bench_mod.run_point(q, n, eps, args.seed) for eps in epsilons for n in sizes)
-    # the first point runs before the header, so that a bench that cannot
-    # start prints no CSV at all
-    first = next(points)
+    # the whole grid is checked before any point runs, so that a bench that
+    # cannot finish prints no CSV at all
+    pair = hierarchy_violation(q)
+    if pair is not None:
+        raise NotHierarchicalError(pair)
+    for eps in epsilons:
+        if not 0.0 <= eps <= 1.0:  # NaN included
+            raise EngineError(f"epsilon {eps} outside [0, 1]")
+    for n in sizes:
+        if n < 1:
+            raise EngineError(f"bench size {n} is below 1")
     print(",".join(BenchRow.field_order))
-    print(first.as_csv())
-    for point in points:
-        print(point.as_csv())
+    for eps in epsilons:
+        for n in sizes:
+            print(bench_mod.run_point(q, n, eps, args.seed).as_csv())
     return EXIT_OK
 
 

@@ -6,15 +6,22 @@ into one DAG (:class:`ViewDag`) that holds each distinct view once, and a
 leaf delta reaches every view above the leaf in one pass: in dynamic mode,
 each leaf's steps are compiled at preprocessing into one straight-line
 *trigger* that folds every view's delta and writes it into the view's
-relation, with the view's indexes unrolled.  Preprocessing at database
+relation, with the view's indexes unrolled.  Each relation symbol's whole
+update pass is compiled too, into one straight-line *update pass* over the
+symbol's occurrences: the base and light-part writes, the All and L root
+reads, the light-path branch, the H settle and the minor checks.  The
+layers that tracing wraps by name (``_light_path_conditions``, ``_apply``,
+``_update_ind_tree``, ``_h_all_change``, ``_h_light_change``,
+``_minor_rebalancing``) stay methods that the pass calls through the state,
+so each keeps its per-layer span.  Preprocessing at database
 size N fixes M = 2N + 1 and partitions with threshold M^epsilon; updates
 keep the size invariant floor(M/4) <= N < M by doubling or halving M with
 a *major* rebalancing, and keep the relaxed partition conditions per key by
 migrating single keys between light and heavy with *minor* rebalancing.  A major
 brings every light part to its strict partition at the new threshold: one
 counted degree pass over each base relation and its light part finds the
-keys whose side differs, which move through the same per-tuple path as a
-minor; it rebuilds the partition-dependent views from scratch only when
+keys whose side differs, which move through the same per-tuple light step
+as a minor; it rebuilds the partition-dependent views from scratch only when
 moving would cost more than the paper's preprocessing bound.
 
 A single engine state is strictly single-threaded: updates take exclusive
@@ -48,7 +55,9 @@ from .viewtree import (
     IndicatorTriple,
     JoinPlan,
     LightPart,
+    Route,
     ViewNode,
+    compile_pass,
     compile_trigger,
     delta_plan,
     forest_dot,
@@ -61,9 +70,6 @@ from .viewtree import (
 
 Row = tuple
 Multiset = dict[Row, int]
-# one occurrence of a symbol: its leaf name, its relation, and the (triple,
-# light part) pairs that partition it
-Route = tuple[str, Relation, tuple[tuple[IndicatorTriple, LightPart], ...]]
 
 
 class ViewTree:
@@ -195,8 +201,12 @@ class EngineState:
         # for a symbol's first occurrence, one relation of its own for each
         # later occurrence of a self-join
         self.atom_rels: dict[str, Relation] = {}
-        # symbol -> one route per occurrence of it, in query order
-        self._routes: dict[str, tuple[Route, ...]] = {}
+        # symbol -> its generated update pass, and light part name -> its
+        # light step (see :func:`skewivm.viewtree.pass_source`)
+        self._passes: dict[str, Callable] = {}
+        self._light_steps: dict[str, Callable] = {}
+        # (M, evict_at, reinsert_below): the relaxed partition bounds at M
+        self._bounds: tuple[int, int, int] = (0, 0, 0)
         # (static width w, dynamic width delta), computed at the first major
         self._widths: tuple[int, int] | None = None
 
@@ -261,6 +271,8 @@ class EngineState:
                               f"invariant for N={self.N}")
         self._materialize(self.dag.stages[0])
         self._repartition([(lp, d) for _, lp, d, _ in self._unsettled_parts()])
+        if self.mode == "dynamic":
+            self._compile_passes()
 
     def _attach_relations(self, db: dict[str, Multiset]) -> None:
         """Create the base relations, light parts and H supports, give every
@@ -288,7 +300,6 @@ class EngineState:
                 self.atom_rels[atom.name] = Relation(atom.name, atom.schema, counters)
                 self.atom_rels[atom.name].load(rel.entries)
         sources = dict(self.atom_rels)
-        pairs: dict[str, list[tuple[IndicatorTriple, LightPart]]] = {}
         for triple in self.triples:
             triple.h_content = Relation(triple.h_name, triple.keys, counters)
             sources[triple.support_name] = triple.h_content
@@ -297,12 +308,7 @@ class EngineState:
                 lp.content.register_index(lp.key_positions)
                 lp.base = self.base[lp.atom.symbol]
                 lp.base.register_index(lp.key_positions)
-                pairs.setdefault(lp.atom.name, []).append((triple, lp))
                 sources[lp.name] = lp.content
-        for sym in symbols:
-            self._routes[sym] = tuple(
-                (atom.name, self.atom_rels[atom.name], tuple(pairs.get(atom.name, ())))
-                for atom in self.query.occurrences(sym))
         for node in self.dag.nodes:
             node.content = (sources[node.leaf_name] if node.is_leaf
                             else Relation(node.name, node.schema, counters))
@@ -328,6 +334,23 @@ class EngineState:
             node.plan.bind(node.children)
         if self.mode == "dynamic":
             self.dag.resolve_paths(delta_plans)
+
+    def _compile_passes(self) -> None:
+        """One update pass per symbol, over its occurrences in query order,
+        each with the (triple, light part) pairs that partition it, and the
+        light step of every light part (:func:`skewivm.viewtree.compile_pass`).
+        A pass writes the indexes its relations have now, as a trigger does,
+        so this runs once every index is registered."""
+        pairs: dict[str, list[tuple[IndicatorTriple, LightPart]]] = {}
+        for triple in self.triples:
+            for lp in triple.light_parts:
+                pairs.setdefault(lp.atom.name, []).append((triple, lp))
+        for sym, base in self.base.items():
+            routes: list[Route] = [
+                (atom.name, self.atom_rels[atom.name], tuple(pairs.get(atom.name, ())))
+                for atom in self.query.occurrences(sym)]
+            self._passes[sym], steps = compile_pass(self.counters, self.dag, base, routes)
+            self._light_steps.update(steps)
 
     # -- loading + materialization ------------------------------------
 
@@ -381,8 +404,10 @@ class EngineState:
     # ------------------------------------------------------------------
 
     def on_update(self, symbol: str, row: Row, mult: int) -> None:
-        """Process one single-tuple update end to end: delta propagation,
-        indicator maintenance, then major/minor rebalancing as needed."""
+        """Process one single-tuple update end to end: the symbol's update
+        pass (delta propagation, indicator maintenance and, unless a major
+        follows, the minor checks), then a major rebalancing if the size
+        invariant broke."""
         if self.mode != "dynamic":
             raise EngineError("static engine state cannot process updates")
         rel = self.base.get(symbol)
@@ -404,78 +429,31 @@ class EngineState:
         ops_before = self.counters.storage_ops
         self.generation += 1
 
-        routes = self._routes[symbol]
-        pre = self._light_path_conditions(routes, row)
-        rel.add({row: mult})
         if old == 0:
             self.N += 1
         elif old + mult == 0:
             self.N -= 1
-
-        for (leaf_name, occurrence_rel, pairs), light in zip(routes, pre):
-            # a later self-join occurrence turns new just before its own
-            # pass: each pass sees earlier occurrences new, later ones old
-            if occurrence_rel is not rel:
-                occurrence_rel.add({row: mult})
-            self._update_trees(leaf_name, pairs, row, mult, light)
-
-        if self.N == self.M:
-            self.M *= 2
-            self._major_rebalancing()
-        elif self.N < self.M // 4:
-            self.M = self.M // 2 - 1
+        N, M = self.N, self.M
+        if N == M or N < M // 4:
+            self._passes[symbol](self, row, mult, None)
+            self.M = 2 * M if N == M else M // 2 - 1
             self._major_rebalancing()
         else:
-            self._minor_checks(routes, row)
+            bounds = self._bounds
+            if bounds[0] != M:
+                theta = self._theta()
+                bounds = self._bounds = (M, iceil(1.5 * theta), iceil(0.5 * theta))
+            self._passes[symbol](self, row, mult, bounds)
         self.counters.record_update(self.counters.storage_ops - ops_before)
 
-    def _light_path_conditions(self, routes: tuple[Route, ...], row: Row) -> list[list[bool]]:
-        """Pre-update evaluation of the light-path test per governed part,
-        per route and pair: the update belongs to the light part when its
-        key is new to the relation or already present in the light part."""
-        pre = []
-        for _, _, pairs in routes:
-            light = []
-            for _, lp in pairs:
-                key = lp.key_of(row)
-                fresh = lp.base.count(lp.key_positions, key) == 0
-                in_light = lp.content.count(lp.key_positions, key) > 0
-                light.append(fresh or in_light)
-            pre.append(light)
-        return pre
-
-    def _update_trees(self, leaf_name: str, pairs: tuple, row: Row, mult: int,
-                      light: list[bool]) -> None:
-        """One occurrence's pass of the update algorithm, after the
-        occurrence's relation took the update: propagate it through every
-        view above the occurrence's leaf, All roots included, then per
-        affected triple, on the light path (``light``, per pair), the light
-        part's change, and last the triple's H change, settled once from
-        both passes.  No view above a light part reads its triple's H, so
-        the light pass does not depend on when H changes."""
-        delta = {row: mult}
-        keys, before = [], []
-        for triple, lp in pairs:
-            key = lp.key_of(row)
-            keys.append(key)
-            before.append(triple.all_root.content.get(key))
-        self._apply(self.dag, leaf_name, delta)
-        for (triple, lp), key, count, on_light in zip(pairs, keys, before, light):
-            d_all = self._update_ind_tree(triple.all_root, key, count)
-            d_light = 0
-            if on_light:
-                lp.content.add(delta)
-                d_light = self._light_pass(triple, lp, delta, key)
-            self._settle_h(triple, key, d_all, d_light)
-
-    def _light_pass(self, triple: IndicatorTriple, lp: LightPart,
-                    delta: Multiset, key: Row) -> int:
-        """Propagate a change the light part has taken through every view
-        above it, the L root included; returns the L root's support
-        transition at ``key`` (+1/-1/0)."""
-        before = triple.light_root.content.get(key)
-        self._apply(self.dag, lp.name, delta)
-        return self._update_ind_tree(triple.light_root, key, before)
+    def _light_path_conditions(self, conditions: Callable, row: Row) -> tuple[bool, ...]:
+        """Pre-update evaluation of the light-path test, by the symbol's
+        generated ``conditions``, per (triple, light part) pair of each
+        occurrence in query order: the update belongs to the light part
+        when its key is new to the base relation or already present in the
+        light part.  Two counted reads per pair.  The update pass calls it
+        through the state, so that tracing times it as the route layer."""
+        return conditions(row)
 
     def _apply(self, dag: ViewDag, leaf_name: str, delta: Multiset) -> list[Multiset]:
         """Propagate ``delta`` from the leaf through every view above it by
@@ -484,7 +462,9 @@ class EngineState:
         the deltas in the order of ``dag.leaf_paths[leaf_name]`` (empty
         where a delta died out, and no step at all for an unknown leaf).
         The caller has already written ``delta`` into the relation the leaf
-        reads."""
+        reads.  The update passes call it through the state, as they call
+        every other layer that tracing times, so that it stays one call
+        per leaf delta."""
         return dag.triggers.get(leaf_name, _no_steps)(delta)
 
     def _update_ind_tree(self, root: ViewNode, key: Row, before: int) -> int:
@@ -502,20 +482,8 @@ class EngineState:
     # H = the support of All outside the support of L, as a set ({key: 1});
     # the two maintenance entry points mirror the two children of the heavy
     # indicator's defining join.  Each takes a support transition (+1/-1/0)
-    # of All or L at ``key`` and returns the delta it made to H.
-
-    def _settle_h(self, triple: IndicatorTriple, key: Row, d_all: int, d_light: int) -> None:
-        """Write and propagate H's change at ``key`` once both of its
-        triple's passes are done: from L's transition if it has one, else
-        from All's.  L's support lies inside All's, and where every light
-        part holds a key (all of its base tuples) L and All agree on it, so
-        when L's support changes All's changes the same way or not at all:
-        a key that enters (or leaves) All and L in one update never touches
-        H."""
-        d_h = (self._h_light_change(triple, key, d_light) if d_light
-               else self._h_all_change(triple, key, d_all))
-        if d_h:
-            self._apply(self.dag, triple.support_name, d_h)
+    # of All or L at ``key`` and returns the delta it made to H, which the
+    # caller propagates (see :func:`skewivm.viewtree.pass_source`).
 
     def _h_all_change(self, triple: IndicatorTriple, key: Row, d_all: int) -> Multiset:
         if d_all == 0 or triple.light_root.content.get(key) != 0:
@@ -575,19 +543,6 @@ class EngineState:
         for move in moves:
             self._move_key(*move)
 
-    def _minor_checks(self, routes: tuple[Route, ...], row: Row) -> None:
-        m_eps = self._theta()
-        evict_at = iceil(1.5 * m_eps)
-        reinsert_below = iceil(0.5 * m_eps)
-        for _, _, pairs in routes:
-            for triple, lp in pairs:
-                key = lp.key_of(row)
-                in_light = lp.content.count(lp.key_positions, key)
-                if in_light == 0 and 0 < lp.base.count(lp.key_positions, key) < reinsert_below:
-                    self._minor_rebalancing(triple, lp, key, insert=True)
-                elif in_light >= evict_at:
-                    self._minor_rebalancing(triple, lp, key, insert=False)
-
     def _minor_rebalancing(self, triple: IndicatorTriple, lp: LightPart,
                            key: Row, insert: bool) -> None:
         """Migrate one key that crossed its relaxed degree bound."""
@@ -597,12 +552,12 @@ class EngineState:
     def _move_key(self, triple: IndicatorTriple, lp: LightPart,
                   key: Row, insert: bool) -> None:
         """Move every base tuple matching ``key`` into or out of the light
-        part, one signed single-tuple delta at a time."""
-        rows = list(lp.base.scan(lp.key_positions, key))
-        for row, base_mult in rows:
-            delta = {row: base_mult if insert else -base_mult}
-            lp.content.add(delta)
-            self._settle_h(triple, key, 0, self._light_pass(triple, lp, delta, key))
+        part, one signed single-tuple delta at a time, by the light part's
+        generated light step: the step an update on the light path runs,
+        with no All transition."""
+        step = self._light_steps[lp.name]
+        for row, base_mult in list(lp.base.scan(lp.key_positions, key)):
+            step(self, row, base_mult if insert else -base_mult, key, 0)
 
     # ------------------------------------------------------------------
     # reads

@@ -13,8 +13,11 @@ the one ``Counters`` every relation counts on.
 :meth:`skewivm.storage.Relation.add` writes a delta of any size in one call
 (one per row, plus one per index for each entry it creates or removes).
 An update's trigger (:func:`skewivm.viewtree.trigger_source`) runs the
-same folds and writes for every view above a leaf and adds their ops once.
-So the totals do not depend on which path did the work.
+same folds and writes for every view above a leaf and adds their ops once,
+and a symbol's update pass (:func:`skewivm.viewtree.pass_source`) counts
+its one-row writes and its reads of roots and key buckets as the
+primitives would, in one sum per pass.  So the totals do not depend on
+which path did the work.
 """
 
 from __future__ import annotations

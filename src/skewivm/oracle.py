@@ -44,13 +44,9 @@ def brute_force_eval(q: ConjunctiveQuery, db: dict[str, Multiset]) -> Multiset:
             if len(row) != len(atom.schema):
                 raise MissingRelationError(
                     f"{atom.symbol}: arity {len(row)} does not match atom {atom}")
-            ok = True
-            for var, val in zip(atom.schema, row):
-                bound = binding.get(var)
-                if bound is not None and bound != val:
-                    ok = False
-                    break
-            if not ok:
+            # a variable may be bound to None, which is a value like any other
+            if any(var in binding and binding[var] != val
+                   for var, val in zip(atom.schema, row)):
                 continue
             fresh = [v for v, val in zip(atom.schema, row) if v not in binding]
             for v, val in zip(atom.schema, row):

@@ -13,14 +13,18 @@ scanned row, one per entry of a cross product) and adds it, once per fold,
 to the counters of its start relation, which a state's relations share.
 :meth:`Relation.add` writes a delta of any number of rows in one call: one
 op per row, plus one per index for each entry it creates or removes.  The
-engine writes base relations, light parts and H with it.  A view takes its
-update deltas from its leaf's generated trigger
-(:func:`skewivm.viewtree.trigger_source`) instead: ``add`` specialised to
-the view's registered indexes, which writes the entries and index dicts
-directly and counts what ``add`` counts, so an index registered after the
-trigger is compiled would not be maintained (``check_invariants(deep=True)``
-compares every index with :meth:`Relation.rebuilt_indexes`).  Neither checks
-anything; the engine's input boundary (``preprocess`` and
+engine writes H with it.  On the update path every other write is
+generated code: a view takes its deltas from its leaf's trigger
+(:func:`skewivm.viewtree.trigger_source`), and a base relation, a later
+self-join occurrence's relation and a light part take an update's row from
+the symbol's update pass (:func:`skewivm.viewtree.pass_source`).  Each is
+``add`` specialised to the relation's registered indexes: it writes the
+entries and index dicts directly and counts what ``add`` counts, so an
+index registered after the code is compiled would not be maintained
+(``check_invariants(deep=True)`` compares every index with
+:meth:`Relation.rebuilt_indexes`).  The pass also reads key-index buckets
+directly, counting one op per read as :meth:`Relation.count` does.  No
+write checks anything; the engine's input boundary (``preprocess`` and
 ``EngineState.on_update``) has already checked every row's arity and
 multiplicity.
 :meth:`Relation.load`, the one bulk writer of a whole content (base

@@ -16,7 +16,9 @@ distinct view a relation of its own, which it materializes bottom-up.
 Join plans run as generated Python, from one emitter of fold lines
 (:func:`fold_lines`): a kernel per plan shape materializes a view, and a
 trigger per leaf path folds each view's delta and writes it into the view.
-Each is compiled once per process per shape.
+An update pass per relation symbol (:func:`pass_source`) runs a whole
+update around the triggers, with the same one-row writes
+(:func:`write_lines`).  Each is compiled once per process per shape.
 """
 
 from __future__ import annotations
@@ -438,19 +440,21 @@ def kernel_source(shape: tuple) -> str:
                       "    return fold", ""])
 
 
-def write_lines(delta: str, prefix: str, indexes: tuple[tuple[int, ...], ...],
-                depth: int) -> list[str]:
-    """Python lines, indented ``depth`` levels, that write the dict named
-    ``delta`` into a relation and add to ``n`` what :meth:`Relation.add`
-    counts, as it does: ``{prefix}w`` names the relation's entries,
-    ``{prefix}get`` their ``get`` and ``{prefix}i{q}`` its index on
-    ``indexes[q]``, whose keys are tuple displays of the row's values."""
+def _display(positions: tuple[int, ...]) -> str:
+    """A tuple display of the values of the row ``r`` at ``positions``."""
+    values = [f"r[{p}]" for p in positions]
+    return f"({values[0]},)" if len(values) == 1 else f"({', '.join(values)})"
+
+
+def _row_write(prefix: str, indexes: tuple[tuple[int, ...], ...]) -> list[str]:
+    """Unindented lines that write the row ``r`` with multiplicity ``m``
+    into a relation and add to ``n`` the index ops of an entry created or
+    removed (see :func:`write_lines`)."""
     insert: list[str] = []
     remove: list[str] = []
     for q, positions in enumerate(indexes):
         index = f"{prefix}i{q}"
-        values = [f"r[{p}]" for p in positions]
-        key = f"({values[0]},)" if len(values) == 1 else f"({', '.join(values)})"
+        key = _display(positions)
         insert += [f"k = {key}", f"b = {index}.get(k)", "if b is None:",
                    f"    {index}[k] = {{r: None}}", "else:", "    b[r] = None"]
         remove += [f"k = {key}", f"b = {index}[k]", "del b[r]", "if not b:",
@@ -458,12 +462,27 @@ def write_lines(delta: str, prefix: str, indexes: tuple[tuple[int, ...], ...],
     if indexes:  # an entry created or removed touches each index once
         insert.append(f"n += {len(indexes)}")
         remove.append(f"n += {len(indexes)}")
-    lines = [f"n += len({delta})", f"for r, m in {delta}.items():",
-             f"    o = {prefix}get(r)", "    if o is None:", f"        {prefix}w[r] = m",
-             *("        " + text for text in insert),
-             "    else:", "        o += m", "        if o:", f"            {prefix}w[r] = o",
-             "        else:", f"            del {prefix}w[r]",
-             *("            " + text for text in remove)]
+    return [f"o = {prefix}get(r)", "if o is None:", f"    {prefix}w[r] = m",
+            *("    " + text for text in insert),
+            "else:", "    o += m", "    if o:", f"        {prefix}w[r] = o",
+            "    else:", f"        del {prefix}w[r]",
+            *("        " + text for text in remove)]
+
+
+def write_lines(delta: str | None, prefix: str, indexes: tuple[tuple[int, ...], ...],
+                depth: int) -> list[str]:
+    """Python lines, indented ``depth`` levels, that write the dict named
+    ``delta`` into a relation and add to ``n`` what :meth:`Relation.add`
+    counts, as it does: ``{prefix}w`` names the relation's entries,
+    ``{prefix}get`` their ``get`` and ``{prefix}i{q}`` its index on
+    ``indexes[q]``, whose keys are tuple displays of the row's values.
+    With no ``delta``, the one-row form: the lines write the row ``r``
+    with multiplicity ``m``, as ``add({r: m})`` would."""
+    if delta is None:
+        lines = ["n += 1", *_row_write(prefix, indexes)]
+    else:
+        lines = [f"n += len({delta})", f"for r, m in {delta}.items():",
+                 *("    " + text for text in _row_write(prefix, indexes))]
     return ["    " * depth + text for text in lines]
 
 
@@ -505,10 +524,158 @@ def trigger_source(shape: tuple) -> str:
                       "    return trigger", ""])
 
 
-# plan shape -> kernel factory and trigger shape -> trigger factory, each
-# compiled once per process
+# one occurrence of a symbol: its leaf name, its relation, and the (triple,
+# light part) pairs that partition it
+Route = tuple[str, Relation, tuple[tuple[IndicatorTriple, LightPart], ...]]
+
+
+def pass_shape(base: Relation, routes: list[Route]) -> tuple:
+    """What the update pass of a symbol is generated from: the positions of
+    each index of its base relation ``base`` and, per occurrence of
+    ``routes``, the positions of each index of its own relation (``None``
+    for the first occurrence, whose relation is ``base``) and per pair the
+    light part's key positions, whether they cover the schema (so that no
+    key index exists and a key is counted in the entries, as
+    :meth:`Relation.count` does) and the positions of each index of the
+    light part."""
+    return tuple(base.indexes), tuple(
+        (None if rel is base else tuple(rel.indexes),
+         tuple((lp.key_positions, lp.key_positions not in base.indexes,
+                tuple(lp.content.indexes)) for _, lp in pairs))
+        for _, rel, pairs in routes)
+
+
+def pass_source(shape: tuple) -> str:
+    """Python source of the update pass factory for ``shape`` (a
+    :func:`pass_shape`).  ``factory(counters, dag, ...)`` takes the
+    engine state's counters and view DAG, the base relation's write
+    handles (as a trigger takes a view's), and per occurrence ``i`` a later
+    occurrence's write handles and the leaf name ``o{i}_leaf``, and per
+    pair ``p`` (numbered across occurrences) its triple, light part, All
+    and L roots with their entries, the base's and the light part's key
+    dicts (key indexes, or entries), the light part's leaf name, H's leaf
+    name and the light part's write handles.  It returns ``(pass, light
+    steps)``.
+
+    ``pass(st, r, m, bounds)`` applies ``{r: m}`` to the engine state
+    ``st`` as straight-line code: the light-path test of every pair,
+    through ``st._light_path_conditions``; the base write
+    (:func:`write_lines`, one row); then per occurrence in
+    query order, its own write if it is a later one, the All roots' gets,
+    ``st._apply`` of the leaf, and per pair the All transition, then the
+    pair's light step on the light path, else H's change from the All
+    transition; last, unless ``bounds`` is ``None`` (a major follows), the
+    minor checks against ``bounds``, ``(M, evict_at, reinsert_below)``.
+
+    ``light{p}(st, r, m, key, d_all)``, the pair's light step, writes
+    ``{r: m}`` into the light part, propagates it (``st._apply``), takes L's
+    transition at ``key`` and settles H's change once, from L's transition
+    if it has one, else from ``d_all``, All's: L's support lies inside All's
+    and agrees with it on a key every light part holds, so a key that
+    enters (or leaves) All and L in one update never touches H.  No view
+    above a light part reads its triple's H, so the light step does not
+    depend on when H changes.  A transition of 0 makes no H change and no
+    call.
+
+    Every layer that tracing wraps (the route test, ``_apply``, the
+    indicator steps, ``_minor_rebalancing``) is called through ``st`` at
+    call time.  ``st`` is an argument, not a closure cell, so that a state
+    and its passes make no reference cycle and a dropped state is freed at
+    once.  The gets and writes of the pass count what the storage
+    primitives would, in one local added to ``counters`` once."""
+    base_indexes, occurrences = shape
+    args = ["counters", "dag", *_write_params("w_", base_indexes)]
+    pairs: list[tuple] = []  # (key display, whole key, indexes) per pair
+    update = ["n = 0", *write_lines(None, "w_", base_indexes, 0)]
+    for i, (own, occurrence_pairs) in enumerate(occurrences):
+        if own is not None:
+            args += _write_params(f"o{i}_", own)
+            update += write_lines(None, f"o{i}_", own, 0)
+        args.append(f"o{i}_leaf")
+        first = len(pairs)
+        for positions, whole, indexes in occurrence_pairs:
+            p = len(pairs)
+            pairs.append((_display(positions), whole, indexes))
+            args += [f"p{p}_{name}" for name in
+                     ("t", "lp", "all", "ae", "light", "le", "bk", "lk", "leaf", "h")]
+            args += _write_params(f"p{p}_", indexes)
+            update.append(f"x{p} = p{p}_ae.get(k{p}, 0)")
+        if occurrence_pairs:
+            update.append(f"n += {len(occurrence_pairs)}")
+        update.append(f"st._apply(dag, o{i}_leaf, {{r: m}})")
+        for p in range(first, len(pairs)):
+            update += [f"d = st._update_ind_tree(p{p}_all, k{p}, x{p})", f"if c{p}:",
+                       f"    light{p}(st, r, m, k{p}, d)", "elif d:",
+                       f"    h = st._h_all_change(p{p}_t, k{p}, d)", "    if h:",
+                       f"        st._apply(dag, p{p}_h, h)"]
+    if pairs:
+        update += ["if bounds is not None:", "    _, evict_at, reinsert_below = bounds"]
+        for p, (_, whole, _) in enumerate(pairs):
+            update += ["    " + text for text in _minor_check(p, whole)]
+    update.append("counters.storage_ops += n")
+    tests = [f"{key} not in p{p}_bk or {key} in p{p}_lk" for p, (key, _, _) in enumerate(pairs)]
+    lines = [f"def factory({', '.join(args)}):", "    def conditions(r):",
+             *([f"        counters.storage_ops += {2 * len(pairs)}"] if pairs else []),
+             f"        return ({''.join(test + ', ' for test in tests)})"]
+    for p, (_, _, indexes) in enumerate(pairs):
+        lines += ["    " + text for text in _light_step(p, indexes)]
+    test = "st._light_path_conditions(conditions, r)"
+    if pairs:
+        test = f"{''.join(f'c{p}, ' for p in range(len(pairs)))}= {test}"
+    lines += ["    def update_pass(st, r, m, bounds):",
+              *(f"        k{p} = {key}" for p, (key, _, _) in enumerate(pairs)),
+              f"        {test}", *("        " + text for text in update),
+              f"    return update_pass, ({''.join(f'light{p}, ' for p in range(len(pairs)))})",
+              ""]
+    return "\n".join(lines)
+
+
+def _light_step(p: int, indexes: tuple) -> list[str]:
+    """Unindented lines of pair ``p``'s light step (see
+    :func:`pass_source`)."""
+    return [f"def light{p}(st, r, m, key, d_all):", "    n = 0",
+            *write_lines(None, f"p{p}_", indexes, 1),
+            f"    x = p{p}_le.get(key, 0)", "    counters.storage_ops += n + 1",
+            f"    st._apply(dag, p{p}_leaf, {{r: m}})",
+            f"    d = st._update_ind_tree(p{p}_light, key, x)", "    if d:",
+            f"        h = st._h_light_change(p{p}_t, key, d)", "    elif d_all:",
+            f"        h = st._h_all_change(p{p}_t, key, d_all)", "    else:",
+            "        return", "    if h:", f"        st._apply(dag, p{p}_h, h)"]
+
+
+def _minor_check(p: int, whole: bool) -> list[str]:
+    """Unindented lines of pair ``p``'s minor check at its key ``k{p}``: a
+    key the light part lacks is inserted if the base holds it below
+    ``reinsert_below`` times, one the light part holds ``evict_at`` times
+    or more is evicted.  A bucket size is read as :meth:`Relation.count`
+    reads it, one op each, the base's only where the light part lacks the
+    key."""
+    in_light, in_base = (f"(k{p} in p{p}_{d})" if whole else f"len(p{p}_{d}.get(k{p}, ()))"
+                         for d in ("lk", "bk"))
+    return ["n += 1", f"c = {in_light}", "if not c:", "    n += 1",
+            f"    if 0 < {in_base} < reinsert_below:",
+            f"        st._minor_rebalancing(p{p}_t, p{p}_lp, k{p}, True)",
+            "elif c >= evict_at:",
+            f"    st._minor_rebalancing(p{p}_t, p{p}_lp, k{p}, False)"]
+
+
+def _write_params(prefix: str, indexes: tuple) -> list[str]:
+    """The factory parameters a relation's write handles bind to (see
+    :func:`_write_args`)."""
+    return [f"{prefix}w", f"{prefix}get", *(f"{prefix}i{q}" for q in range(len(indexes)))]
+
+
+def _write_args(rel: Relation) -> list:
+    """What a generated write of ``rel`` binds: its entries, their ``get``
+    and its index dicts, in their order."""
+    return [rel.entries, rel.entries.get, *rel.indexes.values()]
+
+
+# plan shape -> kernel factory, trigger shape -> trigger factory and pass
+# shape -> update pass factory, each compiled once per process
 _FACTORIES: dict[tuple, Callable] = {}
 _TRIGGERS: dict[tuple, Callable] = {}
+_PASSES: dict[tuple, Callable] = {}
 
 
 def _compiled(cache: dict[tuple, Callable], shape: tuple, source: Callable,
@@ -557,10 +724,36 @@ def compile_trigger(steps: list[tuple[ViewNode, JoinPlan, int]], counters) -> Ca
     before it is compiled."""
     args: list = [counters]
     for node, plan, _ in steps:
-        rel = node.content
         args += _fold_args(plan, node.children)
-        args += [rel.entries, rel.entries.get, *rel.indexes.values()]
+        args += _write_args(node.content)
     return _compiled(_TRIGGERS, trigger_shape(steps), trigger_source, "trigger")(*args)
+
+
+def compile_pass(counters, dag, base: Relation,
+                 routes: list[Route]) -> tuple[Callable, dict[str, Callable]]:
+    """The update pass of the symbol whose base relation is ``base`` and
+    whose occurrences are ``routes``, in query order (see
+    :func:`pass_source`), over the relations they name, crediting
+    ``counters`` and propagating through ``dag``, and each light part's
+    light step by its leaf name.  Like a trigger, it writes each
+    relation's indexes as they are now."""
+    args: list = [counters, dag, *_write_args(base)]
+    light_parts = []
+    for leaf_name, rel, pairs in routes:
+        if rel is not base:
+            args += _write_args(rel)
+        args.append(leaf_name)
+        for triple, lp in pairs:
+            all_rel, light_rel = triple.all_root.content, triple.light_root.content
+            args += [triple, lp, triple.all_root, all_rel.entries, triple.light_root,
+                     light_rel.entries,
+                     base.indexes.get(lp.key_positions, base.entries),
+                     lp.content.indexes.get(lp.key_positions, lp.content.entries),
+                     lp.name, triple.support_name, *_write_args(lp.content)]
+            light_parts.append(lp.name)
+    factory = _compiled(_PASSES, pass_shape(base, routes), pass_source, "update pass")
+    update_pass, steps = factory(*args)
+    return update_pass, dict(zip(light_parts, steps))
 
 
 def _plan_steps(children: list[ViewNode], start: int,

@@ -4,10 +4,12 @@ and a trace runner for dynamic tests."""
 from __future__ import annotations
 
 import random
+from types import MethodType
 
 import pytest
 
 from skewivm.query import Atom, ConjunctiveQuery, parse_query
+from skewivm.storage import iceil
 
 SUITE = {
     "chain2": "Q(A,C) = R(A,B), S(B,C).",
@@ -167,3 +169,110 @@ def reference_run_join(plan, children, start_rows):
         elif key in out:
             del out[key]
     return out
+
+
+def reference_update_pass(st, symbol, row, mult, bounds):
+    """The update pass of ``symbol`` as it was written before it was
+    generated (see :func:`skewivm.viewtree.pass_source`), applying
+    ``{row: mult}`` to ``st``: the light-path test over ``Relation.count``,
+    writes by ``Relation.add``, root reads by ``Relation.get`` and the
+    minor checks against thresholds recomputed from ``M``.  It calls the
+    layers the generated pass calls through the state
+    (``_light_path_conditions``, ``_apply``, ``_update_ind_tree``, the H
+    changes and ``_minor_rebalancing``), at the same points."""
+    routes = [(atom.name, st.atom_rels[atom.name],
+               [(triple, lp) for triple in st.triples for lp in triple.light_parts
+                if lp.atom.name == atom.name])
+              for atom in st.query.occurrences(symbol)]
+    rel = st.base[symbol]
+
+    def conditions(row):
+        pre = []
+        for _, _, pairs in routes:
+            for _, lp in pairs:
+                key = lp.key_of(row)
+                fresh = lp.base.count(lp.key_positions, key) == 0
+                in_light = lp.content.count(lp.key_positions, key) > 0
+                pre.append(fresh or in_light)
+        return pre
+
+    light = iter(st._light_path_conditions(conditions, row))
+    rel.add({row: mult})
+    for leaf_name, occurrence_rel, pairs in routes:
+        # a later self-join occurrence turns new just before its own pass:
+        # each pass sees earlier occurrences new, later ones old
+        if occurrence_rel is not rel:
+            occurrence_rel.add({row: mult})
+        _update_trees(st, leaf_name, pairs, row, mult, [next(light) for _ in pairs])
+    if bounds is not None:
+        _minor_checks(st, routes, row)
+
+
+def _update_trees(st, leaf_name, pairs, row, mult, light):
+    """One occurrence's pass, after its relation took the update: propagate
+    it through every view above the leaf, All roots included, then per
+    pair the All transition, on the light path (``light``, per pair) the
+    light part's change, and last H's change, settled once."""
+    delta = {row: mult}
+    keys, before = [], []
+    for triple, lp in pairs:
+        key = lp.key_of(row)
+        keys.append(key)
+        before.append(triple.all_root.content.get(key))
+    st._apply(st.dag, leaf_name, delta)
+    for (triple, lp), key, count, on_light in zip(pairs, keys, before, light):
+        d_all = st._update_ind_tree(triple.all_root, key, count)
+        d_light = 0
+        if on_light:
+            lp.content.add(delta)
+            d_light = _light_pass(st, triple, lp, delta, key)
+        _settle_h(st, triple, key, d_all, d_light)
+
+
+def _light_pass(st, triple, lp, delta, key):
+    """Propagate a change the light part has taken; returns L's support
+    transition at ``key``."""
+    before = triple.light_root.content.get(key)
+    st._apply(st.dag, lp.name, delta)
+    return st._update_ind_tree(triple.light_root, key, before)
+
+
+def _settle_h(st, triple, key, d_all, d_light):
+    """Write and propagate H's change at ``key`` from L's transition if it
+    has one, else from All's."""
+    d_h = (st._h_light_change(triple, key, d_light) if d_light
+           else st._h_all_change(triple, key, d_all))
+    if d_h:
+        st._apply(st.dag, triple.support_name, d_h)
+
+
+def _minor_checks(st, routes, row):
+    """Migrate each pair's key that crossed a relaxed degree bound."""
+    m_eps = float(st.M) ** st.epsilon
+    evict_at = iceil(1.5 * m_eps)
+    reinsert_below = iceil(0.5 * m_eps)
+    for _, _, pairs in routes:
+        for triple, lp in pairs:
+            key = lp.key_of(row)
+            in_light = lp.content.count(lp.key_positions, key)
+            if in_light == 0 and 0 < lp.base.count(lp.key_positions, key) < reinsert_below:
+                st._minor_rebalancing(triple, lp, key, insert=True)
+            elif in_light >= evict_at:
+                st._minor_rebalancing(triple, lp, key, insert=False)
+
+
+def reference_move_key(self, triple, lp, key, insert):
+    """``EngineState._move_key`` over the reference light pass."""
+    for row, base_mult in list(lp.base.scan(lp.key_positions, key)):
+        delta = {row: base_mult if insert else -base_mult}
+        lp.content.add(delta)
+        _settle_h(self, triple, key, 0, _light_pass(self, triple, lp, delta, key))
+
+
+def use_reference_pass(st):
+    """Make ``st`` update through :func:`reference_update_pass` and move
+    keys through :func:`reference_move_key`."""
+    st._passes = {sym: (lambda state, row, mult, bounds, sym=sym:
+                        reference_update_pass(state, sym, row, mult, bounds))
+                  for sym in st.base}
+    st._move_key = MethodType(reference_move_key, st)

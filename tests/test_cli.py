@@ -374,10 +374,26 @@ def test_bench_malformed_list_exit_1(capsys, option, kind, value):
     (QUERY, "2,0.5", 1),
 ], ids=["not-hierarchical", "epsilon-out-of-range"])
 def test_bench_that_cannot_start_prints_no_csv(capsys, query, epsilons, code):
-    # the first point runs before the header is printed
     rc = main(["bench", "--query", query, "--bench-sizes", "8", "--epsilon-grid", epsilons])
     captured = capsys.readouterr()
     assert rc == code and captured.out == "" and captured.err
+
+
+@pytest.mark.parametrize("epsilons, shown", [("0.5,2", "2.0"), ("0.5,nan", "nan"),
+                                             ("0.5,-0.25", "-0.25")])
+def test_bench_checks_every_epsilon_before_the_first_point(capsys, epsilons, shown):
+    rc = main(["bench", "--query", QUERY, "--bench-sizes", "8", "--epsilon-grid", epsilons])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"data error: epsilon {shown} outside [0, 1]\n"
+
+
+@pytest.mark.parametrize("sizes, shown", [("8,-5", "-5"), ("0", "0")])
+def test_bench_rejects_a_size_below_one(capsys, sizes, shown):
+    rc = main(["bench", "--query", QUERY, "--bench-sizes", sizes, "--epsilon-grid", "0.5"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == f"data error: bench size {shown} is below 1\n"
 
 
 def test_bench_deterministic_for_fixed_seed(capsys):

@@ -21,6 +21,8 @@ from skewivm import viewtree
 from skewivm.engine import EngineState, materialize_node, preprocess
 from skewivm.errors import UnregisteredIndexError
 from skewivm.metrics import Counters
+from skewivm.oracle import brute_force_eval
+from skewivm.query import parse_query
 from skewivm.storage import Relation
 from skewivm.viewtree import (
     ATOM,
@@ -31,6 +33,7 @@ from skewivm.viewtree import (
     kernel_source,
     materialize_plan,
     compile_trigger,
+    pass_source,
     plan_shape,
     run_join,
     trigger_shape,
@@ -312,6 +315,18 @@ def test_values_never_reach_the_generated_source(case):
         assert counted(counters, materialize_node, node, plans[-1]) == (None, want_ops)
         assert node.content.entries == want
         sources = check_triggers(case, node, counters, rng, values)
+    # an engine state over the same values, on a self-join with a light part
+    # per occurrence: its update passes take the values as rows and keys
+    q = parse_query("Q(A) = R(A,B), R(B,C), S(B).")
+    st = preprocess(q, {"R": {(values[0], values[1]): 1}, "S": {(values[1],): 2}}, 0.5)
+    for i, value in enumerate(values):
+        st.on_update("R", (value, values[i - 1]), 1)
+        st.on_update("S", (value,), 1 + i % 2)
+    for i, value in enumerate(values[::2]):
+        st.on_update("R", (value, values[2 * i - 1]), -1)
+    st.check_invariants(deep=True)
+    assert st.result_multiset() == brute_force_eval(q, st.db_snapshot())
+    sources += [pass_source(shape) for shape in viewtree._PASSES]
     for source in [kernel_source(plan_shape(plan)) for plan in plans] + sources:
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             assert tok.type != tokenize.STRING, source
@@ -328,15 +343,19 @@ def test_kernels_compile_once_per_shape_and_bind_to_their_own_state(monkeypatch)
     db = {"R": {(a, b): 1 for b in range(8) for a in range(24)},
           "S": {(b,): 1 for b in range(8)}}
     preprocess(q, db, 0.5, mode="dynamic", m_override=400)
-    compiled = len(viewtree._FACTORIES), len(viewtree._TRIGGERS)
+
+    def sizes():
+        return len(viewtree._FACTORIES), len(viewtree._TRIGGERS), len(viewtree._PASSES)
+
+    compiled = sizes()
     generated = []
-    for name in ("kernel_source", "trigger_source"):
+    for name in ("kernel_source", "trigger_source", "pass_source"):
         source = getattr(viewtree, name)
         monkeypatch.setattr(viewtree, name,
                             lambda shape, source=source: generated.append(shape) or source(shape))
     st = preprocess(q, db, 0.5, mode="dynamic", m_override=400)
     other = preprocess(q, db, 0.5, mode="dynamic", m_override=400)
-    assert (len(viewtree._FACTORIES), len(viewtree._TRIGGERS)) == compiled and generated == []
+    assert sizes() == compiled and generated == []
     for mine, theirs in zip(st.dag.views, other.dag.views):
         assert mine.plan.fold is not theirs.plan.fold
         assert mine.plan.fold.__code__ is theirs.plan.fold.__code__
@@ -346,13 +365,24 @@ def test_kernels_compile_once_per_shape_and_bind_to_their_own_state(monkeypatch)
         assert mine is not theirs and mine.__code__ is theirs.__code__
         cells = {id(cell.cell_contents) for cell in mine.__closure__}
         assert cells.isdisjoint(id(cell.cell_contents) for cell in theirs.__closure__)
+    # the update passes and light steps too; the leaf names they bind may
+    # be one string object, which no state can change
+    assert st._passes.keys() == other._passes.keys() == {"R", "S"}
+    assert st._light_steps.keys() == other._light_steps.keys() and st._light_steps
+    for mine, theirs in [*zip(st._passes.values(), other._passes.values()),
+                         *zip(st._light_steps.values(), other._light_steps.values())]:
+        assert mine is not theirs and mine.__code__ is theirs.__code__
+        for cell, their_cell in zip(mine.__closure__, theirs.__closure__):
+            contents, their_contents = cell.cell_contents, their_cell.cell_contents
+            assert contents is not their_contents or type(contents) is str
+            assert type(contents) is not str or contents == their_contents
     untouched = other.fingerprint()
     rebuilds = []
     repartition = EngineState._repartition
 
     def spy(self, parts):
         repartition(self, parts)
-        rebuilds.append((len(viewtree._FACTORIES), len(viewtree._TRIGGERS)))
+        rebuilds.append(sizes())
 
     monkeypatch.setattr(EngineState, "_repartition", spy)
     i = 0
@@ -363,4 +393,4 @@ def test_kernels_compile_once_per_shape_and_bind_to_their_own_state(monkeypatch)
     st.check_invariants(deep=True)
     assert other.fingerprint() == untouched
     other.check_invariants(deep=True)
-    assert (len(viewtree._FACTORIES), len(viewtree._TRIGGERS)) == compiled and generated == []
+    assert sizes() == compiled and generated == []

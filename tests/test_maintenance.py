@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import os
 import random
 import re
 import subprocess
 import sys
+import weakref
 import zlib
 from pathlib import Path
 from types import MethodType, SimpleNamespace
@@ -31,7 +33,7 @@ from skewivm.query import parse_query
 from skewivm.storage import iceil, key_degrees
 from skewivm.viewtree import ATOM, JOIN, ViewNode
 
-from conftest import EPS_GRID, SUITE, parse, reference_run_join, run_trace
+from conftest import EPS_GRID, SUITE, parse, reference_run_join, run_trace, use_reference_pass
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +648,76 @@ def test_compiled_propagation_matches_the_unbound_path_across_a_rebuild():
     compiled = _pinned_replay(q, 0.5, db, replay, reference=False, m_override=400)
     assert compiled[3] == 0  # the major moved no key: it rebuilt
     assert compiled == _pinned_replay(q, 0.5, db, replay, reference=True, m_override=400)
+
+
+# SUITE, a self-join whose later occurrence has a light part of its own,
+# and a query whose light part S^AB is keyed on its whole schema
+PASS_QUERIES = {name: parse(name) for name in SUITE}
+PASS_QUERIES["self-join"] = parse_query("Q(A) = R(A,B), R(B,C), S(B).")
+PASS_QUERIES["whole-key"] = parse_query("Q(C,D) = R(A,B,C), T(A,B,D), S(A,B).")
+
+
+def _ordered(st):
+    """Per relation, its entries and per index its keys and buckets, in
+    their order."""
+    return [(list(rel.entries.items()),
+             {p: [(k, list(b)) for k, b in ix.items()] for p, ix in rel.indexes.items()})
+            for rel in _relations(st)]
+
+
+class _Twins:
+    """Applies each update to a state that runs the generated passes and to
+    one that runs the reference pass, and compares them after it."""
+
+    def __init__(self, q, eps):
+        empty = {s: {} for s in q.symbols()}
+        self.st = preprocess(q, empty, eps, mode="dynamic")
+        self.ref = preprocess(q, empty, eps, mode="dynamic")
+        use_reference_pass(self.ref)
+        self.base = self.st.base
+
+    def on_update(self, sym, row, mult):
+        self.st.on_update(sym, row, mult)
+        self.ref.on_update(sym, row, mult)
+        st, ref = self.st, self.ref
+        assert st.counters.last_update_ops == ref.counters.last_update_ops, (sym, row, mult)
+        assert st.fingerprint() == ref.fingerprint(), (sym, row, mult)
+        assert _ordered(st) == _ordered(ref), (sym, row, mult)
+
+
+def test_generated_pass_matches_the_interpreted_reference():
+    # update by update, over skewed traces with deletes on every query and
+    # eps, the generated passes and light steps cost the ops of the
+    # interpreted pass and leave the same contents, in the same entry and
+    # index order
+    minors = majors = 0
+    for name, q in PASS_QUERIES.items():
+        for eps in EPS_GRID:
+            twins = _Twins(q, eps)
+            run_trace(twins, q, random.Random(f"pass/{name}/{eps}"), steps=150, dom=5, hot=HOT)
+            for st in (twins.st, twins.ref):
+                st.check_invariants(deep=True)
+            assert twins.st.counters.minor_rebalances == twins.ref.counters.minor_rebalances
+            minors += twins.st.counters.minor_rebalances
+            majors += twins.st.counters.major_rebalances
+    assert minors > 0 and majors > 0
+
+
+def test_a_dropped_state_is_freed_without_the_cycle_collector():
+    # the update passes and light steps take the state as an argument: a
+    # closure over it would make a cycle, and every dropped state would
+    # keep its memory until the next collection
+    q = PASS_QUERIES["self-join"]
+    gc.disable()
+    try:
+        st = preprocess(q, {s: {} for s in q.symbols()}, 0.5, mode="dynamic")
+        run_trace(st, q, random.Random(5), steps=60, dom=5, hot=HOT)
+        assert st.counters.major_rebalances > 0 and st.counters.minor_rebalances > 0
+        dropped = weakref.ref(st)
+        del st
+        assert dropped() is None
+    finally:
+        gc.enable()
 
 
 def test_views_end_nonnegative_after_full_updates():

@@ -36,6 +36,13 @@ def test_eval_multiplicities_multiply_and_sum():
     assert brute_force_eval(q, db) == {("a",): 11}
 
 
+def test_eval_none_is_a_value():
+    # a variable bound to None joins only with None
+    q = parse("chain2")
+    db = {"R": {(1, None): 1, (2, 7): 1}, "S": {(7, 3): 1, (None, 4): 2}}
+    assert brute_force_eval(q, db) == {(1, 4): 2, (2, 3): 1}
+
+
 def test_eval_missing_relation():
     q = parse("chain2")
     with pytest.raises(MissingRelationError):
