@@ -3,18 +3,22 @@
 Iterators follow the open/next/close model.  Opening a tree ranges its root
 view over the tuples agreeing with the parent context; a view whose schema
 already covers every free variable below it is enumerated directly; a view
-with a heavy-indicator child is *grounded* into one shallow-copy iterator
-per heavy key, and those buckets are merged by the union algorithm.
-Grounding scans only the heavy keys: each bucket is opened *pending*, holding
-its scope and nothing else, and starts its range scan and its children on
-its first ``next()``.  The union advances only a member whose lookup hits,
-and a lookup reads a pending bucket through its scope alone, so a bucket the
-enumeration never reads is never started.  A lookup does not depend on where
-any cursor stands: it reads a grounded descendant through the live iterator
-only when that iterator is grounded under the context the looked-up tuple
-itself gives, and otherwise grounds the descendant afresh under it.  The
-probed iterator keeps such a descendant, keyed by plan path and context,
-until it is reopened or closed, so each is grounded once per open.
+with a heavy-indicator child is *grounded* into one bucket per heavy key,
+and those buckets are merged by the union algorithm.
+Grounding scans only the heavy keys, and a bucket starts *pending*: it is
+its scope, the context followed by the heavy key, and nothing more.  It
+becomes an iterator (a shallow copy that ranges the view under that scope
+and opens its children) only when it starts: on its first ``next()``, or
+when a lookup reads a grounded descendant through it.  The union advances
+only a member whose lookup hits, and a lookup reads a pending bucket
+through its scope alone, so a bucket the enumeration never reads is never
+started.  A lookup does not depend on where any cursor stands: it reads a
+grounded descendant through the live iterator only when that iterator is
+grounded under the context the looked-up tuple itself gives, and otherwise
+grounds the descendant afresh under it.  The probed iterator (for a
+bucket, pending or started, the iterator that grounded it) keeps such a
+descendant, keyed by plan path and context (which holds the bucket's heavy
+key), until it is reopened or closed, so each is grounded once per open.
 
 Contexts and tuples are positional.  A node's context is a tuple laid out by
 ``enum.ctx_order``: the scope of the view whose product slot it fills (its
@@ -26,11 +30,16 @@ A variable may occur more than once in a layout; its values agree, and every
 projection reads its first occurrence.  :func:`annotate` compiles each
 projection once per node into an ``itemgetter``: the range key, the output
 tuple of a covering view and the product's output.  It also compiles a
-lookup at the node into a flat *probe plan* (:func:`_compile_plan`): the
-views the lookup reads, in preorder, each with its ``entries.get`` and its
-key over the scope followed by the looked-up tuple.  Opening, advancing and
-looking up then build no dicts, and a lookup is one Python call per
-grounded iterator it reaches, not one per view.
+lookup at the node into a *probe* (:func:`_compile_plan`): one generated
+straight-line ``probe(owner, k, c, t)`` (:func:`probe_source`) that reads
+the views the lookup reads, in preorder, one ``entries.get`` each at a key
+written as a tuple display over the scope ``c`` and the looked-up tuple
+``t``, stops at the first zero and multiplies the covering views'
+multiplicities.  A grounded descendant is one call into
+:meth:`TreeIter._descend`.  A probe factory is compiled once per process
+per plan shape and bound per node.  Opening, advancing and looking up then
+build no dicts, and a lookup is one Python call per grounded iterator it
+reaches, not one per view.
 
 A grounded node also gets a *bucket selector* (:func:`_compile_selector`)
 when one of its plan's views is keyed by the heavy key and by the
@@ -41,7 +50,7 @@ from the index bucket of ``t`` (1 op to fetch): a bucket whose heavy key
 no row there carries reads that view at an absent key, so its term is 0.
 If ``2 * rows + 1 <= buckets``, the rows are read (1 op each) and only the
 buckets they name are candidates; otherwise every bucket is.  A lookup
-runs the plan over the candidates.  A skipped bucket costs at least one
+runs the probe over the candidates.  A skipped bucket costs at least one
 get, so a narrowed lookup never costs more than probing every bucket, and
 any lookup at most the fetch more.  This is the intersection rule of
 worst-case-optimal joins: iterate the smaller side, probe the larger.
@@ -77,18 +86,22 @@ per bucket.  The union asks the selector only where the index buckets
 hold few rows on average (``2 * rows / keys + 1 <= buckets``); where they
 are fuller, a fetch would rarely narrow and every bucket is a candidate.
 It also skips the buckets it has found exhausted since the open.  Bucket
-copies are shallow: they share view contents and own only cursor state.
+iterators are shallow: they share view contents and own only cursor state.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from typing import Callable
 
 from .errors import CallBeforeOpenError, InvariantViolationError, IteratorInvalidatedError
 from .storage import projection
-from .viewtree import HEAVY_REF, ViewNode
+from .viewtree import HEAVY_REF, ViewNode, _compiled
 
 Row = tuple
+
+# probe shape -> probe factory, compiled once per process
+_PROBES: dict[tuple, Callable] = {}
 
 
 class EnumInfo:
@@ -97,7 +110,7 @@ class EnumInfo:
 
     __slots__ = ("ctx_order", "scope", "out_schema", "covering", "heavy_idx",
                  "h_positions", "h_key", "range_positions", "range_key",
-                 "out_of", "slots", "compose", "plan", "plan_ops", "selector",
+                 "out_of", "slots", "compose", "plan", "probe", "selector",
                  "selector_rows", "h_varying")
 
     def __init__(self) -> None:
@@ -192,50 +205,87 @@ def _getter(layout: tuple[str, ...], schema: tuple[str, ...], positions: tuple[i
 
 
 def _compile_plan(info: EnumInfo, node: ViewNode) -> list[tuple[ViewNode, tuple[int, ...]]]:
-    """The probe plan of a lookup at ``node``: in preorder, one entry per
-    view the lookup reads, ``(entries.get, key, multiplies, ops, None)``,
-    down to the covering nodes, and one ``(ctx_of, share, True, ops,
+    """The probe plan of a lookup at ``node`` and its bound probe
+    (``info.plan`` and ``info.probe``).  In preorder,
+    one entry per view the lookup reads, ``("get", key, multiplies,
+    None)``, down to the covering nodes, and one ``("descend", ctx, share,
     path)`` per grounded descendant, whose live iterator is reached from
     the probed one by the child indexes in ``path``.  It is looked up with
-    its ``share`` of ``t`` if its context is ``ctx_of``, the context ``t``
+    its ``share`` of ``t`` if its context is ``ctx``, the context ``t``
     gives the descendant, and otherwise an iterator grounded under that
-    context is.  Every key, share and context projects ``scope + t``:
-    an output variable comes from ``t``, any other from the scope, which
-    holds each of them (a child's scope is its parent's scope and row, and
-    a variable bound below is bound in that prefix).  ``ops`` counts the
-    gets up to and including the entry; a covering view's multiplicity
-    multiplies, any other entry only has to be nonzero.
+    context is.  Every key, share and context is a tuple of positions in
+    ``scope + t``: an output variable comes from ``t``, any other from the
+    scope, which holds each of them (a child's scope is its parent's scope
+    and row, and a variable bound below is bound in that prefix).  A
+    covering view's multiplicity multiplies, any other view entry only has
+    to be nonzero.
     Returns the view entries' nodes and key positions, in plan order."""
     scope, out = info.scope, info.out_schema
     in_scope = {v: scope.index(v) for v in scope}
     from_t = {v: len(scope) + i for i, v in enumerate(out)}
     plan, views = [], []
-    ops = 0
 
     def visit(n: ViewNode, path: tuple[int, ...]) -> None:
-        nonlocal ops
         e = n.enum
         if path and e.heavy_idx is not None:
-            ctx_of = projection(tuple(from_t[v] if v in from_t else in_scope[v]
-                                      for v in e.ctx_order))
-            plan.append((ctx_of, projection(tuple(from_t[v] for v in e.out_schema)),
-                         True, ops, path))
+            plan.append(("descend",
+                         tuple(from_t[v] if v in from_t else in_scope[v] for v in e.ctx_order),
+                         tuple(from_t[v] for v in e.out_schema), path))
             return
         try:
             key = tuple(from_t[v] if v in e.out_schema else in_scope[v] for v in n.schema)
         except KeyError:
             raise InvariantViolationError(f"{n.name}: view key not bound by context") from None
-        ops += 1
         views.append((n, key))
-        plan.append((n.content.entries.get, projection(key), e.covering, ops, None))
+        plan.append(("get", key, e.covering, None))
         if not e.covering:
             for k, c in enumerate(e.slots):
                 visit(c, path + (k,))
 
     visit(node, ())
     info.plan = tuple(plan)
-    info.plan_ops = ops
+    factory = _compiled(_PROBES, (len(scope), info.plan), probe_source, "probe")
+    info.probe = factory(node.content.counters, TreeIter._descend,
+                         *(n.content.entries.get for n, _ in views))
     return views
+
+
+def probe_source(shape: tuple) -> str:
+    """Python source of the probe factory for ``shape``, the scope's width
+    and a probe plan (see :func:`_compile_plan`).  ``factory(counters,
+    descend, g0, ...)`` takes the counters the probe credits, the method
+    that looks a grounded descendant up and, per view entry, its
+    ``entries.get``, and returns ``probe(owner, k, c, t)``: the multiplicity
+    of ``t`` in the bucket of ``owner`` at position ``k`` (``None`` for
+    ``owner`` itself) whose scope is ``c``.  It makes the entries' gets in
+    order, each key a tuple display over ``c`` and ``t``; at the first zero
+    it adds the gets made so far to ``counters`` and returns 0, otherwise
+    it adds every get and returns the product of the covering views'
+    multiplicities and the descendants' lookups."""
+    width, plan = shape
+
+    def display(positions: tuple[int, ...]) -> str:
+        values = [f"c[{p}]" if p < width else f"t[{p - width}]" for p in positions]
+        return f"({values[0]},)" if len(values) == 1 else f"({', '.join(values)})"
+
+    args, body, factors = [], [], []
+    gets = 0
+    for j, (kind, key, how, path) in enumerate(plan):
+        if kind == "get":
+            args.append(f"g{j}")
+            body.append(f"x{j} = g{j}({display(key)}, 0)")
+            gets += 1
+            if how:
+                factors.append(f"x{j}")
+        else:
+            body.append(f"x{j} = descend(owner, k, {path!r}, {display(key)}, {display(how)})")
+            factors.append(f"x{j}")
+        body += [f"if not x{j}:", *([f"    counters.storage_ops += {gets}"] if gets else []),
+                 "    return 0"]
+    body += [f"counters.storage_ops += {gets}", f"return {' * '.join(factors) or '1'}"]
+    return "\n".join([f"def factory(counters, descend{''.join(', ' + a for a in args)}):",
+                      "    def probe(owner, k, c, t):", *("        " + text for text in body),
+                      "    return probe", ""])
 
 
 def _compile_selector(info: EnumInfo, heavy_schema: tuple[str, ...],
@@ -243,7 +293,7 @@ def _compile_selector(info: EnumInfo, heavy_schema: tuple[str, ...],
     """The bucket selector of a grounded node: the first view entry of its
     probe plan whose key reads every *varying* heavy-key variable (one the
     context does not fix) from the scope, and at least one variable of
-    ``t`` that the context does not fix.  A bucket's plan reads that view
+    ``t`` that the context does not fix.  A bucket's probe reads that view
     at a row whose varying heavy key is the bucket's own, so only the
     buckets named by the view's rows that agree with ``ctx + t`` on the
     key's other positions can be nonzero.  Registers an index on those
@@ -313,10 +363,10 @@ def _product_row(slots: list, outs: list, row: Row, compose) -> tuple[Row, int]:
 
 
 class TreeIter:
-    """Cursor state for one view tree (or one grounded bucket of it)."""
+    """Cursor state for one view tree (or one started bucket of it)."""
 
     __slots__ = ("node", "skip_heavy", "opened", "_ctx", "_range", "current",
-                 "buckets", "by_key", "spent", "guided", "pos", "children",
+                 "buckets", "by_key", "spent", "guided", "children",
                  "child_outs", "child_ctx", "foreign")
 
     def __init__(self, node: ViewNode, skip_heavy: bool = False):
@@ -326,12 +376,12 @@ class TreeIter:
         self._ctx: tuple | None = None
         self._range = None
         self.current = None
-        self.buckets: list[TreeIter] | None = None
-        # varying heavy key -> bucket, with a selector
-        self.by_key: dict[tuple, TreeIter] | None = None
+        # per heavy key, a pending bucket's scope or a started bucket
+        self.buckets: list | None = None
+        # varying heavy key -> bucket position, with a selector
+        self.by_key: dict[tuple, int] | None = None
         self.spent = 0  # buckets before this position are exhausted
         self.guided = False  # the union of the buckets asks the selector
-        self.pos = 0  # a bucket's position among its owner's buckets
         self.children: list[TreeIter] | None = None
         self.child_outs: list | None = None
         self.child_ctx: tuple | None = None
@@ -351,26 +401,20 @@ class TreeIter:
 
     def open(self, ctx: tuple) -> None:
         """Open under ``ctx``, a tuple laid out by ``enum.ctx_order``
-        (``enum.scope`` for a bucket).  A bucket stays *pending*: it holds
-        its scope and starts nothing until :meth:`_start`.  Reopening needs
-        no :meth:`close`: this resets every field a reopened one reads."""
+        (``enum.scope`` for a bucket): ground the view, or range it under
+        the context and open the product children under its first row.
+        Reopening needs no :meth:`close`: this resets every field a
+        reopened one reads."""
         self._ctx = ctx
         self.opened = True
         self.buckets = self.by_key = self.children = self.child_outs = None
-        self._range = self.foreign = None
-        if self.skip_heavy:
-            return
+        self.foreign = None
         info = self.node.enum
-        if info.heavy_idx is not None:
+        if info.heavy_idx is not None and not self.skip_heavy:
+            self._range = None
             self._ground(ctx)
             return
-        self._start()
-
-    def _start(self) -> None:
-        """Range the view under the context and open the product children
-        under its first row."""
-        info = self.node.enum
-        self._range = self.node.content.scan(info.range_positions, info.range_key(self._ctx))
+        self._range = self.node.content.scan(info.range_positions, info.range_key(ctx))
         self.current = next(self._range, None)
         if info.covering:
             return
@@ -378,29 +422,34 @@ class TreeIter:
         self._reopen_children()
 
     def _ground(self, ctx: tuple) -> None:
-        """One pending bucket per heavy key under ``ctx``.  With a selector
-        and at least 3 buckets, also the buckets by their varying heavy
-        key, which lookups and the union of the buckets narrow through;
-        the union does so only if the selector's index buckets hold few
-        enough rows on average for a fetch to narrow: ``2 * rows / keys +
-        1 <= buckets``."""
+        """One pending bucket, its scope, per heavy key under ``ctx``.
+        With a selector and at least 3 buckets, also the bucket positions
+        by their varying heavy key, which lookups and the union of the
+        buckets narrow through; the union does so only if the selector's
+        index buckets hold few enough rows on average for a fetch to
+        narrow: ``2 * rows / keys + 1 <= buckets``."""
         info = self.node.enum
         hleaf = self.node.children[info.heavy_idx]
         self.buckets = buckets = []
         by_key = {} if info.selector is not None else None
         for hrow, _ in hleaf.content.scan(info.h_positions, info.h_key(ctx)):
-            bucket = TreeIter(self.node, skip_heavy=True)
-            bucket.open(ctx + hrow)
-            bucket.pos = len(buckets)
-            buckets.append(bucket)
             if by_key is not None:
-                by_key[info.h_varying(hrow)] = bucket
+                by_key[info.h_varying(hrow)] = len(buckets)
+            buckets.append(ctx + hrow)
         self.spent = 0
         self.guided = False
         if by_key is not None and len(buckets) >= 3:
             self.by_key = by_key
             keys = len(info.selector[0])
             self.guided = 2 * len(info.selector_rows) + keys <= len(buckets) * keys
+
+    def _bucket(self, k: int) -> TreeIter:
+        """Start the pending bucket at position ``k``: an iterator opened
+        under its scope, which takes its place."""
+        bucket = TreeIter(self.node, skip_heavy=True)
+        bucket.open(self.buckets[k])
+        self.buckets[k] = bucket
+        return bucket
 
     def _reopen_children(self) -> None:
         """(Re)open the product children under the current view row and
@@ -428,11 +477,9 @@ class TreeIter:
         multiplicity), or None when exhausted."""
         if not self.opened:
             raise CallBeforeOpenError(self.node.name)
-        info = self.node.enum
         if self.buckets is not None:
             return union_next(self.buckets, self) if self.buckets else None
-        if self._range is None:  # a pending bucket's first next()
-            self._start()
+        info = self.node.enum
         if info.covering:
             if self.current is None:
                 return None
@@ -454,89 +501,79 @@ class TreeIter:
         """Multiplicity of ``t``, a tuple over ``enum.out_schema``, in the
         relation this (sub)iterator represents; 0 when absent.
 
-        Runs the node's probe plan (see :func:`_compile_plan`) once per
-        bucket, a non-grounded iterator being its own single bucket: the
-        gets in preorder over ``scope + t``, a stop at the first zero, and
-        one add of the gets made to ``storage_ops``.  With a bucket
-        selector and at least 3 buckets, it runs the plan over the
-        candidates :meth:`_named` finds for ``t`` (every other term is 0),
-        paying their fetch (1 op, and 1 per row read if they narrow).  So
-        it costs at most 1 op more than the plan over every bucket, and a
-        narrowed lookup no more.  The view entries read only the bucket's
-        scope, so a pending bucket stays pending, and a skipped one is
-        never started.  A grounded descendant's entry starts a pending
-        bucket first, which leaves the bucket as its first ``next()``
-        would.  The descendant is then looked up through its live iterator
-        if that iterator is grounded under the context ``t`` gives it, and
-        otherwise through one grounded under that context: the first such
-        entry of this open grounds it, scanning H at its heavy key
-        (counted), and keeps it in ``foreign`` for later lookups under the
-        same context.  So the result is
-        ``t``'s multiplicity in a fresh enumeration of this iterator,
-        wherever its cursors and those below it stand.  Raises
-        :class:`CallBeforeOpenError` before ``open`` and after ``close``."""
+        Runs the node's probe (see :func:`probe_source`) once per bucket,
+        over the bucket's scope, a non-grounded iterator being its own
+        single bucket: the gets in preorder over ``scope + t``, a stop at
+        the first zero, and one add of the gets made to ``storage_ops``
+        per probe.
+        With a bucket selector and at least 3 buckets, it runs the probe
+        over the candidates :meth:`_named` finds for ``t`` (every other
+        term is 0), which pays their fetch (1 op, and 1 per row read if
+        they narrow).  So it costs at most 1 op more than the probe over
+        every bucket, and a narrowed lookup no more.  The view entries
+        read only the bucket's scope, so a pending bucket stays pending,
+        and a skipped one is never started; a grounded descendant's entry
+        is :meth:`_descend`.  So the result is ``t``'s multiplicity in a
+        fresh enumeration of this iterator, wherever its cursors and those
+        below it stand.  Raises :class:`CallBeforeOpenError` before
+        ``open`` and after ``close``."""
         buckets = self.buckets
-        ops = 0
         if buckets is None:
             if not self.opened:
                 raise CallBeforeOpenError(self.node.name)
-            buckets = (self,)
-        elif not buckets:
+            return self.node.enum.probe(self, None, self._ctx, t)
+        if not buckets:
             return 0
-        elif self.by_key is not None:
-            named, ops = self._named(t)
-            if named is not None:
-                buckets = named
-        info = self.node.enum
-        plan, plan_ops = info.plan, info.plan_ops
+        probe = self.node.enum.probe
+        named = self._named(t) if self.by_key is not None else None
         total = 0
-        for it in buckets:
-            st = it._ctx + t
-            m = 1
-            for get, key, multiplies, upto, path in plan:
-                if path is None:
-                    v = get(key(st), 0)
-                else:
-                    if it._range is None:  # a pending bucket
-                        it._start()
-                    live = it
-                    for k in path:
-                        live = live.children[k]
-                    ctx = get(st)
-                    if live._ctx != ctx:
-                        if self.foreign is None:
-                            self.foreign = {}
-                        fresh = self.foreign.get((path, ctx))
-                        if fresh is None:
-                            fresh = self.foreign[path, ctx] = TreeIter(live.node)
-                            fresh.open(ctx)
-                        live = fresh
-                    v = live.lookup(key(st))
-                if not v:
-                    ops += upto
-                    break
-                if multiplies:
-                    m *= v
-            else:
-                ops += plan_ops
-                total += m
-        self.node.content.counters.storage_ops += ops
+        for k in range(len(buckets)) if named is None else named:
+            b = buckets[k]
+            total += probe(self, k, b if b.__class__ is tuple else b._ctx, t)
         return total
 
-    def _named(self, t: Row) -> tuple[list | None, int]:
-        """The buckets that can hold ``t``, or None for every bucket, and
-        the ops spent finding them, which the caller counts; only for an
-        iterator with ``by_key``.  It fetches the selector's index bucket
-        at ``ctx + t`` (1 op), and if ``2 * rows + 1 <= buckets`` reads
-        its rows (1 op each): the buckets they name are the candidates, as
-        every other bucket's plan reads the selector's view at an absent
-        key, so its term is 0."""
+    def _descend(self, k: int | None, path: tuple[int, ...], ctx: tuple, t: Row) -> int:
+        """A probe's lookup of ``t`` in the grounded descendant at ``path``
+        below the bucket at position ``k`` (``None``: below this iterator),
+        which ``t`` places under ``ctx``.  A pending bucket is started
+        first, which leaves it as its first ``next()`` would.  The
+        descendant is looked up through its live iterator if that iterator
+        is grounded under ``ctx``, and otherwise through one grounded under
+        ``ctx``: the first such lookup of this open grounds it, scanning H
+        at its heavy key (counted), and keeps it in ``foreign`` for later
+        lookups under the same context."""
+        live = self if k is None else self.buckets[k]
+        if live.__class__ is tuple:
+            live = self._bucket(k)
+        for i in path:
+            live = live.children[i]
+        if live._ctx != ctx:
+            foreign = self.foreign
+            if foreign is None:
+                foreign = self.foreign = {}
+            fresh = foreign.get((path, ctx))
+            if fresh is None:
+                fresh = foreign[path, ctx] = TreeIter(live.node)
+                fresh.open(ctx)
+            live = fresh
+        return live.lookup(t)
+
+    def _named(self, t: Row) -> list[int] | None:
+        """The positions of the buckets that can hold ``t``, or None for
+        every bucket; only for an iterator with ``by_key``.  It fetches the
+        selector's index bucket at ``ctx + t`` (1 op), and if ``2 * rows +
+        1 <= buckets`` reads its rows (1 op each): the buckets they name
+        are the candidates, as every other bucket's probe reads the
+        selector's view at an absent key, so its term is 0."""
         index, key_of, row_key = self.node.enum.selector
         rows = index.get(key_of(self._ctx + t), ())
+        counters = self.node.content.counters
         if 2 * len(rows) + 1 > len(self.buckets):
-            return None, 1
+            counters.storage_ops += 1
+            return None
+        counters.storage_ops += 1 + len(rows)
         by_key = self.by_key
-        return [b for b in map(by_key.get, map(row_key, rows)) if b is not None], 1 + len(rows)
+        return [k for k in map(by_key.get, map(row_key, rows)) if k is not None]
 
     def grounded_buckets(self) -> int:
         """Total grounded bucket count below this iterator: every bucket,
@@ -551,7 +588,8 @@ class TreeIter:
         if self.buckets is not None:
             n += len(self.buckets)
             for b in self.buckets:
-                n += b.grounded_buckets()
+                if b.__class__ is not tuple:
+                    n += b.grounded_buckets()
         if self.children is not None:
             for ch in self.children:
                 n += ch.grounded_buckets()
@@ -571,42 +609,59 @@ def union_next(members: list, owner: TreeIter | None = None):
     the tuple up and found 0).  Every member shares one output schema, so
     the tuples pass to ``lookup`` as they are.
 
-    With an ``owner``, the members are its buckets.  The fold starts past
-    the buckets it has found exhausted since the owner opened.  If the
-    owner is ``guided``, each tuple the fold draws is looked up only in
-    its candidates (:meth:`TreeIter._named`), at the positions after the
-    tuple's source for survival and before it for the total; every other
-    bucket's lookup is 0, so the rows are those of the unguided fold.
+    With an ``owner``, the members are its buckets: each is looked up by
+    the owner's probe over its scope, as :meth:`TreeIter.lookup` looks
+    them up, so a grounded descendant reached through any bucket is kept
+    by the owner alone, and a pending bucket is started only when its
+    cursor is first needed.  The fold starts past the buckets it has found
+    exhausted since the owner opened.  If the owner is ``guided``, each
+    tuple the fold draws is looked up only in its candidates
+    (:meth:`TreeIter._named`), at the positions after the tuple's source
+    for survival and before it for the total; every other bucket's lookup
+    is 0, so the rows are those of the unguided fold.
     """
     n = len(members)
-    src = 0 if owner is None else owner.spent
-    while (r := members[src].next()) is None:
+    if owner is None:
+        src, guided = 0, False
+    else:
+        src, guided, probe = owner.spent, owner.guided, owner.node.enum.probe
+    while True:
+        member = members[src]
+        if member.__class__ is tuple:
+            member = owner._bucket(src)
+        if (r := member.next()) is not None:
+            break
         src += 1
         if src == n:
             return None
     if owner is not None:
         owner.spent = src
-        if not owner.guided:
-            owner = None  # every bucket is a candidate
     t = r[0]
     named = None
     while True:
-        if owner is not None:  # the positions of t's candidates
-            named, ops = owner._named(t)
-            owner.node.content.counters.storage_ops += ops
+        if guided:  # the positions of t's candidates
+            named = owner._named(t)
             if named is not None:
-                named = sorted([b.pos for b in named])
+                named.sort()
         for i in range(src + 1, n) if named is None else named[bisect_right(named, src):]:
-            if members[i].lookup(t) == 0:
-                continue  # not in member i: the tuple survives
-            r = members[i].next()
+            member = members[i]
+            if owner is None:
+                if not member.lookup(t):
+                    continue  # not in member i: the tuple survives
+            elif not probe(owner, i, member if member.__class__ is tuple else member._ctx, t):
+                continue
+            else:
+                member = members[i]  # the probe may have started it
+                if member.__class__ is tuple:
+                    member = owner._bucket(i)
+            r = member.next()
             # a tuple of member i still pending in the prefix implies the
             # member's cursor has tuples left
             if r is None:
                 raise InvariantViolationError(
                     f"union member {i} holds {t} but its cursor is exhausted")
             src, t = i, r[0]
-            if owner is not None:  # the new tuple has its own candidates
+            if guided:  # the new tuple has its own candidates
                 break
         else:
             break
@@ -614,7 +669,11 @@ def union_next(members: list, owner: TreeIter | None = None):
         return r
     total = r[1]
     for j in range(src) if named is None else named[:bisect_left(named, src)]:
-        total += members[j].lookup(t)
+        member = members[j]
+        if owner is None:
+            total += member.lookup(t)
+        else:
+            total += probe(owner, j, member if member.__class__ is tuple else member._ctx, t)
     return (t, total)
 
 

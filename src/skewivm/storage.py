@@ -68,6 +68,14 @@ def projection(positions: tuple[int, ...]):
     return itemgetter(*positions)
 
 
+def whole_row(positions: tuple[int, ...], key: Row) -> Row:
+    """The row whose projection on ``positions``, which cover its schema
+    in some order, is ``key``."""
+    if positions == tuple(range(len(positions))):
+        return key
+    return tuple(v for _, v in sorted(zip(positions, key)))
+
+
 class Relation:
     """A multiset of fixed-arity tuples with registered prefix indexes."""
 
@@ -147,9 +155,10 @@ class Relation:
             return
         if len(positions) == len(self.schema):
             self.counters.storage_ops += 1
-            m = self.entries.get(key, 0)
+            row = whole_row(positions, key)
+            m = self.entries.get(row, 0)
             if m:
-                yield key, m
+                yield row, m
             return
         index = self.indexes.get(positions)
         if index is None:
@@ -164,7 +173,7 @@ class Relation:
         empty (the engine counts by a light part's key)."""
         self.counters.storage_ops += 1
         if len(positions) == len(self.schema):
-            return 1 if key in self.entries else 0
+            return 1 if whole_row(positions, key) in self.entries else 0
         index = self.indexes.get(positions)
         if index is None:
             raise UnregisteredIndexError(f"{self.name}: no index on positions {positions}")

@@ -613,7 +613,11 @@ def pass_source(shape: tuple) -> str:
         for p, (_, whole, _) in enumerate(pairs):
             update += ["    " + text for text in _minor_check(p, whole)]
     update.append("counters.storage_ops += n")
-    tests = [f"{key} not in p{p}_bk or {key} in p{p}_lk" for p, (key, _, _) in enumerate(pairs)]
+    tests = []
+    for p, (key, whole, _) in enumerate(pairs):
+        # a whole key is tested as the row it covers, which may order it otherwise
+        read = "r" if whole else key
+        tests.append(f"{read} not in p{p}_bk or {read} in p{p}_lk")
     lines = [f"def factory({', '.join(args)}):", "    def conditions(r):",
              *([f"        counters.storage_ops += {2 * len(pairs)}"] if pairs else []),
              f"        return ({''.join(test + ', ' for test in tests)})"]
@@ -649,8 +653,8 @@ def _minor_check(p: int, whole: bool) -> list[str]:
     ``reinsert_below`` times, one the light part holds ``evict_at`` times
     or more is evicted.  A bucket size is read as :meth:`Relation.count`
     reads it, one op each, the base's only where the light part lacks the
-    key."""
-    in_light, in_base = (f"(k{p} in p{p}_{d})" if whole else f"len(p{p}_{d}.get(k{p}, ()))"
+    key.  A whole key is read as the row ``r`` it covers."""
+    in_light, in_base = (f"(r in p{p}_{d})" if whole else f"len(p{p}_{d}.get(k{p}, ()))"
                          for d in ("lk", "bk"))
     return ["n += 1", f"c = {in_light}", "if not c:", "    n += 1",
             f"    if 0 < {in_base} < reinsert_below:",

@@ -253,7 +253,7 @@ def test_open_grounds_one_bucket_per_heavy_key():
     it = TreeIter(heavy.root)
     it.open(())
     assert len(it.buckets) == 1
-    assert it.buckets[0].ctx["B"] == 7
+    assert dict(zip(heavy.root.enum.scope, it.buckets[0]))["B"] == 7  # a pending bucket's scope
 
 
 def test_open_with_absent_context_is_exhausted():
@@ -293,7 +293,7 @@ def test_slots_enumerate_through_pass_through_views(monkeypatch):
     assert not [name for name in opened if name.startswith(("V_B'", "V_E'"))]
     root = next(t.root for t in st.trees if t.root.name == "V_A@t0")
     gets = [entry for entry in root.enum.plan if entry[-1] is None]
-    assert len(gets) == root.enum.plan_ops == 3
+    assert len(gets) == 3
     assert [n.name for n in root.enum.slots] == ["V_B@t0", "V_E@t0"]
 
 
@@ -344,14 +344,14 @@ def test_view_key_outside_the_scope_raises_invariant_violation():
 
 def test_grounded_tree_without_buckets_looks_up_nothing(monkeypatch):
     # eps=1 leaves every key light, so the heavy tree grounds no bucket: a
-    # lookup is 0 at no cost and never reaches the probe plan
+    # lookup is 0 at no cost and never reaches the probe
     q = parse("chain2")
     st = preprocess(q, {"R": {(1, 2): 1}, "S": {(2, 3): 1}}, 1.0, mode="dynamic")
     heavy = next(t for t in st.trees if "xH_B" in t.leaves)
     it = TreeIter(heavy.root)
     it.open(())
     assert it.buckets == []
-    monkeypatch.setattr(heavy.root.enum, "plan", None)
+    monkeypatch.setattr(heavy.root.enum, "probe", None)
     before = st.counters.storage_ops
     assert it.lookup((1, 3)) == 0
     assert st.counters.storage_ops == before
@@ -369,15 +369,26 @@ def test_forest_with_differing_output_schemas_raises_invariant_violation():
 # ---------------------------------------------------------------------------
 
 
+def _started(owner: TreeIter, k: int) -> TreeIter:
+    """Bucket ``k`` of ``owner``, started under its own scope if it is
+    pending, as its first ``next()`` would; the start is not counted."""
+    if owner.buckets[k].__class__ is not tuple:
+        return owner.buckets[k]
+    counters = owner.node.content.counters
+    ops = counters.storage_ops
+    bucket = owner._bucket(k)
+    counters.storage_ops = ops
+    return bucket
+
+
 def _reference_lookup(it: TreeIter, assign: dict) -> tuple[int, int, int]:
     """The lookup before keys were compiled: the iterator's context merged
     with the assignment at every level, each view key built variable by
     variable and read from the view's entries.  A pending bucket is started
-    under its own scope, as its first ``next()`` would, before it is walked;
-    the start is not counted.  A grounded child whose context differs from
-    the probe's own, the merged assignment's projection onto its context
-    layout, is grounded afresh under the probe's context, and the scan of
-    H that grounding makes is counted.
+    (:func:`_started`) before it is walked.  A grounded child whose context
+    differs from the probe's own, the merged assignment's projection onto
+    its context layout, is grounded afresh under the probe's context, and
+    the scan of H that grounding makes is counted.
 
     Returns the multiplicity, the gets this lookup makes, and the ops the
     compiled lookup must make.  The two differ only at a grounded iterator
@@ -387,16 +398,12 @@ def _reference_lookup(it: TreeIter, assign: dict) -> tuple[int, int, int]:
     only the buckets they name; every other bucket's term must be 0.
     Otherwise it probes every bucket.  Either way it costs at most 1 op
     more than probing every bucket."""
-    if it.skip_heavy and it._range is None:
-        counters = it.node.content.counters
-        ops = counters.storage_ops
-        it._start()
-        counters.storage_ops = ops
     ctx = it.ctx
     merged = {**ctx, **assign} if ctx else assign
     info = it.node.enum
     if it.buckets is not None:
-        terms = [(b, *_reference_lookup(b, merged)) for b in it.buckets]
+        terms = [(b, *_reference_lookup(b, merged))
+                 for b in (_started(it, k) for k in range(len(it.buckets)))]
         m = sum(bm for _, bm, _, _ in terms)
         ref_ops = sum(r for _, _, r, _ in terms)
         every = sum(c for _, _, _, c in terms)
@@ -440,47 +447,79 @@ def _reference_lookup(it: TreeIter, assign: dict) -> tuple[int, int, int]:
     return total, ref_ops, ops
 
 
-def _looked_up(result) -> list[TreeIter]:
-    """Every iterator a union looks up: each component's trees and every
-    grounded bucket below them."""
-    def buckets(it):
-        for b in it.buckets or ():
-            yield b
-            yield from buckets(b)
-        for ch in it.children or ():
-            yield from buckets(ch)
+def _iterators(result):
+    """Every iterator below ``result`` that a lookup can read: each
+    component's trees, and the started buckets and children below them."""
+    def below(it):
+        yield it
+        for x in (*(it.buckets or ()), *(it.children or ())):
+            if x.__class__ is not tuple:
+                yield from below(x)
 
-    return [x for comp in result.components for member in comp.members
-            for x in (member, *buckets(member))]
+    return [x for comp in result.components for member in comp.members for x in below(member)]
+
+
+def _looked_up(result) -> list[tuple[TreeIter, int | None]]:
+    """Every iterator a union looks up, as ``(iterator, None)``: each
+    component's trees and every started bucket below them; and every
+    pending bucket, as ``(owner, position)``."""
+    out = []
+
+    def buckets(it):
+        for k, b in enumerate(it.buckets or ()):
+            if b.__class__ is tuple:
+                out.append((it, k))
+            else:
+                out.append((b, None))
+                buckets(b)
+        for ch in it.children or ():
+            buckets(ch)
+
+    for comp in result.components:
+        for member in comp.members:
+            out.append((member, None))
+            buckets(member)
+    return out
+
+
+def _lookup(handle, t) -> int:
+    """A lookup of ``t`` at a handle of :func:`_looked_up`: the iterator's
+    own, or the owner's probe of its bucket, as the owner's lookup and the
+    union make it, at the bucket's scope."""
+    it, k = handle
+    if k is None:
+        return it.lookup(t)
+    b = it.buckets[k]
+    return it.node.enum.probe(it, k, b if b.__class__ is tuple else b._ctx, t)
 
 
 def _forget_foreign(result) -> None:
     """Drop every descendant a lookup below ``result`` grounded afresh, so
     that the next lookup grounds each one again, as the reference does."""
-    def walk(it):
+    for it in _iterators(result):
         it.foreign = None
-        for x in (*(it.buckets or ()), *(it.children or ())):
-            walk(x)
-
-    for comp in result.components:
-        for member in comp.members:
-            walk(member)
 
 
-def _start_pending(result, counters) -> None:
+def _start_pending(result) -> None:
     """Start every pending bucket of ``result``, and those its starts open,
     without counting, which leaves each as eager opening left it."""
-    while pending := [b for b in _looked_up(result) if b.skip_heavy and b._range is None]:
-        ops = counters.storage_ops
-        for b in pending:
-            b._start()
-        counters.storage_ops = ops
+    while pending := [(it, k) for it in _iterators(result)
+                      for k, b in enumerate(it.buckets or ()) if b.__class__ is tuple]:
+        for it, k in pending:
+            _started(it, k)
 
 
-def _held(it: TreeIter) -> list[tuple]:
-    """The tuples ``it`` holds, read from a fresh iterator in its place."""
-    twin = TreeIter(it.node, it.skip_heavy)
-    twin.open(it._ctx)
+def _held(handle) -> list[tuple]:
+    """The tuples a handle of :func:`_looked_up` holds, read from a fresh
+    iterator in its place."""
+    it, k = handle
+    if k is None:
+        twin = TreeIter(it.node, it.skip_heavy)
+        twin.open(it._ctx)
+    else:
+        twin = TreeIter(it.node, True)
+        b = it.buckets[k]
+        twin.open(b if b.__class__ is tuple else b._ctx)
     out = []
     while (item := twin.next()) is not None:
         out.append(item[0])
@@ -507,31 +546,31 @@ def test_compiled_lookup_matches_dict_merge_reference(name, text, eps, mode, mon
 
     # ops of the bucket starts a lookup makes (outermost starts only)
     start_ops, depth = [0], [0]
-    start = TreeIter._start
+    start = TreeIter._bucket
 
-    def counted_start(self):
+    def counted_start(self, k):
         depth[0] += 1
         before = st.counters.storage_ops
         try:
-            start(self)
+            return start(self, k)
         finally:
             depth[0] -= 1
-        if not depth[0]:
-            start_ops[0] += st.counters.storage_ops - before
+            if not depth[0]:
+                start_ops[0] += st.counters.storage_ops - before
 
     # descendants a lookup grounds afresh, and the ops of their grounding
     fresh = [0, 0]
-    lookup_code, open_ = TreeIter.lookup.__code__, TreeIter.open
+    descend_code, open_ = TreeIter._descend.__code__, TreeIter.open
 
     def counted_open(self, ctx):
-        if sys._getframe(1).f_code is not lookup_code:
+        if sys._getframe(1).f_code is not descend_code:
             return open_(self, ctx)
         before = st.counters.storage_ops
         open_(self, ctx)
         fresh[0] += 1
         fresh[1] += st.counters.storage_ops - before
 
-    monkeypatch.setattr(TreeIter, "_start", counted_start)
+    monkeypatch.setattr(TreeIter, "_bucket", counted_start)
     monkeypatch.setattr(TreeIter, "open", counted_open)
     checked = narrowed = 0
     # each on a fresh iterator: its components opened with no next() made,
@@ -550,10 +589,11 @@ def test_compiled_lookup_matches_dict_merge_reference(name, text, eps, mode, mon
                 for _ in range(advance):
                     result.next()
             if started:
-                _start_pending(result, st.counters)
-            for it in _looked_up(result):
+                _start_pending(result)
+            for handle in _looked_up(result):
+                it, k = handle
                 schema = it.node.enum.out_schema
-                held = _held(it)
+                held = _held(handle)
                 probes = list(held)
                 for t in held[:20]:
                     for i in range(len(t)):
@@ -564,13 +604,15 @@ def test_compiled_lookup_matches_dict_merge_reference(name, text, eps, mode, mon
                     start_ops[0] = 0
                     fresh[:] = [0, 0]
                     before = st.counters.storage_ops
-                    got = it.lookup(t)
+                    got = _lookup(handle, t)
                     ops = st.counters.storage_ops - before - start_ops[0]
                     if started:
                         assert start_ops[0] == 0, (it.node.name, t)
-                    want, ref_ops, want_ops = _reference_lookup(it, dict(zip(schema, t)))
+                    want, ref_ops, want_ops = _reference_lookup(
+                        it if k is None else _started(it, k), dict(zip(schema, t)))
                     assert (got, ops) == (want, want_ops), (it.node.name, t)
-                    if it.buckets is not None and all(p is None for *_, p in it.node.enum.plan):
+                    if k is None and it.buckets is not None and \
+                            all(p is None for *_, p in it.node.enum.plan):
                         # no grounded iterator below: at most the fetch more
                         assert ops <= ref_ops + 1, (it.node.name, t)
                     narrowed += ops < ref_ops
@@ -579,7 +621,7 @@ def test_compiled_lookup_matches_dict_merge_reference(name, text, eps, mode, mon
                     grounding = fresh[1]
                     fresh[0] = 0
                     before = st.counters.storage_ops
-                    assert it.lookup(t) == want
+                    assert _lookup(handle, t) == want
                     assert (st.counters.storage_ops - before, fresh[0]) == \
                         (ops - grounding, 0), (it.node.name, t)
                     checked += 1
@@ -615,24 +657,35 @@ def test_union_lookups_keep_the_lookup_contract(name, eps, fixed, monkeypatch):
     found = []
     foreign = [0]
 
-    def checked_lookup(it, t):
+    def checked(node, skip_heavy, ctx, t, look):
         depth[0] += 1
         try:
-            got = original(it, t)
+            got = look()
         finally:
             depth[0] -= 1
         if depth[0] == 0:
-            where = (it.node, it.skip_heavy, it._ctx)
+            where = (node, skip_heavy, ctx)
             if where not in held:
-                twin = TreeIter(it.node, it.skip_heavy)
-                twin.open(it._ctx)
+                twin = TreeIter(node, skip_heavy)
+                twin.open(ctx)
                 held[where] = dict(iter(twin.next, None))
-            assert got == held[where].get(t, 0), (it.node.name, t)
+            assert got == held[where].get(t, 0), (node.name, t)
             found.append(got)
         return got
 
+    def checked_lookup(it, t):
+        return checked(it.node, it.skip_heavy, it._ctx, t, lambda: original(it, t))
+
+    def checked_probes(st):
+        # the union looks each bucket, pending or started, up by its
+        # owner's probe, over the bucket's scope
+        for node in {id(n): n for tree in st.trees for n in tree.nodes if n.enum}.values():
+            def probe(owner, k, c, t, probe=node.enum.probe, node=node):
+                return checked(node, True, c, t, lambda: probe(owner, k, c, t))
+            monkeypatch.setattr(node.enum, "probe", probe)
+
     def counted_open(it, ctx):
-        foreign[0] += sys._getframe(1).f_code is original.__code__
+        foreign[0] += sys._getframe(1).f_code is TreeIter._descend.__code__
         original_open(it, ctx)
 
     monkeypatch.setattr(TreeIter, "lookup", checked_lookup)
@@ -646,6 +699,7 @@ def test_union_lookups_keep_the_lookup_contract(name, eps, fixed, monkeypatch):
             dbs.append(rand_db(q, rng, per_rel=rng.randint(20, 60), dom=rng.randint(3, 8)))
     for db in dbs:
         st = preprocess(q, db, eps, mode="dynamic")
+        checked_probes(st)
         held.clear()
         assert st.result_multiset() == brute_force_eval(q, db)
     assert found
@@ -662,15 +716,16 @@ def test_a_foreign_context_descendant_is_grounded_once_per_open(name, seed, monk
     # the probed iterator keeps the descendant it grounds there until it
     # is reopened or closed, so each is grounded once and probed again
     lookup, open_ = TreeIter.lookup, TreeIter.open
+    descend = TreeIter._descend.__code__
     grounded, fresh, probes = {}, set(), [0]
 
     def counted_lookup(it, t):
-        probes[0] += id(it) in fresh and sys._getframe(1).f_code is lookup.__code__
+        probes[0] += id(it) in fresh and sys._getframe(1).f_code is descend
         return lookup(it, t)
 
     def counted_open(it, ctx):
         caller = sys._getframe(1)
-        if caller.f_code is lookup.__code__:
+        if caller.f_code is descend:
             owner = caller.f_locals["self"]
             where = (id(owner), caller.f_locals["path"], ctx)
             assert where not in grounded, (owner.node.name, ctx)
@@ -686,6 +741,50 @@ def test_a_foreign_context_descendant_is_grounded_once_per_open(name, seed, monk
     assert preprocess(q, db, 0.25, mode="dynamic").result_multiset() == brute_force_eval(q, db)
     assert probes[0] > len(grounded) > 0
 
+
+
+@pytest.mark.parametrize("text", [
+    "Q(A,D,E) = R(X,A,B,C), S(X,A,B,D), T(X,A,E), U(X,G).",
+    "Q(V2,V6) = R0(V0,V1,V2,V3,V4), R1(V0,V1,V2,V5), R2(V0,V1,V2,V3,V6), R3(V0,V1,V2,V5).",
+], ids=["fc3-below-X", "four-atoms"])
+def test_a_descendant_below_a_bucket_is_grounded_once_per_open_of_its_owner(text, monkeypatch):
+    # below a grounded root's buckets these queries look up a grounded
+    # descendant under a context its live iterator is not grounded under;
+    # such a grounding belongs to the grounded iterator holding the bucket,
+    # so the union's probes of a bucket, pending or started, and the
+    # owner's lookups share one grounding per (descendant, context) for
+    # as long as the owner stays open
+    open_, bucket = TreeIter.open, TreeIter._bucket
+    descend = TreeIter._descend.__code__
+    owner_of, opens, grounded, kept = {}, {}, {}, []
+    below = [0]
+
+    def counted_bucket(it, k):
+        b = bucket(it, k)
+        owner_of[id(b)] = it
+        return b
+
+    def counted_open(it, ctx):
+        opens[id(it)] = opens.get(id(it), 0) + 1
+        caller = sys._getframe(1)
+        if caller.f_code is descend:
+            owner = caller.f_locals["self"]
+            below[0] += caller.f_locals["k"] is not None or id(owner) in owner_of
+            owner = owner_of.get(id(owner), owner)
+            where = (id(owner), opens[id(owner)], it.node.name, ctx)
+            assert where not in grounded, (owner.node.name, it.node.name, ctx)
+            grounded[where] = owner
+        kept.append(it)  # kept alive, so no id is reused
+        open_(it, ctx)
+
+    monkeypatch.setattr(TreeIter, "_bucket", counted_bucket)
+    monkeypatch.setattr(TreeIter, "open", counted_open)
+    q = parse_query(text)
+    for seed in range(20):
+        rng = random.Random(f"owner/{text}/{seed}")
+        db = rand_db(q, rng, per_rel=rng.randint(20, 80), dom=rng.randint(2, 6))
+        assert preprocess(q, db, 0.0, mode="dynamic").result_multiset() == brute_force_eval(q, db)
+    assert below[0] > 0
 
 def test_component_union_emits_each_tuple_once_across_grounded_subtrees():
     # fc3 at eps 0.25 (M = 25): (0, 2, 2) has multiplicity 2, one from
@@ -817,22 +916,28 @@ def _zipf_chain2(rng: random.Random, n: int, keys: int, pool: int) -> dict:
 
 @pytest.fixture
 def bucket_starts(monkeypatch):
-    """Every bucket started, in order, and every bucket grounded."""
+    """Every bucket started, in order, and every bucket grounded, each as
+    the bucket list of its owner's open and its position there."""
     started, grounded = [], []
-    start, ground = TreeIter._start, TreeIter._ground
+    bucket, ground = TreeIter._bucket, TreeIter._ground
 
-    def counted_start(it):
-        if it.skip_heavy:
-            started.append(it)
-        start(it)
+    def counted_bucket(it, k):
+        started.append((it.buckets, k))
+        return bucket(it, k)
 
     def counted_ground(it, ctx):
         ground(it, ctx)
-        grounded.extend(it.buckets)
+        grounded.extend((it.buckets, k) for k in range(len(it.buckets)))
 
-    monkeypatch.setattr(TreeIter, "_start", counted_start)
+    monkeypatch.setattr(TreeIter, "_bucket", counted_bucket)
     monkeypatch.setattr(TreeIter, "_ground", counted_ground)
     return started, grounded
+
+
+def _ids(buckets: list[tuple]) -> list[tuple[int, int]]:
+    """Each (bucket list, position) as (list id, position); the records
+    keep every list alive, so no id is reused."""
+    return [(id(owner), k) for owner, k in buckets]
 
 
 def test_first_row_starts_few_buckets_and_a_full_read_each_once(bucket_starts):
@@ -850,7 +955,34 @@ def test_first_row_starts_few_buckets_and_a_full_read_each_once(bucket_starts):
     assert len(started) <= 2
     rows = [first, *it]
     assert dict(rows) == brute_force_eval(q, db) and len(rows) == len(dict(rows))
-    assert sorted(map(id, started)) == sorted(map(id, grounded))
+    assert sorted(_ids(started)) == sorted(_ids(grounded))
+
+
+def test_opening_a_grounded_view_builds_no_bucket_iterator(monkeypatch):
+    # a pending bucket is its scope: opening the Zipf read builds no bucket
+    # iterator, its first row builds at most two, and a full read builds
+    # each bucket at most once
+    q = parse("chain2")
+    db = _zipf_chain2(random.Random(11), n=256, keys=32, pool=512)
+    st = preprocess(q, db, 0.25, mode="dynamic")
+    built = []
+    init = TreeIter.__init__
+
+    def counted_init(it, node, skip_heavy=False):
+        init(it, node, skip_heavy)
+        if skip_heavy:
+            built.append(it)
+
+    monkeypatch.setattr(TreeIter, "__init__", counted_init)
+    it = st.enumerate_result()
+    assert built == []
+    assert it.grounded_buckets() == len(st.triples[0].h_content.entries) == 13
+    first = it.next()
+    assert len(built) <= 2
+    rows = [first, *it]
+    assert dict(rows) == brute_force_eval(q, db) and len(rows) == len(dict(rows))
+    scopes = [b._ctx for b in built]
+    assert len(set(scopes)) == len(scopes) <= 13
 
 
 def test_no_bucket_starts_twice(bucket_starts):
@@ -861,8 +993,8 @@ def test_no_bucket_starts_twice(bucket_starts):
             db = rand_db(q, random.Random(f"once/{name}/{eps}"), per_rel=40, dom=6)
             preprocess(q, db, eps, mode="dynamic").result_multiset()
     assert started
-    assert len(set(map(id, started))) == len(started)
-    assert {id(b) for b in started} <= {id(b) for b in grounded}
+    assert len(set(_ids(started))) == len(started)
+    assert set(_ids(started)) <= set(_ids(grounded))
 
 
 def test_pending_buckets_see_no_later_update(bucket_starts):
@@ -989,7 +1121,7 @@ def test_selector_narrows_a_lookup_to_the_buckets_its_tuple_names():
         twin = TreeIter(heavy.root)
         twin.open(())
         out = []
-        for b in twin.buckets:
+        for b in map(twin._bucket, range(len(twin.buckets))):
             before = st.counters.storage_ops
             out.append((b.ctx["B"], b.lookup(t), st.counters.storage_ops - before))
         return out
@@ -1048,7 +1180,7 @@ def test_guided_bucket_union_emits_what_the_unguided_one_does(name, eps, db_name
 
     def recorded_named(it, t):
         out = named(it, t)
-        fetched.append(out[0] is not None)
+        fetched.append(out is not None)
         return out
 
     monkeypatch.setattr(TreeIter, "_named", recorded_named)
@@ -1058,7 +1190,8 @@ def test_guided_bucket_union_emits_what_the_unguided_one_does(name, eps, db_name
         it.open(ctx)
         twin.open(ctx)
         got = list(iter(it.next, None))
-        want = list(iter(lambda: union_next(twin.buckets), None)) if twin.buckets else []
+        members = [twin._bucket(k) for k in range(len(twin.buckets or ()))]
+        want = list(iter(lambda: union_next(members), None)) if members else []
         assert got == want, (node.name, ctx)
         guided += it.guided
     if db_name is not None:  # every heavy bucket under one guided union

@@ -17,8 +17,9 @@ import tokenize
 
 import pytest
 
-from skewivm import viewtree
+from skewivm import enumeration, viewtree
 from skewivm.engine import EngineState, materialize_node, preprocess
+from skewivm.enumeration import TreeIter, probe_source
 from skewivm.errors import UnregisteredIndexError
 from skewivm.metrics import Counters
 from skewivm.oracle import brute_force_eval
@@ -327,6 +328,7 @@ def test_values_never_reach_the_generated_source(case):
     st.check_invariants(deep=True)
     assert st.result_multiset() == brute_force_eval(q, st.db_snapshot())
     sources += [pass_source(shape) for shape in viewtree._PASSES]
+    sources += [probe_source(shape) for shape in enumeration._PROBES]
     for source in [kernel_source(plan_shape(plan)) for plan in plans] + sources:
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             assert tok.type != tokenize.STRING, source
@@ -345,13 +347,15 @@ def test_kernels_compile_once_per_shape_and_bind_to_their_own_state(monkeypatch)
     preprocess(q, db, 0.5, mode="dynamic", m_override=400)
 
     def sizes():
-        return len(viewtree._FACTORIES), len(viewtree._TRIGGERS), len(viewtree._PASSES)
+        return (len(viewtree._FACTORIES), len(viewtree._TRIGGERS), len(viewtree._PASSES),
+                len(enumeration._PROBES))
 
     compiled = sizes()
     generated = []
-    for name in ("kernel_source", "trigger_source", "pass_source"):
-        source = getattr(viewtree, name)
-        monkeypatch.setattr(viewtree, name,
+    for module, name in ((viewtree, "kernel_source"), (viewtree, "trigger_source"),
+                         (viewtree, "pass_source"), (enumeration, "probe_source")):
+        source = getattr(module, name)
+        monkeypatch.setattr(module, name,
                             lambda shape, source=source: generated.append(shape) or source(shape))
     st = preprocess(q, db, 0.5, mode="dynamic", m_override=400)
     other = preprocess(q, db, 0.5, mode="dynamic", m_override=400)
@@ -376,6 +380,18 @@ def test_kernels_compile_once_per_shape_and_bind_to_their_own_state(monkeypatch)
             contents, their_contents = cell.cell_contents, their_cell.cell_contents
             assert contents is not their_contents or type(contents) is str
             assert type(contents) is not str or contents == their_contents
+    # the enumeration probes: one code per shape, each bound to its own
+    # state's counters and view entries
+    probes = [(mine.enum.probe, theirs.enum.probe)
+              for tree, their_tree in zip(st.trees, other.trees)
+              for mine, theirs in zip(tree.nodes, their_tree.nodes) if mine.enum is not None]
+    assert probes
+    for mine, theirs in probes:
+        assert mine is not theirs and mine.__code__ is theirs.__code__
+        bound = [{id(getattr(cell.cell_contents, "__self__", cell.cell_contents))
+                  for cell in probe.__closure__ if cell.cell_contents is not TreeIter._descend}
+                 for probe in (mine, theirs)]
+        assert bound[0].isdisjoint(bound[1])
     untouched = other.fingerprint()
     rebuilds = []
     repartition = EngineState._repartition

@@ -655,6 +655,9 @@ def test_compiled_propagation_matches_the_unbound_path_across_a_rebuild():
 PASS_QUERIES = {name: parse(name) for name in SUITE}
 PASS_QUERIES["self-join"] = parse_query("Q(A) = R(A,B), R(B,C), S(B).")
 PASS_QUERIES["whole-key"] = parse_query("Q(C,D) = R(A,B,C), T(A,B,D), S(A,B).")
+# S's light part is keyed on (A, B), at positions (1, 0): its key covers the
+# schema in another order than the row's
+PASS_QUERIES["permuted-key"] = parse_query("Q(C,D) = R(A,B,C), T(A,B,D), S(B,A).")
 
 
 def _ordered(st):
@@ -701,6 +704,22 @@ def test_generated_pass_matches_the_interpreted_reference():
             minors += twins.st.counters.minor_rebalances
             majors += twins.st.counters.major_rebalances
     assert minors > 0 and majors > 0
+
+
+@pytest.mark.parametrize("eps", (0.0, 0.5))
+def test_a_permuted_whole_key_light_part_keeps_the_partition(eps):
+    # S(B,A)'s light part is keyed on (A, B): a key read as the row it
+    # covers must be put back in the row's order, or the light-path test,
+    # the minor checks and a major's moves read the wrong entry
+    q = PASS_QUERIES["permuted-key"]
+    st = preprocess(q, {s: {} for s in q.symbols()}, eps)
+    assert (1, 0) in [lp.key_positions for triple in st.triples for lp in triple.light_parts
+                      if lp.atom.symbol == "S"]
+    for seed in range(200):
+        st = preprocess(q, {s: {} for s in q.symbols()}, eps, mode="dynamic")
+        run_trace(st, q, random.Random(f"permuted/{eps}/{seed}"), steps=60, dom=3)
+        st.check_invariants(deep=True)
+        assert st.result_multiset() == brute_force_eval(q, st.db_snapshot()), seed
 
 
 def test_a_dropped_state_is_freed_without_the_cycle_collector():

@@ -183,3 +183,13 @@ def test_traced_smoke_run_sees_propagation(workload, monkeypatch):
     assert not any(spans[i][0] == "viewtree.run_join" and not in_major(i) for i in during)
     assert run.layers[0]["engine.propagate.calls"] > 0
     assert run.layers[0]["viewtree.run_join.calls"] > 0
+
+
+def test_traced_read_smoke_run_sees_enumeration(monkeypatch):
+    # perfbench/tracing.py wraps ResultIterator.__init__ and next,
+    # union_next and TreeIter.lookup by name: a traced read records an
+    # open, a next and a union span, and counts lookups
+    run = _measure_smoke(monkeypatch, "read-chain2-e025", traced=True)
+    names = {span[0] for span in run.spans}
+    assert {"enumeration.open", "enumeration.next", "enumeration.union"} <= names
+    assert run.layers[0]["enumeration.lookups_per_row"] > 0
