@@ -6,23 +6,27 @@ into one DAG (:class:`ViewDag`) that holds each distinct view once, and a
 leaf delta reaches every view above the leaf in one pass: in dynamic mode,
 each leaf's steps are compiled at preprocessing into one straight-line
 *trigger* that folds every view's delta and writes it into the view's
-relation, with the view's indexes unrolled.  Each relation symbol's whole
-update pass is compiled too, into one straight-line *update pass* over the
-symbol's occurrences: the base and light-part writes, the All and L root
-reads, the light-path branch, the H settle and the minor checks.  The
+relation.  Each relation symbol's whole update pass is compiled too, into
+one straight-line *update pass* over the symbol's occurrences: the base
+writes, the All and L root reads, the light-path branch with its changes
+to the light parts' key sets, the H settle and the minor checks.  The
 layers that tracing wraps by name (``_light_path_conditions``, ``_apply``,
 ``_update_ind_tree``, ``_h_all_change``, ``_h_light_change``,
 ``_minor_rebalancing``) stay methods that the pass calls through the state,
-so each keeps its per-layer span.  Preprocessing at database
+so each keeps its per-layer span.
+
+A light part is its key set, a 0/1 relation over its keys; its leaves
+read their occurrence's relation through it.  Preprocessing at database
 size N fixes M = 2N + 1 and partitions with threshold M^epsilon; updates
 keep the size invariant floor(M/4) <= N < M by doubling or halving M with
 a *major* rebalancing, and keep the relaxed partition conditions per key by
-migrating single keys between light and heavy with *minor* rebalancing.  A major
-brings every light part to its strict partition at the new threshold: one
-counted degree pass over each base relation and its light part finds the
-keys whose side differs, which move through the same per-tuple light step
-as a minor; it rebuilds the partition-dependent views from scratch only when
-moving would cost more than the paper's preprocessing bound.
+moving single keys into or out of a key set with *minor* rebalancing.  A
+major brings every light part to its strict partition at the new
+threshold: one counted degree pass over each base relation and a read of
+each key set find the keys whose side differs, which move through the
+same per-tuple light step as a minor; it rebuilds the partition-dependent
+views from scratch only when moving would cost more than the paper's
+preprocessing bound.
 
 A single engine state is strictly single-threaded: updates take exclusive
 access, and any open iterator is invalidated by a generation counter.
@@ -63,6 +67,8 @@ from .viewtree import (
     forest_dot,
     intern,
     make_context,
+    LightRows,
+    rows_relation,
     run_join,
     tau,
     tree_to_dict,
@@ -270,13 +276,15 @@ class EngineState:
             raise EngineError(f"threshold base {self.M} violates the size "
                               f"invariant for N={self.N}")
         self._materialize(self.dag.stages[0])
-        self._repartition([(lp, d) for _, lp, d, _ in self._unsettled_parts()])
+        self._repartition([(lp, d) for _, lp, d in self._unsettled_parts()])
         if self.mode == "dynamic":
             self._compile_passes()
 
     def _attach_relations(self, db: dict[str, Multiset]) -> None:
-        """Create the base relations, light parts and H supports, give every
-        leaf the one of them it reads and every view a relation of its own."""
+        """Create the base relations, the light parts' key sets and the H
+        supports, give every leaf the one of them it reads (a light leaf a
+        :class:`LightRows` view of its occurrence's relation through its
+        part's key set) and every view a relation of its own."""
         counters = self.counters
         symbols = self.query.symbols()
         for sym in symbols:
@@ -304,11 +312,11 @@ class EngineState:
             triple.h_content = Relation(triple.h_name, triple.keys, counters)
             sources[triple.support_name] = triple.h_content
             for lp in triple.light_parts:
-                lp.content = Relation(lp.name, lp.atom.schema, counters)
-                lp.content.register_index(lp.key_positions)
+                lp.content = Relation(lp.name, lp.keys, counters)
                 lp.base = self.base[lp.atom.symbol]
                 lp.base.register_index(lp.key_positions)
-                sources[lp.name] = lp.content
+                lp.occurrence = self.atom_rels[lp.atom.name]
+                sources[lp.name] = LightRows(lp)
         for node in self.dag.nodes:
             node.content = (sources[node.leaf_name] if node.is_leaf
                             else Relation(node.name, node.schema, counters))
@@ -329,7 +337,7 @@ class EngineState:
             for plan in plans:
                 for step in plan.steps:
                     if step.mode == "scan":
-                        node.children[step.child_index].content.register_index(
+                        rows_relation(node.children[step.child_index]).register_index(
                             step.child_positions)
             node.plan.bind(node.children)
         if self.mode == "dynamic":
@@ -357,42 +365,54 @@ class EngineState:
     def _theta(self) -> float:
         return float(self.M) ** self.epsilon
 
-    def _unsettled_parts(self) -> Iterator[tuple[IndicatorTriple, LightPart, dict, dict]]:
+    def _unsettled_parts(self) -> Iterator[tuple[IndicatorTriple, LightPart, dict]]:
         """Each light part that may differ from its strict partition at the
-        current threshold, with the key degrees of its base relation and of
-        itself (:meth:`Relation.degrees`: the bucket sizes of the key index
-        both hold, in its key order), counted as one pass over each, one op
-        per entry.  A part that already holds every tuple of a base relation
-        smaller than the threshold is skipped in O(1): every key is light,
-        so the part is its own strict partition.  (At preprocessing a light
-        part is still empty, so only a part of an empty relation is skipped,
-        and the pass reads the base relation alone.)"""
+        current threshold, with the key degrees of its base relation
+        (:meth:`Relation.degrees`: the bucket sizes of its key index, in its
+        key order), which give the part's own degrees of the keys in its key
+        set too.  Counted as one pass over the base relation and one over
+        the key set, which the caller reads, one op per entry.  A part whose
+        key set holds every key
+        of a base relation smaller than the threshold is skipped in O(1):
+        every key is light, so the part is its own strict partition.  (At
+        preprocessing the key set is still empty, so only a part of an empty relation
+        is skipped, and the pass reads the base relation alone.)"""
         theta = self._theta()
         for triple in self.triples:
             for lp in triple.light_parts:
-                rel, light = lp.base, lp.content
-                if len(rel.entries) >= theta or len(light.entries) != len(rel.entries):
-                    self.counters.storage_ops += len(rel.entries) + len(light.entries)
-                    yield (triple, lp, rel.degrees(lp.key_positions),
-                           light.degrees(lp.key_positions))
+                rel, light = lp.base, lp.content.entries
+                keys = len(rel.indexes.get(lp.key_positions, rel.entries))
+                if len(rel.entries) >= theta or len(light) != keys:
+                    self.counters.storage_ops += len(rel.entries) + len(light)
+                    yield triple, lp, rel.degrees(lp.key_positions)
 
     def _repartition(self, parts: list[tuple[LightPart, dict]]) -> None:
         """Load each of ``parts``, a light part with its base relation's key
-        degrees, with its strict partition, and recompute from the leaves
-        every view that reads a light part or H, H in between.  The views
+        degrees, with the keys of its strict partition, and recompute from
+        the leaves every view that reads a light part or H, H in between.
+        A view that starts from a light leaf folds the part's rows: the
+        strict partition, computed once here and kept by no relation, or
+        for a part left out of ``parts`` (every key of it light, see
+        :meth:`_unsettled_parts`) all rows of its occurrence.  The views
         over base relations alone do not depend on the partition and stay
         as they are."""
         theta = self._theta()
+        rows = {lp.name: lp.occurrence.entries
+                for triple in self.triples for lp in triple.light_parts}
         for lp, degrees in parts:
-            lp.content.load(strict_partition(lp.base, lp.key_positions, theta, degrees))
-        self._materialize(self.dag.stages[1])
+            # a compact copy: the partition deleted the heavy rows from a
+            # copy of the base, and the folds iterate it faster without holes
+            light = rows[lp.name] = dict(strict_partition(lp.base, lp.key_positions, theta,
+                                                          degrees))
+            lp.content.load(dict.fromkeys(map(lp.key_of, light), 1))
+        self._materialize(self.dag.stages[1], rows)
         for triple in self.triples:
             self._rebuild_h(triple)
-        self._materialize(self.dag.stages[2])
+        self._materialize(self.dag.stages[2], rows)
 
-    def _materialize(self, views: list[ViewNode]) -> None:
+    def _materialize(self, views: list[ViewNode], light_rows: dict | None = None) -> None:
         for node in views:
-            materialize_node(node, node.plan)
+            materialize_node(node, node.plan, light_rows)
 
     def _rebuild_h(self, triple: IndicatorTriple) -> None:
         light_support = triple.light_root.content.entries
@@ -450,8 +470,8 @@ class EngineState:
         """Pre-update evaluation of the light-path test, by the symbol's
         generated ``conditions``, per (triple, light part) pair of each
         occurrence in query order: the update belongs to the light part
-        when its key is new to the base relation or already present in the
-        light part.  Two counted reads per pair.  The update pass calls it
+        when its key is new to the base relation or already in its key set.
+        Two counted reads per pair.  The update pass calls it
         through the state, so that tracing times it as the route layer."""
         return conditions(row)
 
@@ -510,8 +530,8 @@ class EngineState:
         relaxed band.  A light part holds all of a key's base tuples or none,
         so the degree pass of :meth:`_unsettled_parts` gives every key's
         side, and the keys whose side differs are inserted or evicted one
-        tuple at a time, at O(M^(delta*eps)) each, in key index order (the
-        base relation's for keys entering the light part, the part's own
+        tuple at a time, at O(M^(delta*eps)) each, in key order (the base
+        relation's key index for keys entering the light part, the key set's
         for keys leaving it): the order in which keys first came in and
         stayed.  When the k tuples to move would cost more than a rebuild,
         k * M^(delta*eps) > M^(1+(w-1)*eps), the light parts are loaded and
@@ -523,16 +543,17 @@ class EngineState:
         theta = self._theta()
         parts, moves = [], []
         tuples = 0
-        for triple, lp, degrees, light_degrees in self._unsettled_parts():
+        for triple, lp, degrees in self._unsettled_parts():
             parts.append((lp, degrees))
+            light = lp.content.entries
             for key, degree in degrees.items():
-                if degree < theta and key not in light_degrees:
+                if degree < theta and key not in light:
                     moves.append((triple, lp, key, True))
                     tuples += degree
-            for key, degree in light_degrees.items():
+            for key in light:
                 if degrees[key] >= theta:
                     moves.append((triple, lp, key, False))
-                    tuples += degree
+                    tuples += degrees[key]
         if self._widths is None:
             self._widths = (static_width(self.query), dynamic_width(self.query))
         w, delta = self._widths
@@ -552,10 +573,16 @@ class EngineState:
     def _move_key(self, triple: IndicatorTriple, lp: LightPart,
                   key: Row, insert: bool) -> None:
         """Move every base tuple matching ``key`` into or out of the light
-        part, one signed single-tuple delta at a time, by the light part's
+        part: flip the key's membership of the part's key set, one op, then propagate its
+        tuples one signed single-tuple delta at a time, by the light part's
         generated light step: the step an update on the light path runs,
         with no All transition."""
         step = self._light_steps[lp.name]
+        if insert:
+            lp.content.entries[key] = 1
+        else:
+            del lp.content.entries[key]
+        self.counters.storage_ops += 1
         for row, base_mult in list(lp.base.scan(lp.key_positions, key)):
             step(self, row, base_mult if insert else -base_mult, key, 0)
 
@@ -586,8 +613,9 @@ class EngineState:
     def check_invariants(self, deep: bool = False) -> None:
         """Raise :class:`InvariantViolationError` unless the size invariant,
         the relaxed partition conditions and every H support hold, every H
-        entry is 1 (with ``deep``, also every view's content and every
-        relation's indexes)."""
+        entry and each light part's key set entry is 1 and every light key is
+        in the base (with ``deep``,
+        also every view's content and every relation's indexes)."""
         if self.mode == "dynamic" and not self.M // 4 <= self.N < self.M:
             raise InvariantViolationError(
                 f"size invariant broken: M={self.M} N={self.N}")
@@ -596,15 +624,17 @@ class EngineState:
         heavy_floor = 0.5 * m_eps
         for triple in self.triples:
             for lp in triple.light_parts:
-                light_keys = key_degrees(lp.content.entries, lp.key_positions)
+                light_keys = lp.content.entries
                 base_keys = key_degrees(lp.base.entries, lp.key_positions)
-                for key, deg in light_keys.items():
-                    if deg >= light_cap:
-                        raise InvariantViolationError(
-                            f"{lp.name}: light key {key} has degree {deg} >= {light_cap}")
+                for key, one in light_keys.items():
+                    if one != 1:
+                        raise InvariantViolationError(f"{lp.name}: an entry is not 1")
                     if key not in base_keys:
                         raise InvariantViolationError(
                             f"{lp.name}: light key {key} not in base")
+                    if base_keys[key] >= light_cap:
+                        raise InvariantViolationError(f"{lp.name}: light key {key} has "
+                                                      f"degree {base_keys[key]} >= {light_cap}")
                 for key, deg in base_keys.items():
                     if key not in light_keys and deg < heavy_floor:
                         raise InvariantViolationError(
@@ -625,10 +655,8 @@ class EngineState:
         every relation's indexes equal their recomputation from its
         entries: a trigger writes the indexes a view had when it was
         compiled, so one registered later would go stale."""
-        relations = [*self.atom_rels.values(), *(node.content for node in self.dag.nodes)]
-        for triple in self.triples:
-            relations.append(triple.h_content)
-            relations.extend(lp.content for lp in triple.light_parts)
+        relations = [*self.atom_rels.values(), *map(rows_relation, self.dag.nodes)]
+        relations.extend(triple.h_content for triple in self.triples)
         for rel in {id(rel): rel for rel in relations}.values():
             if rel.indexes != rel.rebuilt_indexes():
                 raise InvariantViolationError(f"{rel.name}: an index diverged from the entries")
@@ -689,13 +717,14 @@ class EngineState:
         return forest_dot(named, self.triples)
 
 
-def materialize_node(node: ViewNode, plan: JoinPlan) -> None:
+def materialize_node(node: ViewNode, plan: JoinPlan, light_rows: dict | None = None) -> None:
     """Recompute ``node.content`` from the children (leaves untouched) by
     :func:`run_join`; the full scan of the outer child counts one op per
-    entry."""
-    rel = node.children[plan.start_index].content
-    rel.counters.storage_ops += len(rel.entries)
-    node.content.load(run_join(plan, node.children, rel.entries.items()))
+    entry.  An outer light leaf's rows are ``light_rows[leaf name]``."""
+    outer = node.children[plan.start_index]
+    rows = outer.content.entries if outer.part is None else light_rows[outer.leaf_name]
+    node.content.counters.storage_ops += len(rows)
+    node.content.load(run_join(plan, node.children, rows.items()))
 
 
 def _no_steps(delta: Multiset) -> list[Multiset]:

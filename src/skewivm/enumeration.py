@@ -126,7 +126,11 @@ def annotate(root: ViewNode, free: frozenset[str],
     by several trees is annotated once; it must be reached under the same
     context layout every time.  With ``buckets`` false no heavy key can
     exist, a grounded node never holds a bucket, and no bucket selector is
-    compiled (nor its index registered)."""
+    compiled (nor its index registered).  No light leaf is reached: only
+    the join folds read a light leaf's rows, through its part's key set
+    (see :func:`skewivm.viewtree.light_key`)."""
+    if root.part is not None:
+        raise InvariantViolationError(f"{root.name}: a light leaf is enumerated")
     if root.enum is not None:
         if root.enum.ctx_order != ctx_order:
             raise InvariantViolationError(

@@ -5,44 +5,36 @@ map and keeps, for every registered proper sub-schema, an index from
 sub-tuple keys to the matching entries.  All primitives are constant time
 (amortized) and each one bumps the owning :class:`~skewivm.metrics.Counters`
 by exactly one, which is what the counter-based complexity tests measure.
-Several routines count the same primitives in bulk.  The join fold of
-:func:`skewivm.viewtree.run_join` runs a kernel generated for its plan's
-shape, which reads entries and index buckets directly, tallies its steps'
-ops in one local (one op per lookup, one per bucket fetch plus one per
-scanned row, one per entry of a cross product) and adds it, once per fold,
-to the counters of its start relation, which a state's relations share.
-:meth:`Relation.add` writes a delta of any number of rows in one call: one
-op per row, plus one per index for each entry it creates or removes.  The
-engine writes H with it.  On the update path every other write is
-generated code: a view takes its deltas from its leaf's trigger
-(:func:`skewivm.viewtree.trigger_source`), and a base relation, a later
-self-join occurrence's relation and a light part take an update's row from
-the symbol's update pass (:func:`skewivm.viewtree.pass_source`).  Each is
-``add`` specialised to the relation's registered indexes: it writes the
-entries and index dicts directly and counts what ``add`` counts, so an
-index registered after the code is compiled would not be maintained
+Several routines count the same primitives in bulk: a generated join fold
+(:func:`skewivm.viewtree.run_join`) tallies its reads and adds them once
+per fold, and :meth:`Relation.add` writes a delta of any number of rows in
+one call, one op per row plus one per index for each entry it creates or
+removes.  The engine writes H with it.  On the update path every other
+write is generated code, ``add`` specialised to the relation's indexes: a
+view takes its deltas from its leaf's trigger
+(:func:`skewivm.viewtree.trigger_source`), and a base relation and a later
+self-join occurrence's relation take an update's row from the symbol's
+update pass (:func:`skewivm.viewtree.pass_source`), which also reads
+key-index buckets directly and keeps each light part's key set.  An index
+registered after the code is compiled would not be maintained
 (``check_invariants(deep=True)`` compares every index with
-:meth:`Relation.rebuilt_indexes`).  The pass also reads key-index buckets
-directly, counting one op per read as :meth:`Relation.count` does.  No
-write checks anything; the engine's input boundary (``preprocess`` and
-``EngineState.on_update``) has already checked every row's arity and
-multiplicity.
+:meth:`Relation.rebuilt_indexes`).  No write checks anything; the engine's
+input boundary has already checked every row's arity and multiplicity.
 :meth:`Relation.load`, the one bulk writer of a whole content (base
-relations, light parts, materialized views, H), writes all rows with one
-``dict.update``, fills each index in one pass and adds ``rows * (1 +
-indexes)`` ops at once.
+relations, light parts' key sets, materialized views, H), writes all rows
+with one ``dict.update``, fills each index in one pass and adds ``rows *
+(1 + indexes)`` ops at once.
 
+A light part is a set of keys over its base relation, not a copy of rows.
 Preprocessing and majors read key degrees as the bucket sizes of a key
-index (:meth:`Relation.degrees`) and take a strict light part
-(:func:`strict_partition`) as a copy of the entries less the heavy keys'
-buckets.  Every bulk routine keeps the order of entries, index keys and
-buckets that one-row writes in the same order would give; enumeration order
-depends on it.
+index (:meth:`Relation.degrees`) and take a strict light part's rows
+(:func:`strict_partition`) as a transient copy of the entries less the
+heavy keys' buckets.  Every bulk routine keeps the order of entries, index
+keys and buckets that one-row writes in the same order would give;
+enumeration order depends on it.
 
-Base relations only ever hold strictly positive multiplicities, because
-``on_update`` rejects a delete that would leave one nonpositive before it
-writes anything; views may go negative transiently while a delta
-propagates.
+Base relations only ever hold strictly positive multiplicities; views may
+go negative transiently while a delta propagates.
 """
 
 from __future__ import annotations
@@ -169,8 +161,8 @@ class Relation:
             yield row, self.entries[row]
 
     def count(self, positions: tuple[int, ...], key: Row) -> int:
-        """|sigma_{positions=key}| in constant time; ``positions`` is never
-        empty (the engine counts by a light part's key)."""
+        """|sigma_{positions=key}| in constant time, for a nonempty
+        ``positions``."""
         self.counters.storage_ops += 1
         if len(positions) == len(self.schema):
             return 1 if whole_row(positions, key) in self.entries else 0
@@ -194,8 +186,8 @@ class Relation:
         are written with one ``dict.update`` and each index is filled in one
         pass, keys and buckets in row order.  The ``entries`` and index
         dicts are cleared and refilled, never replaced, so join plans bound
-        to them stay valid.  Base loads, light parts, materialized views and
-        H all take their content this way."""
+        to them stay valid.  Base loads, light parts' key sets, materialized
+        views and H all take their content this way."""
         self.clear()
         self.entries.update(entries)
         self.counters.storage_ops += len(entries) * (1 + len(self.keyed))
@@ -259,8 +251,9 @@ def strict_partition(rel: Relation, positions: tuple[int, ...], theta: float,
     ``positions`` (the key is its whole schema) is filtered row by row.
     Counted as one pass over ``rel``, one op per entry; the caller counts
     the pass that gave ``degrees``.  Used at preprocessing time and by the
-    rebuild a major falls back to, which reuses the degrees of its own
-    pass.
+    rebuild a major falls back to, which reuse the degrees of their own
+    pass, take the light keys from the rows and fold the views that start
+    at a light leaf from them; no relation keeps the copy.
     """
     entries = rel.entries
     rel.counters.storage_ops += len(entries)

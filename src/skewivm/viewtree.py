@@ -10,8 +10,9 @@ heavy strategies gated by the H indicators, sets of heavy keys.
 Nodes built here carry no data.  The builders may return one node object in
 several places; :func:`intern` then turns a forest into a DAG with one node
 per distinct view.  The engine gives every leaf, as its content, the
-relation it reads (a base relation, a light part or an H support) and every
-distinct view a relation of its own, which it materializes bottom-up.
+relation it reads (a base relation or an H support; a light leaf reads its
+occurrence's relation through its part's key set, :func:`light_key`) and
+every distinct view a relation of its own, which it materializes bottom-up.
 
 Join plans run as generated Python, from one emitter of fold lines
 (:func:`fold_lines`): a kernel per plan shape materializes a view, and a
@@ -24,10 +25,12 @@ update around the triggers, with the same one-row writes
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable
 
-from .errors import UnregisteredIndexError
+from .errors import InvariantViolationError, UnregisteredIndexError
 from .query import Atom, ConjunctiveQuery, is_free_connex, is_q_hierarchical, min_cover
 from .storage import Relation, projection
 from .vorder import VariableOrder
@@ -44,7 +47,7 @@ class ViewNode:
     """One view in a tree: a join of its children projected to ``schema``."""
 
     __slots__ = ("name", "schema", "kind", "children", "content", "leaf_name",
-                 "enum", "plan")
+                 "enum", "plan", "part")
 
     def __init__(self, name: str, schema: tuple[str, ...], kind: str,
                  children: list["ViewNode"] | None = None,
@@ -57,6 +60,7 @@ class ViewNode:
         self.leaf_name = leaf_name  # delta dispatch key for leaves
         self.enum = None  # enumeration annotations, filled per result tree
         self.plan: JoinPlan | None = None  # materialization plan, set by intern
+        self.part: LightPart | None = None  # the light part a light leaf reads
 
     @property
     def is_leaf(self) -> bool:
@@ -84,19 +88,52 @@ class ViewNode:
 
 @dataclass
 class LightPart:
-    """The light part of one atom occurrence, partitioned on ``keys``."""
+    """The light part of one atom occurrence, partitioned on ``keys``: the
+    rows of the occurrence's relation whose key is in ``content``, the set
+    of light keys.  A key is in the set with all of its base tuples or with
+    none, so the set determines the part and no relation copies its rows."""
 
     atom: Atom
     keys: tuple[str, ...]
     name: str
     key_positions: tuple[int, ...]  # positions of keys in the atom schema
-    content: Relation | None = None  # the light part itself; its leaves read it
+    # the light keys as a 0/1 relation over ``keys``: {key: 1} per key
+    content: Relation | None = None
     base: Relation | None = None  # the base relation it partitions
+    occurrence: Relation | None = None  # the relation its leaves read
     # atom row -> its key, resolved from the positions
     key_of: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.key_of = projection(self.key_positions)
+
+
+class LightRows(Mapping):
+    """A light leaf's content: its part's rows, those of the occurrence
+    relation whose key is in the part's key set, in entry order, as a read-only view that
+    holds none of them.  Folds read the rows through the key set (:func:`light_key`);
+    the view serves the readers of a leaf's whole content (checks, state
+    comparisons) with ``entries`` (itself), ``indexes`` (none) and ``size``."""
+
+    __slots__ = ("part",)
+    indexes = MappingProxyType({})
+    entries = property(lambda self: self)
+    size = property(len)
+
+    def __init__(self, part: LightPart):
+        self.part = part
+
+    def __iter__(self):
+        light, key_of = self.part.content.entries, self.part.key_of
+        return (row for row in self.part.occurrence.entries if key_of(row) in light)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __getitem__(self, row: tuple) -> int:
+        if self.part.key_of(row) not in self.part.content.entries:
+            raise KeyError(row)
+        return self.part.occurrence.entries[row]
 
 
 @dataclass
@@ -145,7 +182,9 @@ def base_leaf(atom: Atom) -> ViewNode:
 
 
 def light_leaf(lp: LightPart) -> ViewNode:
-    return ViewNode(lp.name, lp.atom.schema, LIGHT, leaf_name=lp.name)
+    leaf = ViewNode(lp.name, lp.atom.schema, LIGHT, leaf_name=lp.name)
+    leaf.part = lp
+    return leaf
 
 
 def heavy_ref_leaf(triple: IndicatorTriple) -> ViewNode:
@@ -312,6 +351,9 @@ class JoinStep:
     child_positions: tuple[int, ...]  # key positions in the child schema
     acc_positions: tuple[int, ...]  # matching positions in the accumulator
     new_positions: tuple[int, ...]  # child positions appended to the accumulator
+    # a light leaf's key positions in the child schema, which the step tests
+    # before it reads the leaf's rows (see :func:`light_key`); else empty
+    light: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -339,12 +381,41 @@ class JoinPlan:
 
 def plan_shape(plan: JoinPlan) -> tuple:
     """What the plan's kernel is generated from: the start-row width, each
-    step's kind (lookup, index scan or cross product) and positions, and
-    the output positions.  Integers and kinds only."""
+    step's kind (lookup, index scan or cross product), positions and light
+    key (:func:`light_key`), and the output positions.  Integers and kinds
+    only."""
     width = len(plan.acc_schema) - sum(len(s.new_positions) for s in plan.steps)
     steps = tuple(("lookup" if s.mode == "lookup" else "index" if s.child_positions
-                   else "cross", s.acc_positions, s.new_positions) for s in plan.steps)
+                   else "cross", s.acc_positions, s.new_positions, light_key(s))
+                  for s in plan.steps)
     return width, steps, plan.out_positions
+
+
+def light_key(step: JoinStep) -> tuple[int, ...] | None:
+    """How ``step`` reads its child: ``None`` for any child but a light
+    leaf, else the accumulator positions of the leaf's light key, which
+    the step tests in the part's key set before a lookup gets the row or an index step
+    fetches the occurrence relation's bucket.  Each read counts one op,
+    as a read of a copy of the light rows did.  A cross product or an
+    index that misses part of the key would read heavy keys' rows: it
+    raises :class:`InvariantViolationError`.  (Under a variable x, the
+    shared positions of a hierarchical query's joins hold anc(x) and x,
+    which cover the key.)"""
+    if not step.light:
+        return None
+    at = dict(zip(step.child_positions, step.acc_positions))
+    if not all(p in at for p in step.light):
+        raise InvariantViolationError(
+            f"a step reads light leaf {step.child_index} at positions "
+            f"{step.child_positions}, which do not cover its key {step.light}")
+    return tuple(at[p] for p in step.light)
+
+
+def rows_relation(node: ViewNode) -> Relation:
+    """The relation that holds ``node``'s rows: a light leaf's occurrence
+    relation, which it reads through its part's key set (see
+    :func:`light_key`), and any other node's content."""
+    return node.content if node.part is None else node.part.occurrence
 
 
 def fold_lines(shape: tuple, rows: str, out: str, prefix: str, depth: int) -> list[str]:
@@ -358,6 +429,8 @@ def fold_lines(shape: tuple, rows: str, out: str, prefix: str, depth: int) -> li
     yields; every key and output row is a tuple display of the start row's
     values (``a0, a1, ...``) and of scanned child rows (``c1[0]``), and
     every multiplicity is the product of the start row's and each step's.
+    A step over a light leaf first skips a row whose light key is not in
+    the key set named ``{prefix}l{j}`` (:func:`light_key`).
     The lines add their ops to the local ``n``: per step, one per row that
     reaches it, plus the size of an index bucket it fetches, or, for a
     cross product, the child's entries per row instead.  Where the output
@@ -383,7 +456,7 @@ def fold_lines(shape: tuple, rows: str, out: str, prefix: str, depth: int) -> li
     def emit(*texts: str) -> None:
         body.extend("    " * level + text for text in texts)
 
-    for j, (kind, acc_positions, new_positions) in enumerate(steps):
+    for j, (kind, acc_positions, new_positions, light) in enumerate(steps):
         get, entries, factor = f"{prefix}g{j}", f"{prefix}e{j}", f"x{j}"
         if kind == "cross":
             if j:
@@ -393,10 +466,17 @@ def fold_lines(shape: tuple, rows: str, out: str, prefix: str, depth: int) -> li
         else:
             if j:
                 emit("n += 1")
+            key = display(acc_positions)
+            if light is not None:
+                test = display(light)
+                if light == acc_positions:  # the step's key is the light key
+                    emit(f"k{j} = {key}")
+                    key = test = f"k{j}"
+                emit(f"if {test} not in {prefix}l{j}:", "    continue")
             if kind == "lookup":
-                emit(f"x{j} = {get}({display(acc_positions)})", f"if not x{j}:", "    continue")
+                emit(f"x{j} = {get}({key})", f"if not x{j}:", "    continue")
             else:
-                emit(f"b{j} = {get}({display(acc_positions)})", f"if not b{j}:", "    continue",
+                emit(f"b{j} = {get}({key})", f"if not b{j}:", "    continue",
                      f"n += len(b{j})", f"for c{j} in b{j}:")
                 factor = f"{entries}[c{j}]"
         if kind != "lookup":
@@ -427,12 +507,12 @@ def fold_lines(shape: tuple, rows: str, out: str, prefix: str, depth: int) -> li
 
 def kernel_source(shape: tuple) -> str:
     """Python source of the kernel factory for ``shape`` (a
-    :func:`plan_shape`).  ``factory(counters, g0, e0, g1, ...)`` takes the
-    counters the fold credits and, per step, the ``get`` it calls and the
-    entries it reads, and returns ``fold(rows)``: the lines of
-    :func:`fold_lines` into a new dict, their ops added to ``counters``
-    once at the end."""
-    args = "".join(f", g{j}, e{j}" for j in range(len(shape[1])))
+    :func:`plan_shape`).  ``factory(counters, g0, e0, l0, g1, ...)`` takes
+    the counters the fold credits and, per step, the ``get`` it calls, the
+    entries it reads and a light leaf's key set, and returns ``fold(rows)``:
+    the lines of :func:`fold_lines` into a new dict, their ops added to
+    ``counters`` once at the end."""
+    args = "".join(f", g{j}, e{j}, l{j}" for j in range(len(shape[1])))
     return "\n".join([f"def factory(counters{args}):", "    def fold(rows):",
                       "        out = {}", "        n = 0",
                       *fold_lines(shape, "rows", "out", "", 2),
@@ -498,9 +578,10 @@ def trigger_shape(steps: list[tuple[ViewNode, JoinPlan, int]]) -> tuple:
 def trigger_source(shape: tuple) -> str:
     """Python source of the trigger factory for ``shape`` (a
     :func:`trigger_shape`).  ``factory(counters, ...)`` takes the counters
-    the trigger credits and, per step ``i``, the gets and entries its fold
-    reads (``s{i}_g0, s{i}_e0, ...``), the view's entries and their ``get``
-    and the view's index dicts, and returns ``trigger(d)``.  The trigger
+    the trigger credits and, per step ``i``, the gets, entries and key
+    sets its fold reads (``s{i}_g0, s{i}_e0, s{i}_l0, ...``), the view's
+    entries and their ``get`` and the view's index dicts, and returns
+    ``trigger(d)``.  The trigger
     runs the steps as straight-line code, in order: a step whose source
     delta (``d``, the leaf's, or ``d{src}``) is empty keeps it as its own
     delta ``d{i}``; any other folds it into ``d{i}`` (:func:`fold_lines`)
@@ -510,7 +591,7 @@ def trigger_source(shape: tuple) -> str:
     args, body = ["counters"], []
     for i, (plan, src, indexes) in enumerate(shape):
         prefix = f"s{i}_"
-        args += [f"{prefix}{name}{j}" for j in range(len(plan[1])) for name in "ge"]
+        args += [f"{prefix}{name}{j}" for j in range(len(plan[1])) for name in "gel"]
         args += [f"{prefix}w", f"{prefix}get"] + [f"{prefix}i{q}" for q in range(len(indexes))]
         source = f"d{src}" if src >= 0 else "d"
         body += [f"if {source}:", f"    d{i} = {{}}",
@@ -534,14 +615,12 @@ def pass_shape(base: Relation, routes: list[Route]) -> tuple:
     each index of its base relation ``base`` and, per occurrence of
     ``routes``, the positions of each index of its own relation (``None``
     for the first occurrence, whose relation is ``base``) and per pair the
-    light part's key positions, whether they cover the schema (so that no
-    key index exists and a key is counted in the entries, as
-    :meth:`Relation.count` does) and the positions of each index of the
-    light part."""
+    light part's key positions and whether they cover the schema (so that
+    no key index exists and a key is read in the entries, as
+    :meth:`Relation.count` does)."""
     return tuple(base.indexes), tuple(
         (None if rel is base else tuple(rel.indexes),
-         tuple((lp.key_positions, lp.key_positions not in base.indexes,
-                tuple(lp.content.indexes)) for _, lp in pairs))
+         tuple((lp.key_positions, lp.key_positions not in base.indexes) for _, lp in pairs))
         for _, rel, pairs in routes)
 
 
@@ -552,30 +631,34 @@ def pass_source(shape: tuple) -> str:
     handles (as a trigger takes a view's), and per occurrence ``i`` a later
     occurrence's write handles and the leaf name ``o{i}_leaf``, and per
     pair ``p`` (numbered across occurrences) its triple, light part, All
-    and L roots with their entries, the base's and the light part's key
-    dicts (key indexes, or entries), the light part's leaf name, H's leaf
-    name and the light part's write handles.  It returns ``(pass, light
-    steps)``.
+    and L roots with their entries, the base's key dict (key index, or
+    entries), the light part's key set, the light part's leaf name and
+    H's leaf name.  It returns ``(pass, light steps)``.
 
     ``pass(st, r, m, bounds)`` applies ``{r: m}`` to the engine state
     ``st`` as straight-line code: the light-path test of every pair,
     through ``st._light_path_conditions``; the base write
     (:func:`write_lines`, one row); then per occurrence in
     query order, its own write if it is a later one, the All roots' gets,
-    ``st._apply`` of the leaf, and per pair the All transition, then the
-    pair's light step on the light path, else H's change from the All
-    transition; last, unless ``bounds`` is ``None`` (a major follows), the
-    minor checks against ``bounds``, ``(M, evict_at, reinsert_below)``.
+    ``st._apply`` of the leaf, and per pair the All transition, then on the
+    light path the change to the part's key set and the pair's light step, else H's change from
+    the All transition; last, unless ``bounds`` is ``None`` (a major
+    follows), the minor checks against ``bounds``, ``(M, evict_at,
+    reinsert_below)``.  On the light path a key new to the base (as the
+    route test read it) enters the key set, one op; after a delete, one read of the
+    base's key bucket tells whether the key's last base tuple went, and
+    then it leaves the key set, one more op.  No light row is written, as the light
+    leaves read the occurrence's relation, which already holds the update.
 
-    ``light{p}(st, r, m, key, d_all)``, the pair's light step, writes
-    ``{r: m}`` into the light part, propagates it (``st._apply``), takes L's
+    ``light{p}(st, r, m, key, d_all)``, the pair's light step, propagates
+    ``{r: m}`` from the light part's leaf (``st._apply``), takes L's
     transition at ``key`` and settles H's change once, from L's transition
     if it has one, else from ``d_all``, All's: L's support lies inside All's
     and agrees with it on a key every light part holds, so a key that
     enters (or leaves) All and L in one update never touches H.  No view
-    above a light part reads its triple's H, so the light step does not
-    depend on when H changes.  A transition of 0 makes no H change and no
-    call.
+    above a light part reads its triple's H or the part itself, so the
+    light step does not depend on when H or the key set changes.  A
+    transition of 0 makes no H change and no call.
 
     Every layer that tracing wraps (the route test, ``_apply``, the
     indicator steps, ``_minor_rebalancing``) is called through ``st`` at
@@ -585,7 +668,7 @@ def pass_source(shape: tuple) -> str:
     primitives would, in one local added to ``counters`` once."""
     base_indexes, occurrences = shape
     args = ["counters", "dag", *_write_params("w_", base_indexes)]
-    pairs: list[tuple] = []  # (key display, whole key, indexes) per pair
+    pairs: list[tuple[str, str]] = []  # (key display, base key read) per pair
     update = ["n = 0", *write_lines(None, "w_", base_indexes, 0)]
     for i, (own, occurrence_pairs) in enumerate(occurrences):
         if own is not None:
@@ -593,53 +676,54 @@ def pass_source(shape: tuple) -> str:
             update += write_lines(None, f"o{i}_", own, 0)
         args.append(f"o{i}_leaf")
         first = len(pairs)
-        for positions, whole, indexes in occurrence_pairs:
+        for positions, whole in occurrence_pairs:
             p = len(pairs)
-            pairs.append((_display(positions), whole, indexes))
+            # a whole key is read in the base as the row it covers, which
+            # may order it otherwise
+            pairs.append((_display(positions), "r" if whole else f"k{p}"))
             args += [f"p{p}_{name}" for name in
                      ("t", "lp", "all", "ae", "light", "le", "bk", "lk", "leaf", "h")]
-            args += _write_params(f"p{p}_", indexes)
             update.append(f"x{p} = p{p}_ae.get(k{p}, 0)")
         if occurrence_pairs:
             update.append(f"n += {len(occurrence_pairs)}")
         update.append(f"st._apply(dag, o{i}_leaf, {{r: m}})")
         for p in range(first, len(pairs)):
             update += [f"d = st._update_ind_tree(p{p}_all, k{p}, x{p})", f"if c{p}:",
+                       f"    if k{p} not in p{p}_lk:", f"        p{p}_lk[k{p}] = 1",
+                       "        n += 1", "    elif m < 0:", "        n += 1",
+                       f"        if {pairs[p][1]} not in p{p}_bk:",
+                       f"            del p{p}_lk[k{p}]", "            n += 1",
                        f"    light{p}(st, r, m, k{p}, d)", "elif d:",
                        f"    h = st._h_all_change(p{p}_t, k{p}, d)", "    if h:",
                        f"        st._apply(dag, p{p}_h, h)"]
     if pairs:
         update += ["if bounds is not None:", "    _, evict_at, reinsert_below = bounds"]
-        for p, (_, whole, _) in enumerate(pairs):
-            update += ["    " + text for text in _minor_check(p, whole)]
+        for p, (_, read) in enumerate(pairs):
+            update += ["    " + text for text in _minor_check(p, read)]
     update.append("counters.storage_ops += n")
-    tests = []
-    for p, (key, whole, _) in enumerate(pairs):
-        # a whole key is tested as the row it covers, which may order it otherwise
-        read = "r" if whole else key
-        tests.append(f"{read} not in p{p}_bk or {read} in p{p}_lk")
+    tests = [f"{'r' if read == 'r' else key} not in p{p}_bk or {key} in p{p}_lk"
+             for p, (key, read) in enumerate(pairs)]
     lines = [f"def factory({', '.join(args)}):", "    def conditions(r):",
              *([f"        counters.storage_ops += {2 * len(pairs)}"] if pairs else []),
              f"        return ({''.join(test + ', ' for test in tests)})"]
-    for p, (_, _, indexes) in enumerate(pairs):
-        lines += ["    " + text for text in _light_step(p, indexes)]
+    for p in range(len(pairs)):
+        lines += ["    " + text for text in _light_step(p)]
     test = "st._light_path_conditions(conditions, r)"
     if pairs:
         test = f"{''.join(f'c{p}, ' for p in range(len(pairs)))}= {test}"
     lines += ["    def update_pass(st, r, m, bounds):",
-              *(f"        k{p} = {key}" for p, (key, _, _) in enumerate(pairs)),
+              *(f"        k{p} = {key}" for p, (key, _) in enumerate(pairs)),
               f"        {test}", *("        " + text for text in update),
               f"    return update_pass, ({''.join(f'light{p}, ' for p in range(len(pairs)))})",
               ""]
     return "\n".join(lines)
 
 
-def _light_step(p: int, indexes: tuple) -> list[str]:
+def _light_step(p: int) -> list[str]:
     """Unindented lines of pair ``p``'s light step (see
     :func:`pass_source`)."""
-    return [f"def light{p}(st, r, m, key, d_all):", "    n = 0",
-            *write_lines(None, f"p{p}_", indexes, 1),
-            f"    x = p{p}_le.get(key, 0)", "    counters.storage_ops += n + 1",
+    return [f"def light{p}(st, r, m, key, d_all):",
+            f"    x = p{p}_le.get(key, 0)", "    counters.storage_ops += 1",
             f"    st._apply(dag, p{p}_leaf, {{r: m}})",
             f"    d = st._update_ind_tree(p{p}_light, key, x)", "    if d:",
             f"        h = st._h_light_change(p{p}_t, key, d)", "    elif d_all:",
@@ -647,20 +731,19 @@ def _light_step(p: int, indexes: tuple) -> list[str]:
             "        return", "    if h:", f"        st._apply(dag, p{p}_h, h)"]
 
 
-def _minor_check(p: int, whole: bool) -> list[str]:
+def _minor_check(p: int, read: str) -> list[str]:
     """Unindented lines of pair ``p``'s minor check at its key ``k{p}``: a
-    key the light part lacks is inserted if the base holds it below
-    ``reinsert_below`` times, one the light part holds ``evict_at`` times
-    or more is evicted.  A bucket size is read as :meth:`Relation.count`
-    reads it, one op each, the base's only where the light part lacks the
-    key.  A whole key is read as the row ``r`` it covers."""
-    in_light, in_base = (f"(r in p{p}_{d})" if whole else f"len(p{p}_{d}.get(k{p}, ()))"
-                         for d in ("lk", "bk"))
-    return ["n += 1", f"c = {in_light}", "if not c:", "    n += 1",
-            f"    if 0 < {in_base} < reinsert_below:",
-            f"        st._minor_rebalancing(p{p}_t, p{p}_lp, k{p}, True)",
-            "elif c >= evict_at:",
-            f"    st._minor_rebalancing(p{p}_t, p{p}_lp, k{p}, False)"]
+    key outside the part's key set is inserted if the base holds it below
+    ``reinsert_below`` times, one in it that the base holds ``evict_at``
+    times or more is evicted.  The membership test and the degree it gives count
+    one op, as :meth:`Relation.count` of a light copy did, and the base's
+    degree one more where the key set lacks the key.  ``read`` is the base key
+    dict's key, the row ``r`` for a whole key."""
+    degree = f"(r in p{p}_bk)" if read == "r" else f"len(p{p}_bk.get(k{p}, ()))"
+    return ["n += 1", f"if k{p} in p{p}_lk:", f"    if {degree} >= evict_at:",
+            f"        st._minor_rebalancing(p{p}_t, p{p}_lp, k{p}, False)", "else:",
+            "    n += 1", f"    if 0 < {degree} < reinsert_below:",
+            f"        st._minor_rebalancing(p{p}_t, p{p}_lp, k{p}, True)"]
 
 
 def _write_params(prefix: str, indexes: tuple) -> list[str]:
@@ -697,10 +780,13 @@ def _compiled(cache: dict[tuple, Callable], shape: tuple, source: Callable,
 def _fold_args(plan: JoinPlan, children: list[ViewNode]) -> list:
     """Per step of ``plan``, the ``get`` its fold calls over the relations
     of ``children`` (a lookup's ``entries.get``, an index scan's
-    ``index.get``) and the entries it reads."""
+    ``index.get``), the entries it reads and the key set it tests (a light
+    leaf's part's key set, else ``None``): a light leaf's rows are read from its
+    occurrence relation (:func:`rows_relation`)."""
     args: list = []
     for step in plan.steps:
-        rel = children[step.child_index].content
+        child = children[step.child_index]
+        rel = rows_relation(child)
         if step.mode == "lookup":
             get = rel.entries.get
         elif step.child_positions:
@@ -711,14 +797,15 @@ def _fold_args(plan: JoinPlan, children: list[ViewNode]) -> list:
             get = index.get
         else:
             get = None
-        args += (get, rel.entries)
+        args += (get, rel.entries, child.part.content.entries if step.light else None)
     return args
 
 
 def _bind(plan: JoinPlan, children: list[ViewNode]) -> Callable:
     """The kernel of ``plan``'s shape over the relations of ``children``."""
     factory = _compiled(_FACTORIES, plan_shape(plan), kernel_source, "join kernel")
-    return factory(children[plan.start_index].content.counters, *_fold_args(plan, children))
+    return factory(rows_relation(children[plan.start_index]).counters,
+                   *_fold_args(plan, children))
 
 
 def compile_trigger(steps: list[tuple[ViewNode, JoinPlan, int]], counters) -> Callable:
@@ -748,12 +835,10 @@ def compile_pass(counters, dag, base: Relation,
             args += _write_args(rel)
         args.append(leaf_name)
         for triple, lp in pairs:
-            all_rel, light_rel = triple.all_root.content, triple.light_root.content
-            args += [triple, lp, triple.all_root, all_rel.entries, triple.light_root,
-                     light_rel.entries,
-                     base.indexes.get(lp.key_positions, base.entries),
-                     lp.content.indexes.get(lp.key_positions, lp.content.entries),
-                     lp.name, triple.support_name, *_write_args(lp.content)]
+            args += [triple, lp, triple.all_root, triple.all_root.content.entries,
+                     triple.light_root, triple.light_root.content.entries,
+                     base.indexes.get(lp.key_positions, base.entries), lp.content.entries,
+                     lp.name, triple.support_name]
             light_parts.append(lp.name)
     factory = _compiled(_PASSES, pass_shape(base, routes), pass_source, "update pass")
     update_pass, steps = factory(*args)
@@ -780,7 +865,8 @@ def _plan_steps(children: list[ViewNode], start: int,
             acc_pos = tuple(acc.index(cs[p]) for p in child_pos)
             new_pos = tuple(p for p, v in enumerate(cs) if v not in acc)
             acc.extend(cs[p] for p in new_pos)
-        steps.append(JoinStep(i, mode, child_pos, acc_pos, new_pos))
+        light = child.part.key_positions if child.part is not None else ()
+        steps.append(JoinStep(i, mode, child_pos, acc_pos, new_pos, light))
     out_positions = tuple(acc.index(v) for v in view_schema)
     return JoinPlan(start, tuple(steps), tuple(acc), out_positions)
 

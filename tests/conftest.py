@@ -8,8 +8,9 @@ from types import MethodType
 
 import pytest
 
+from skewivm.metrics import Counters
 from skewivm.query import Atom, ConjunctiveQuery, parse_query
-from skewivm.storage import iceil
+from skewivm.storage import Relation, iceil
 
 SUITE = {
     "chain2": "Q(A,C) = R(A,B), S(B,C).",
@@ -140,14 +141,31 @@ def parse(name: str) -> ConjunctiveQuery:
     return parse_query(SUITE[name])
 
 
+def light_part(lp):
+    """The rows of light part ``lp`` as a relation of their own: the rows
+    of its occurrence relation whose key is in its key set L, in entry
+    order, indexed as the occurrence relation is and on the part's key.
+    Building it counts nothing; its reads count on the state's counters,
+    as reads of a light copy did."""
+    rel = Relation(lp.name, lp.atom.schema, Counters())
+    for positions in (lp.key_positions, *lp.occurrence.indexes):
+        rel.register_index(positions)
+    rel.load({row: m for row, m in lp.occurrence.entries.items()
+              if lp.key_of(row) in lp.content.entries})
+    rel.counters = lp.occurrence.counters
+    return rel
+
+
 def reference_run_join(plan, children, start_rows):
     """The join fold written over the storage primitives (``Relation.get``
     and the ``Relation.scan`` generator), each counting one op on the
-    relation it reads: what a generated kernel must return and count."""
+    relation it reads, a light leaf's rows read as :func:`light_part`
+    gives them: what a generated kernel must return and count."""
     out: dict[tuple, int] = {}
     rows = [(row, m) for row, m in start_rows]
     for step in plan.steps:
-        rel = children[step.child_index].content
+        child = children[step.child_index]
+        rel = child.content if child.part is None else light_part(child.part)
         next_rows = []
         if step.mode == "lookup":
             for row, m in rows:
@@ -174,9 +192,10 @@ def reference_run_join(plan, children, start_rows):
 def reference_update_pass(st, symbol, row, mult, bounds):
     """The update pass of ``symbol`` as it was written before it was
     generated (see :func:`skewivm.viewtree.pass_source`), applying
-    ``{row: mult}`` to ``st``: the light-path test over ``Relation.count``,
-    writes by ``Relation.add``, root reads by ``Relation.get`` and the
-    minor checks against thresholds recomputed from ``M``.  It calls the
+    ``{row: mult}`` to ``st``: the light-path test over ``Relation.count``
+    of the base and ``Relation.get`` of the key set L, writes by
+    ``Relation.add`` (L's a key at a time), root reads by ``Relation.get``
+    and the minor checks against thresholds recomputed from ``M``.  It calls the
     layers the generated pass calls through the state
     (``_light_path_conditions``, ``_apply``, ``_update_ind_tree``, the H
     changes and ``_minor_rebalancing``), at the same points."""
@@ -186,24 +205,28 @@ def reference_update_pass(st, symbol, row, mult, bounds):
               for atom in st.query.occurrences(symbol)]
     rel = st.base[symbol]
 
+    fresh = []  # per pair, whether the key is new to the base
+
     def conditions(row):
         pre = []
         for _, _, pairs in routes:
             for _, lp in pairs:
                 key = lp.key_of(row)
-                fresh = lp.base.count(lp.key_positions, key) == 0
-                in_light = lp.content.count(lp.key_positions, key) > 0
-                pre.append(fresh or in_light)
+                fresh.append(lp.base.count(lp.key_positions, key) == 0)
+                in_light = lp.content.get(key) > 0
+                pre.append(fresh[-1] or in_light)
         return pre
 
     light = iter(st._light_path_conditions(conditions, row))
+    new = iter(fresh)
     rel.add({row: mult})
     for leaf_name, occurrence_rel, pairs in routes:
         # a later self-join occurrence turns new just before its own pass:
         # each pass sees earlier occurrences new, later ones old
         if occurrence_rel is not rel:
             occurrence_rel.add({row: mult})
-        _update_trees(st, leaf_name, pairs, row, mult, [next(light) for _ in pairs])
+        _update_trees(st, leaf_name, pairs, row, mult,
+                      [(next(light), next(new)) for _ in pairs])
     if bounds is not None:
         _minor_checks(st, routes, row)
 
@@ -211,8 +234,11 @@ def reference_update_pass(st, symbol, row, mult, bounds):
 def _update_trees(st, leaf_name, pairs, row, mult, light):
     """One occurrence's pass, after its relation took the update: propagate
     it through every view above the leaf, All roots included, then per
-    pair the All transition, on the light path (``light``, per pair) the
-    light part's change, and last H's change, settled once."""
+    pair the All transition, on the light path (``light``, per pair, with
+    whether the key is new to the base) L's change and the light part's
+    propagation, and last H's change, settled once.  A key new to the
+    base enters L; a delete that leaves the base without the key, read by
+    one count, takes it out."""
     delta = {row: mult}
     keys, before = [], []
     for triple, lp in pairs:
@@ -220,17 +246,21 @@ def _update_trees(st, leaf_name, pairs, row, mult, light):
         keys.append(key)
         before.append(triple.all_root.content.get(key))
     st._apply(st.dag, leaf_name, delta)
-    for (triple, lp), key, count, on_light in zip(pairs, keys, before, light):
+    for (triple, lp), key, count, (on_light, fresh) in zip(pairs, keys, before, light):
         d_all = st._update_ind_tree(triple.all_root, key, count)
         d_light = 0
         if on_light:
-            lp.content.add(delta)
+            if fresh:
+                lp.content.add({key: 1})
+            elif mult < 0 and lp.base.count(lp.key_positions, key) == 0:
+                lp.content.add({key: -1})
             d_light = _light_pass(st, triple, lp, delta, key)
         _settle_h(st, triple, key, d_all, d_light)
 
 
 def _light_pass(st, triple, lp, delta, key):
-    """Propagate a change the light part has taken; returns L's support
+    """Propagate a change the light part has taken, its occurrence
+    relation written and L up to date; returns the L root's support
     transition at ``key``."""
     before = triple.light_root.content.get(key)
     st._apply(st.dag, lp.name, delta)
@@ -254,7 +284,9 @@ def _minor_checks(st, routes, row):
     for _, _, pairs in routes:
         for triple, lp in pairs:
             key = lp.key_of(row)
-            in_light = lp.content.count(lp.key_positions, key)
+            # the light part's degree at one op, as a count of a light copy
+            # was: one get of L, then the key's degree in the part's rows
+            in_light = lp.content.get(key) and light_part(lp).degrees(lp.key_positions)[key]
             if in_light == 0 and 0 < lp.base.count(lp.key_positions, key) < reinsert_below:
                 st._minor_rebalancing(triple, lp, key, insert=True)
             elif in_light >= evict_at:
@@ -262,10 +294,11 @@ def _minor_checks(st, routes, row):
 
 
 def reference_move_key(self, triple, lp, key, insert):
-    """``EngineState._move_key`` over the reference light pass."""
+    """``EngineState._move_key`` over the reference light pass: L takes or
+    drops the key, then its base tuples propagate one at a time."""
+    lp.content.add({key: 1 if insert else -1})
     for row, base_mult in list(lp.base.scan(lp.key_positions, key)):
         delta = {row: base_mult if insert else -base_mult}
-        lp.content.add(delta)
         _settle_h(self, triple, key, 0, _light_pass(self, triple, lp, delta, key))
 
 

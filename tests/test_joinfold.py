@@ -20,18 +20,20 @@ import pytest
 from skewivm import enumeration, viewtree
 from skewivm.engine import EngineState, materialize_node, preprocess
 from skewivm.enumeration import TreeIter, probe_source
-from skewivm.errors import UnregisteredIndexError
+from skewivm.errors import InvariantViolationError, UnregisteredIndexError
 from skewivm.metrics import Counters
 from skewivm.oracle import brute_force_eval
-from skewivm.query import parse_query
+from skewivm.query import Atom, parse_query
 from skewivm.storage import Relation
 from skewivm.viewtree import (
     ATOM,
     HEAVY_REF,
     JOIN,
+    LightPart,
     ViewNode,
     delta_plan,
     kernel_source,
+    light_leaf,
     materialize_plan,
     compile_trigger,
     pass_source,
@@ -261,6 +263,24 @@ def test_missing_index_raises():
         run_join(plan, node.children, [((0, 1), 1)])
     with pytest.raises(UnregisteredIndexError):  # a bound plan fails at binding
         plan.bind(node.children)
+
+
+@pytest.mark.parametrize("other,key", [(("C",), ("B",)), (("A", "C"), ("A", "B"))],
+                         ids=("cross", "index-missing-key"))
+def test_a_plan_that_reads_a_light_leaf_past_its_key_does_not_compile(other, key):
+    # a light leaf is read through its part's key set L, so a step over it
+    # must bind the whole key: a cross product, or an index on part of the
+    # key, would read heavy keys' rows; nor is a light leaf enumerated
+    atom = Atom("R", ("A", "B"), 0)
+    lp = LightPart(atom, key, "R#0^" + "".join(key), tuple(atom.schema.index(v) for v in key))
+    leaf = light_leaf(lp)
+    node = ViewNode("V", ("A", "B", "C"), JOIN, [ViewNode("T", other, ATOM, leaf_name="T"), leaf])
+    plan = delta_plan(node, 0)  # from T, then the light leaf
+    assert plan.steps[0].light == lp.key_positions
+    with pytest.raises(InvariantViolationError, match="do not cover its key"):
+        run_join(plan, node.children, [])
+    with pytest.raises(InvariantViolationError, match="a light leaf is enumerated"):
+        enumeration.annotate(leaf, frozenset("AB"))
 
 
 @pytest.mark.parametrize("miss", (1, 2, 3, None))

@@ -33,7 +33,8 @@ from skewivm.query import parse_query
 from skewivm.storage import iceil, key_degrees
 from skewivm.viewtree import ATOM, JOIN, ViewNode
 
-from conftest import EPS_GRID, SUITE, parse, reference_run_join, run_trace, use_reference_pass
+from conftest import (EPS_GRID, SUITE, light_part, parse, reference_run_join, run_trace,
+                      use_reference_pass)
 
 
 # ---------------------------------------------------------------------------
@@ -101,10 +102,10 @@ def test_insert_creating_all_but_heavy_key_leaves_light_untouched():
     st = preprocess(q, db, 0.5, mode="dynamic")  # key 7 heavy in R
     (triple,) = st.triples
     lp_r = next(lp for lp in triple.light_parts if lp.atom.symbol == "R")
-    assert lp_r.content.size == 0
+    assert light_part(lp_r).size == 0
     before_light = dict(triple.light_root.content.entries)
     st.on_update("R", (99, 7), 1)
-    assert lp_r.content.size == 0  # heavy key: light copies untouched
+    assert light_part(lp_r).size == 0  # heavy key: light copies untouched
     assert dict(triple.light_root.content.entries) == before_light
     assert (7,) in st.triples[0].h_content.entries
 
@@ -185,7 +186,7 @@ def test_minor_rebalancing_light_to_heavy_and_back():
         st.check_invariants()
     assert st.base["R"].count(lp_r.key_positions, (7,)) == 100
     assert 100 >= iceil(1.5 * st.M ** st.epsilon)
-    assert lp_r.content.count(lp_r.key_positions, (7,)) == 0  # evicted
+    assert light_part(lp_r).count(lp_r.key_positions, (7,)) == 0  # evicted
     assert (7,) not in triple.light_root.content.entries
     assert st.counters.minor_rebalances >= 1
     # delete back down: the key must re-enter the light part once its base
@@ -194,7 +195,7 @@ def test_minor_rebalancing_light_to_heavy_and_back():
         st.on_update("R", (i, 7), -1)
         st.check_invariants()
     assert st.base["R"].count(lp_r.key_positions, (7,)) == 1
-    assert lp_r.content.count(lp_r.key_positions, (7,)) == 1
+    assert light_part(lp_r).count(lp_r.key_positions, (7,)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +267,13 @@ def test_major_evicts_on_doubling_and_readmits_on_halving(monkeypatch):
     rebuilt = _spy(monkeypatch, "_repartition", st)
     for i in range(9, 15):
         st.on_update("R", (i, 7), 1)
-    assert lp_r.content.count(lp_r.key_positions, (7,)) == 15  # in the band
+    assert light_part(lp_r).count(lp_r.key_positions, (7,)) == 15  # in the band
 
     minors = st.counters.minor_rebalances
     for row in fillers[39:]:
         st.on_update("R", row, 1)
     assert (st.N, st.M, st.counters.major_rebalances) == (101, 202, 1)  # threshold 14.2
-    assert lp_r.content.count(lp_r.key_positions, (7,)) == 0  # evicted
+    assert light_part(lp_r).count(lp_r.key_positions, (7,)) == 0  # evicted
     assert st.counters.minor_rebalances == minors
     _assert_fresh(st, q, 0.5)
 
@@ -281,7 +282,7 @@ def test_major_evicts_on_doubling_and_readmits_on_halving(monkeypatch):
     for row in fillers[:46]:
         st.on_update("R", row, -1)
     assert (st.N, st.M, st.counters.major_rebalances) == (49, 100, 2)  # threshold 10
-    assert lp_r.content.count(lp_r.key_positions, (7,)) == 9  # re-admitted
+    assert light_part(lp_r).count(lp_r.key_positions, (7,)) == 9  # re-admitted
     assert st.counters.minor_rebalances == minors
     assert rebuilt == []
     _assert_fresh(st, q, 0.5)
@@ -341,8 +342,8 @@ def test_major_that_moves_nothing_costs_one_pass_per_unsettled_part(monkeypatch)
         st.on_update("R", row, 1)
     assert (st.N, st.M, st.counters.major_rebalances) == (101, 202, 1)
     assert moved == [] and rebuilt == []
-    assert (st.base["R"].size, lp_r.content.size) == (98, 78)
-    assert lp_s.content.size == st.base["S"].size == 3
+    assert (st.base["R"].size, light_part(lp_r).size) == (98, 78)
+    assert light_part(lp_s).size == st.base["S"].size == 3
     assert ops == [98 + 78]
     _assert_fresh(st, q, 0.5)
 
@@ -357,14 +358,14 @@ def test_major_readmits_a_heavy_key_of_a_relation_below_the_threshold(monkeypatc
     st = preprocess(q, db, 0.5, mode="dynamic")
     assert (st.N, st.M) == (50, 101)  # threshold 10.05: 7 is heavy in S
     lp_s = _light_part(st, "S")
-    assert lp_s.content.size == 0
+    assert light_part(lp_s).size == 0
     rebuilt = _spy(monkeypatch, "_repartition", st)
     for row in fillers[29:]:
         st.on_update("R", row, 1)
         if st.counters.major_rebalances:
             break
     assert (st.N, st.M, st.counters.major_rebalances) == (101, 202, 1)  # threshold 14.2
-    assert lp_s.content.count(lp_s.key_positions, (7,)) == 12  # re-admitted
+    assert light_part(lp_s).count(lp_s.key_positions, (7,)) == 12  # re-admitted
     assert rebuilt == []
     _assert_fresh(st, q, 0.5)
     st.check_invariants(deep=True)
@@ -379,7 +380,7 @@ def test_major_rebuilds_when_moving_costs_more(monkeypatch):
           "S": {(b,): 1 for b in range(8)}}
     st = preprocess(q, db, 0.5, mode="dynamic", m_override=400)
     lp_r = _light_part(st, "R")
-    assert lp_r.content.size == 0
+    assert light_part(lp_r).size == 0
     ops = _major_ops(monkeypatch, st)
     moved = _spy(monkeypatch, "_move_key", st)
     rebuilt = _spy(monkeypatch, "_repartition", st)
@@ -389,16 +390,18 @@ def test_major_rebuilds_when_moving_costs_more(monkeypatch):
         i += 1
     assert (st.N, st.M) == (400, 800)
     assert len(rebuilt) == 1 and moved == []
-    assert lp_r.content.size == 192
+    assert light_part(lp_r).size == 192
     # the rebuild filters R (192) and S (208) by the degrees of the major's
-    # own pass; computing them again cost |R| + |S| more, 2648 ops
-    assert ops == [2248]
+    # own pass; computing them again cost |R| + |S| more, 2648 ops.  L
+    # takes R's 8 light keys, where a copy of the light part took its 192
+    # rows and their key index, 384 ops (2248 ops in all)
+    assert ops == [1872]
     _assert_fresh(st, q, 0.5)
     st.check_invariants(deep=True)
 
 
 def test_major_after_deletes_moves_keys_in_index_key_order(monkeypatch):
-    # a major reads key degrees from the key index, which keeps a key where
+    # a major reads key degrees from the key index, and L keeps a key where
     # its first row came in: S's light part holds keys 1, 2 in that order,
     # though its entries start with (2, 20) since (1, 10) was deleted.  The
     # halving major evicts both (degree 9 >= threshold 7) in index order
@@ -414,8 +417,8 @@ def test_major_after_deletes_moves_keys_in_index_key_order(monkeypatch):
     for j in range(8):
         st.on_update("S", (2, 21 + j), 1)
     lp_s = _light_part(st, "S")
-    assert list(lp_s.content.indexes[lp_s.key_positions]) == [(1,), (2,)]
-    assert list(key_degrees(lp_s.content.entries, lp_s.key_positions)) == [(2,), (1,)]
+    assert list(lp_s.content.entries) == [(1,), (2,)]
+    assert list(key_degrees(light_part(lp_s).entries, lp_s.key_positions)) == [(2,), (1,)]
     moved = _spy(monkeypatch, "_move_key", st)
     rebuilt = _spy(monkeypatch, "_repartition", st)
     for row in fillers:
@@ -424,7 +427,7 @@ def test_major_after_deletes_moves_keys_in_index_key_order(monkeypatch):
             break
     assert (st.N, st.M, st.counters.major_rebalances) == (24, 49, 1)  # threshold 7
     assert [(key, insert) for _, _, key, insert in moved] == [((1,), False), ((2,), False)]
-    assert rebuilt == [] and lp_s.content.size == 0
+    assert rebuilt == [] and light_part(lp_s).size == 0
     _assert_fresh(st, q, 0.5)
     st.check_invariants(deep=True)
     assert st.result_multiset() == brute_force_eval(q, st.db_snapshot())
@@ -636,14 +639,14 @@ def test_compiled_propagation_matches_the_unbound_path_across_a_rebuild():
           "S": {(b,): 1 for b in range(8)}}
 
     def replay(st, on_step):
-        assert _light_part(st, "R").content.size == 0
+        assert light_part(_light_part(st, "R")).size == 0
         for i in range(200):
             st.on_update("S", (100 + i,), 1)
             on_step(i)
         st.on_update("R", (0, 0), -1)
         on_step(-1)
         assert st.counters.major_rebalances == 1
-        assert _light_part(st, "R").content.size == 191
+        assert light_part(_light_part(st, "R")).size == 191
 
     compiled = _pinned_replay(q, 0.5, db, replay, reference=False, m_override=400)
     assert compiled[3] == 0  # the major moved no key: it rebuilt
@@ -860,7 +863,7 @@ def test_deleting_a_light_keys_last_tuple_starts_no_minor_rebalance():
     st = preprocess(parse("chain2"), db, 0.5, mode="dynamic")
     (triple,) = st.triples
     lp_r = next(lp for lp in triple.light_parts if lp.atom.symbol == "R")
-    assert lp_r.content.count(lp_r.key_positions, (1,)) == 1  # key 1 is light
+    assert light_part(lp_r).count(lp_r.key_positions, (1,)) == 1  # key 1 is light
     minors, majors = st.counters.minor_rebalances, st.counters.major_rebalances
     st.on_update("R", (1, 1), -1)
     assert st.counters.major_rebalances == majors
@@ -908,21 +911,27 @@ def _light_part(st, symbol):
 
 def _overfull_light_key(st):
     # M = 11: a light key holds at most iceil(1.5 * 11^0.5) - 1 = 4 tuples;
-    # key B=7 holds 2
+    # key B=7, in L, holds 2 base tuples
     for a in range(10, 13):
-        _light_part(st, "R").content.entries[(a, 7)] = 1
+        st.base["R"].entries[(a, 7)] = 1
     return "R#0^B: light key (7,) has degree 5 >= 5"
 
 
 def _light_key_not_in_base(st):
-    _light_part(st, "R").content.entries[(9, 9)] = 1
+    _light_part(st, "R").content.entries[(9,)] = 1
     return "R#0^B: light key (9,) not in base"
 
 
 def _underfull_heavy_key(st):
     # key B=4 has one base tuple, below 0.5 * 11^0.5, so it must be light
-    del _light_part(st, "S").content.entries[(4, 4)]
+    del _light_part(st, "S").content.entries[(4,)]
     return "S#0^B: heavy key (4,) has base degree 1 < "
+
+
+def _light_key_not_one(st):
+    # L is a set of keys, each held as 1, as H is
+    _light_part(st, "R").content.entries[(7,)] = 2
+    return "R#0^B: an entry is not 1"
 
 
 def _broken_size_invariant(st):
@@ -931,7 +940,8 @@ def _broken_size_invariant(st):
 
 
 @pytest.mark.parametrize("corrupt", (_overfull_light_key, _light_key_not_in_base,
-                                     _underfull_heavy_key, _broken_size_invariant),
+                                     _underfull_heavy_key, _light_key_not_one,
+                                     _broken_size_invariant),
                          ids=lambda f: f.__name__.lstrip("_"))
 def test_broken_partition_raises_invariant_violation(corrupt):
     st = _chain2_state()
@@ -1048,7 +1058,7 @@ def test_invariant_checks_survive_python_O():
         "    print('caught', 'H_B' in str(e))\n"
         "st.triples[0].h_content.entries[(7,)] = 1\n"
         "lp = st.triples[0].light_parts[0]\n"
-        "lp.content.entries[(9, 9)] = 1\n"
+        "lp.content.entries[(9,)] = 1\n"
         "try:\n"
         "    st.check_invariants()\n"
         "except InvariantViolationError as e:\n"

@@ -186,12 +186,14 @@ def test_every_leaf_reads_its_canonical_relation():
     for triple in st.triples:
         sources[triple.support_name] = triple.h_content
         for lp in triple.light_parts:
-            sources[lp.name] = lp.content
+            # a light leaf reads its occurrence's relation through L
+            sources[lp.name] = st.atom_rels[lp.atom.name]
     kinds = set()
     for tree in st.forest:
         for node in tree.nodes:
             if node.is_leaf:
-                assert node.content is sources[node.leaf_name], node.name
+                rel = node.content if node.part is None else node.part.occurrence
+                assert rel is sources[node.leaf_name], node.name
                 kinds.add(node.kind)
     assert kinds == {ATOM, LIGHT, HEAVY_REF}
 
