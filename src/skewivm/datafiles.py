@@ -3,8 +3,9 @@
 Relation data lives in one CSV per relation symbol, columns in the atom's
 schema order, with an optional trailing integer ``__mult`` column (default
 multiplicity 1) and an optional header row naming the variables.  Update
-streams hold one update per line, ``+|- symbol, v1, ..., vk [, m]``; the
-sign negates ``m`` and blank lines or ``#`` comments are skipped.
+streams hold one update per line, ``+|- symbol, v1, ..., vk [, m]``: ``m``,
+a positive integer (default 1), copies inserted or deleted by the sign;
+blank lines and ``#`` comments are skipped.
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ def parse_update_line(line: str, lineno: int,
     if symbol not in arities:
         raise MissingRelationError(f"update line {lineno}: unknown relation {symbol}")
     row, mult = _parse_row(fields[1:], arities[symbol], f"update line {lineno}", symbol)
-    return symbol, row, sign * abs(mult)
+    if mult <= 0:
+        raise EngineError(f"update line {lineno}: bad multiplicity {fields[-1]!r}")
+    return symbol, row, sign * mult
 
 
 def read_updates(path: str | Path, q: ConjunctiveQuery) -> Iterator[tuple[str, Row, int]]:

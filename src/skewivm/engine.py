@@ -45,12 +45,11 @@ from .errors import (
     InvalidMultiplicityError,
     InvariantViolationError,
     MissingRelationError,
-    NotHierarchicalError,
     RejectedDeleteError,
     UnhashableValueError,
 )
 from .metrics import Counters
-from .query import ConjunctiveQuery, connected_components, hierarchy_violation, parse_query
+from .query import ConjunctiveQuery, connected_components, parse_query, require_hierarchical
 from .storage import Relation, iceil, key_degrees, strict_partition
 from .vorder import VariableOrder, canonical_vo, dynamic_width, static_width
 from .viewtree import (
@@ -67,8 +66,6 @@ from .viewtree import (
     forest_dot,
     intern,
     make_context,
-    LightRows,
-    rows_relation,
     run_join,
     tau,
     tree_to_dict,
@@ -185,9 +182,7 @@ class EngineState:
             raise EngineError(f"epsilon {epsilon} outside [0, 1]")
         if mode not in ("static", "dynamic"):
             raise EngineError(f"unknown mode {mode!r}")
-        pair = hierarchy_violation(query)
-        if pair is not None:
-            raise NotHierarchicalError(pair)
+        require_hierarchical(query)
         self.query = query
         self.epsilon = epsilon
         self.mode = mode
@@ -282,9 +277,9 @@ class EngineState:
 
     def _attach_relations(self, db: dict[str, Multiset]) -> None:
         """Create the base relations, the light parts' key sets and the H
-        supports, give every leaf the one of them it reads (a light leaf a
-        :class:`LightRows` view of its occurrence's relation through its
-        part's key set) and every view a relation of its own."""
+        supports, give every leaf the relation it reads (a light leaf its
+        occurrence's relation, whose rows the folds filter by the part's
+        key set) and every view a relation of its own."""
         counters = self.counters
         symbols = self.query.symbols()
         for sym in symbols:
@@ -316,7 +311,7 @@ class EngineState:
                 lp.base = self.base[lp.atom.symbol]
                 lp.base.register_index(lp.key_positions)
                 lp.occurrence = self.atom_rels[lp.atom.name]
-                sources[lp.name] = LightRows(lp)
+                sources[lp.name] = lp.occurrence
         for node in self.dag.nodes:
             node.content = (sources[node.leaf_name] if node.is_leaf
                             else Relation(node.name, node.schema, counters))
@@ -337,7 +332,7 @@ class EngineState:
             for plan in plans:
                 for step in plan.steps:
                     if step.mode == "scan":
-                        rows_relation(node.children[step.child_index]).register_index(
+                        node.children[step.child_index].content.register_index(
                             step.child_positions)
             node.plan.bind(node.children)
         if self.mode == "dynamic":
@@ -655,7 +650,7 @@ class EngineState:
         every relation's indexes equal their recomputation from its
         entries: a trigger writes the indexes a view had when it was
         compiled, so one registered later would go stale."""
-        relations = [*self.atom_rels.values(), *map(rows_relation, self.dag.nodes)]
+        relations = [*self.atom_rels.values(), *(node.content for node in self.dag.nodes)]
         relations.extend(triple.h_content for triple in self.triples)
         for rel in {id(rel): rel for rel in relations}.values():
             if rel.indexes != rel.rebuilt_indexes():
@@ -667,8 +662,11 @@ class EngineState:
         for node in self.dag.views:
             plan = node.plan
             outer = node.children[plan.start_index]
-            expected = run_join(plan, node.children,
-                                list(outer.content.entries.items()))
+            rows = list(outer.content.entries.items())
+            if outer.part is not None:
+                light, key_of = outer.part.content.entries, outer.part.key_of
+                rows = [(row, m) for row, m in rows if key_of(row) in light]
+            expected = run_join(plan, node.children, rows)
             if node.content.entries != expected:
                 raise InvariantViolationError(
                     f"{node.name}: content diverged from recomputation")

@@ -25,9 +25,7 @@ update around the triggers, with the same one-row writes
 from __future__ import annotations
 
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 from typing import Callable
 
 from .errors import InvariantViolationError, UnregisteredIndexError
@@ -60,7 +58,7 @@ class ViewNode:
         self.leaf_name = leaf_name  # delta dispatch key for leaves
         self.enum = None  # enumeration annotations, filled per result tree
         self.plan: JoinPlan | None = None  # materialization plan, set by intern
-        self.part: LightPart | None = None  # the light part a light leaf reads
+        self.part: LightPart | None = None  # the light part whose keys filter a light leaf
 
     @property
     def is_leaf(self) -> bool:
@@ -91,7 +89,9 @@ class LightPart:
     """The light part of one atom occurrence, partitioned on ``keys``: the
     rows of the occurrence's relation whose key is in ``content``, the set
     of light keys.  A key is in the set with all of its base tuples or with
-    none, so the set determines the part and no relation copies its rows."""
+    none, so the set determines the part and no relation copies its rows:
+    a light leaf's content is the occurrence relation, which the folds
+    read through the key set (:func:`light_key`)."""
 
     atom: Atom
     keys: tuple[str, ...]
@@ -106,34 +106,6 @@ class LightPart:
 
     def __post_init__(self) -> None:
         self.key_of = projection(self.key_positions)
-
-
-class LightRows(Mapping):
-    """A light leaf's content: its part's rows, those of the occurrence
-    relation whose key is in the part's key set, in entry order, as a read-only view that
-    holds none of them.  Folds read the rows through the key set (:func:`light_key`);
-    the view serves the readers of a leaf's whole content (checks, state
-    comparisons) with ``entries`` (itself), ``indexes`` (none) and ``size``."""
-
-    __slots__ = ("part",)
-    indexes = MappingProxyType({})
-    entries = property(lambda self: self)
-    size = property(len)
-
-    def __init__(self, part: LightPart):
-        self.part = part
-
-    def __iter__(self):
-        light, key_of = self.part.content.entries, self.part.key_of
-        return (row for row in self.part.occurrence.entries if key_of(row) in light)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
-
-    def __getitem__(self, row: tuple) -> int:
-        if self.part.key_of(row) not in self.part.content.entries:
-            raise KeyError(row)
-        return self.part.occurrence.entries[row]
 
 
 @dataclass
@@ -395,10 +367,9 @@ def light_key(step: JoinStep) -> tuple[int, ...] | None:
     """How ``step`` reads its child: ``None`` for any child but a light
     leaf, else the accumulator positions of the leaf's light key, which
     the step tests in the part's key set before a lookup gets the row or an index step
-    fetches the occurrence relation's bucket.  Each read counts one op,
-    as a read of a copy of the light rows did.  A cross product or an
-    index that misses part of the key would read heavy keys' rows: it
-    raises :class:`InvariantViolationError`.  (Under a variable x, the
+    fetches the occurrence relation's bucket.  Each read counts one op.  A
+    cross product or an index that misses part of the key would read heavy
+    keys' rows: it raises :class:`InvariantViolationError`.  (Under a variable x, the
     shared positions of a hierarchical query's joins hold anc(x) and x,
     which cover the key.)"""
     if not step.light:
@@ -409,13 +380,6 @@ def light_key(step: JoinStep) -> tuple[int, ...] | None:
             f"a step reads light leaf {step.child_index} at positions "
             f"{step.child_positions}, which do not cover its key {step.light}")
     return tuple(at[p] for p in step.light)
-
-
-def rows_relation(node: ViewNode) -> Relation:
-    """The relation that holds ``node``'s rows: a light leaf's occurrence
-    relation, which it reads through its part's key set (see
-    :func:`light_key`), and any other node's content."""
-    return node.content if node.part is None else node.part.occurrence
 
 
 def fold_lines(shape: tuple, rows: str, out: str, prefix: str, depth: int) -> list[str]:
@@ -736,9 +700,8 @@ def _minor_check(p: int, read: str) -> list[str]:
     key outside the part's key set is inserted if the base holds it below
     ``reinsert_below`` times, one in it that the base holds ``evict_at``
     times or more is evicted.  The membership test and the degree it gives count
-    one op, as :meth:`Relation.count` of a light copy did, and the base's
-    degree one more where the key set lacks the key.  ``read`` is the base key
-    dict's key, the row ``r`` for a whole key."""
+    one op, and the base's degree one more where the key set lacks the key.
+    ``read`` is the base key dict's key, the row ``r`` for a whole key."""
     degree = f"(r in p{p}_bk)" if read == "r" else f"len(p{p}_bk.get(k{p}, ()))"
     return ["n += 1", f"if k{p} in p{p}_lk:", f"    if {degree} >= evict_at:",
             f"        st._minor_rebalancing(p{p}_t, p{p}_lp, k{p}, False)", "else:",
@@ -781,12 +744,11 @@ def _fold_args(plan: JoinPlan, children: list[ViewNode]) -> list:
     """Per step of ``plan``, the ``get`` its fold calls over the relations
     of ``children`` (a lookup's ``entries.get``, an index scan's
     ``index.get``), the entries it reads and the key set it tests (a light
-    leaf's part's key set, else ``None``): a light leaf's rows are read from its
-    occurrence relation (:func:`rows_relation`)."""
+    leaf's part's key set, else ``None``)."""
     args: list = []
     for step in plan.steps:
         child = children[step.child_index]
-        rel = rows_relation(child)
+        rel = child.content
         if step.mode == "lookup":
             get = rel.entries.get
         elif step.child_positions:
@@ -804,7 +766,7 @@ def _fold_args(plan: JoinPlan, children: list[ViewNode]) -> list:
 def _bind(plan: JoinPlan, children: list[ViewNode]) -> Callable:
     """The kernel of ``plan``'s shape over the relations of ``children``."""
     factory = _compiled(_FACTORIES, plan_shape(plan), kernel_source, "join kernel")
-    return factory(rows_relation(children[plan.start_index]).counters,
+    return factory(children[plan.start_index].content.counters,
                    *_fold_args(plan, children))
 
 

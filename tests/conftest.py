@@ -145,8 +145,7 @@ def light_part(lp):
     """The rows of light part ``lp`` as a relation of their own: the rows
     of its occurrence relation whose key is in its key set L, in entry
     order, indexed as the occurrence relation is and on the part's key.
-    Building it counts nothing; its reads count on the state's counters,
-    as reads of a light copy did."""
+    Building it counts nothing; its reads count on the state's counters."""
     rel = Relation(lp.name, lp.atom.schema, Counters())
     for positions in (lp.key_positions, *lp.occurrence.indexes):
         rel.register_index(positions)
@@ -154,6 +153,13 @@ def light_part(lp):
               if lp.key_of(row) in lp.content.entries})
     rel.counters = lp.occurrence.counters
     return rel
+
+
+def leaf_rows(node):
+    """The rows leaf ``node`` contributes, as a relation: its content, or a
+    light leaf's part's rows (:func:`light_part`), not the whole occurrence
+    relation that is its content."""
+    return node.content if node.part is None else light_part(node.part)
 
 
 def reference_run_join(plan, children, start_rows):
@@ -165,7 +171,7 @@ def reference_run_join(plan, children, start_rows):
     rows = [(row, m) for row, m in start_rows]
     for step in plan.steps:
         child = children[step.child_index]
-        rel = child.content if child.part is None else light_part(child.part)
+        rel = leaf_rows(child)
         next_rows = []
         if step.mode == "lookup":
             for row, m in rows:

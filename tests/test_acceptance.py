@@ -21,7 +21,7 @@ from skewivm.query import (
 )
 from skewivm.vorder import dynamic_width, static_width
 
-from conftest import SUITE, parse, random_hierarchical_query
+from conftest import SUITE, leaf_rows, parse, random_hierarchical_query
 
 EPS_GRID = (0.0, 0.25, 0.5, 1.0)
 
@@ -192,7 +192,7 @@ def test_ac6_forest_equivalence():
                 jq = ConjunctiveQuery(
                     "J", comp_q.head_vars,
                     tuple(Atom(n.leaf_name, n.schema, 0) for n in leaves))
-                leaf_db = {n.leaf_name: dict(n.content.entries) for n in leaves}
+                leaf_db = {n.leaf_name: dict(leaf_rows(n).entries) for n in leaves}
                 got |= set(brute_force_eval(jq, leaf_db))
             assert got == want, str(q)
     print("\n[AC6] PASS forest equivalence (200 random queries)")

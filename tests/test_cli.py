@@ -105,9 +105,10 @@ def test_load_database_rejects_disagreeing_occurrence_files(tmp_path):
         load_database(parse_query("Q(A) = R(A,B)."), tmp_path)
 
 
-def test_update_line_rejects_a_bad_multiplicity():
-    with pytest.raises(EngineError, match=re.escape("update line 3: bad multiplicity 'x'")):
-        parse_update_line("+ R, a, b, x", 3, {"R": 2})
+@pytest.mark.parametrize("mult", ("x", "-2", "0"))
+def test_update_line_rejects_a_bad_multiplicity(mult):
+    with pytest.raises(EngineError, match=re.escape(f"update line 3: bad multiplicity '{mult}'")):
+        parse_update_line(f"+ R, a, b, {mult}", 3, {"R": 2})
 
 
 # ---------------------------------------------------------------------------

@@ -71,10 +71,10 @@ def _reference_build(monkeypatch, q, db, eps, mode):
 
 def _layout(state) -> dict:
     """Every relation of ``state`` by name: its entries and, per index, its
-    keys and buckets, all in their dict order.  A light leaf holds no
-    relation: its rows are its occurrence relation's, filtered by its
-    part's key set L, and both are here."""
-    rels = [*state.atom_rels.values(), *(n.content for n in state.dag.nodes if n.part is None)]
+    keys and buckets, all in their dict order.  A light leaf's content is
+    its occurrence relation, whose rows it reads through its part's key set
+    L, and both are here."""
+    rels = [*state.atom_rels.values(), *(n.content for n in state.dag.nodes)]
     for triple in state.triples:
         rels.append(triple.h_content)
         rels.extend(lp.content for lp in triple.light_parts)
@@ -116,6 +116,9 @@ def test_bulk_preprocessing_equals_the_per_row_build(name, text, eps, mode, monk
     assert st.counters.storage_ops == ref.counters.storage_ops
     assert st.fingerprint() == ref.fingerprint()
     assert _layout(st) == _layout(ref)
+    for leaf in (n for n in st.dag.nodes if n.is_leaf):
+        assert type(leaf.content) is Relation, leaf.name
+        assert leaf.part is None or leaf.content is leaf.part.occurrence, leaf.name
     if eps < 1 and st.triples:
         # some key is heavy, so the light part lacks some base rows
         assert any(light_part(lp).size < len(lp.base.entries)

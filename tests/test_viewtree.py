@@ -21,7 +21,7 @@ from skewivm.viewtree import (
 )
 from skewivm.vorder import canonical_vo
 
-from conftest import SUITE, parse, rand_db, random_hierarchical_query, run_trace
+from conftest import SUITE, leaf_rows, parse, rand_db, random_hierarchical_query, run_trace
 
 
 def shape(node: ViewNode):
@@ -192,8 +192,7 @@ def test_every_leaf_reads_its_canonical_relation():
     for tree in st.forest:
         for node in tree.nodes:
             if node.is_leaf:
-                rel = node.content if node.part is None else node.part.occurrence
-                assert rel is sources[node.leaf_name], node.name
+                assert node.content is sources[node.leaf_name], node.name
                 kinds.add(node.kind)
     assert kinds == {ATOM, LIGHT, HEAVY_REF}
 
@@ -230,7 +229,7 @@ def _leaf_join(comp_q, tree):
     leaves = [n for n in tree.nodes if n.is_leaf]
     atoms = tuple(Atom(n.leaf_name, n.schema, 0) for n in leaves)
     jq = ConjunctiveQuery("J", comp_q.head_vars, atoms)
-    db = {n.leaf_name: dict(n.content.entries) for n in leaves}
+    db = {n.leaf_name: dict(leaf_rows(n).entries) for n in leaves}
     return brute_force_eval(jq, db)
 
 
