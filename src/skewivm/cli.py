@@ -65,9 +65,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_query(spec: str) -> ConjunctiveQuery:
+    """The query in the file named ``spec``, or ``spec`` itself: a spec
+    that cannot be a path (longer than a file name may be) is a query."""
     path = Path(spec)
-    text = path.read_text() if path.exists() else spec
-    return parse_query(text.strip())
+    try:
+        is_file = path.exists()
+    except OSError:
+        is_file = False
+    return parse_query((path.read_text() if is_file else spec).strip())
 
 
 def cmd_analyze(args) -> int:

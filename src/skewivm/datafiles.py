@@ -5,12 +5,15 @@ schema order, with an optional trailing integer ``__mult`` column (default
 multiplicity 1) and an optional header row naming the variables.  Update
 streams hold one update per line, ``+|- symbol, v1, ..., vk [, m]``: ``m``,
 a positive integer (default 1), copies inserted or deleted by the sign;
-blank lines and ``#`` comments are skipped.
+blank lines and ``#`` comments are skipped.  In both, a value holding a
+comma or a double quote is quoted as in CSV (``"x,y"``; a quote inside is
+doubled), and ``run --enumerate`` writes result rows the same way.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import sys
 from pathlib import Path
 from typing import Iterator
@@ -92,7 +95,7 @@ def parse_update_line(line: str, lineno: int,
     if text[0] not in "+-":
         raise EngineError(f"update line {lineno}: expected leading + or -")
     sign = 1 if text[0] == "+" else -1
-    fields = [f.strip() for f in text[1:].split(",")]
+    fields = [f.strip() for f in next(csv.reader([text[1:]], skipinitialspace=True))]
     symbol = fields[0]
     if symbol not in arities:
         raise MissingRelationError(f"update line {lineno}: unknown relation {symbol}")
@@ -112,4 +115,9 @@ def read_updates(path: str | Path, q: ConjunctiveQuery) -> Iterator[tuple[str, R
 
 
 def format_result_row(row: Row, mult: int) -> str:
-    return ",".join([*row, str(mult)])
+    """``row``'s values and ``mult`` as one CSV line with no line ending,
+    each value quoted only where it must be, so that it reads back as a
+    relation file's row does."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerow([*row, mult])
+    return out.getvalue()[:-1]

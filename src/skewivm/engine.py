@@ -50,7 +50,7 @@ from .errors import (
 )
 from .metrics import Counters
 from .query import ConjunctiveQuery, connected_components, parse_query, require_hierarchical
-from .storage import Relation, iceil, key_degrees, strict_partition
+from .storage import Relation, iceil, key_degrees, strict_partition, whole_row
 from .vorder import VariableOrder, canonical_vo, dynamic_width, static_width
 from .viewtree import (
     HEAVY_REF,
@@ -271,7 +271,9 @@ class EngineState:
             raise EngineError(f"threshold base {self.M} violates the size "
                               f"invariant for N={self.N}")
         self._materialize(self.dag.stages[0])
-        self._repartition([(lp, d) for _, lp, d in self._unsettled_parts()])
+        theta = self._theta()
+        self._repartition([(lp, strict_partition(degrees, theta))
+                           for _, lp, degrees in self._unsettled_parts()])
         if self.mode == "dynamic":
             self._compile_passes()
 
@@ -365,13 +367,14 @@ class EngineState:
         current threshold, with the key degrees of its base relation
         (:meth:`Relation.degrees`: the bucket sizes of its key index, in its
         key order), which give the part's own degrees of the keys in its key
-        set too.  Counted as one pass over the base relation and one over
-        the key set, which the caller reads, one op per entry.  A part whose
-        key set holds every key
-        of a base relation smaller than the threshold is skipped in O(1):
-        every key is light, so the part is its own strict partition.  (At
-        preprocessing the key set is still empty, so only a part of an empty relation
-        is skipped, and the pass reads the base relation alone.)"""
+        set too; the caller takes the strict key set from them
+        (:func:`strict_partition`).  Counted as one pass over the base
+        relation and one over the key set, one op per entry.  A part whose
+        key set holds every key of a base relation smaller than the
+        threshold is skipped in O(1): every key is light, so the part is
+        its own strict partition.  (At preprocessing the key set is still
+        empty, so only a part of an empty relation is skipped, and the pass
+        reads the base relation alone.)"""
         theta = self._theta()
         for triple in self.triples:
             for lp in triple.light_parts:
@@ -382,32 +385,24 @@ class EngineState:
                     yield triple, lp, rel.degrees(lp.key_positions)
 
     def _repartition(self, parts: list[tuple[LightPart, dict]]) -> None:
-        """Load each of ``parts``, a light part with its base relation's key
-        degrees, with the keys of its strict partition, and recompute from
+        """Load each of ``parts``, a light part with its strict key set
+        (:func:`strict_partition`), with that key set, and recompute from
         the leaves every view that reads a light part or H, H in between.
-        A view that starts from a light leaf folds the part's rows: the
-        strict partition, computed once here and kept by no relation, or
-        for a part left out of ``parts`` (every key of it light, see
-        :meth:`_unsettled_parts`) all rows of its occurrence.  The views
-        over base relations alone do not depend on the partition and stay
-        as they are."""
-        theta = self._theta()
-        rows = {lp.name: lp.occurrence.entries
-                for triple in self.triples for lp in triple.light_parts}
-        for lp, degrees in parts:
-            # a compact copy: the partition deleted the heavy rows from a
-            # copy of the base, and the folds iterate it faster without holes
-            light = rows[lp.name] = dict(strict_partition(lp.base, lp.key_positions, theta,
-                                                          degrees))
-            lp.content.load(dict.fromkeys(map(lp.key_of, light), 1))
-        self._materialize(self.dag.stages[1], rows)
+        A view that starts from a light leaf reads its part's rows through
+        the key set (:func:`start_rows`), so a part left out of ``parts``
+        (every key of it light, see :meth:`_unsettled_parts`) gives all
+        rows of its occurrence.  The views over base relations alone do not
+        depend on the partition and stay as they are."""
+        for lp, keys in parts:
+            lp.content.load(keys)
+        self._materialize(self.dag.stages[1])
         for triple in self.triples:
             self._rebuild_h(triple)
-        self._materialize(self.dag.stages[2], rows)
+        self._materialize(self.dag.stages[2])
 
-    def _materialize(self, views: list[ViewNode], light_rows: dict | None = None) -> None:
+    def _materialize(self, views: list[ViewNode]) -> None:
         for node in views:
-            materialize_node(node, node.plan, light_rows)
+            materialize_node(node, node.plan)
 
     def _rebuild_h(self, triple: IndicatorTriple) -> None:
         light_support = triple.light_root.content.entries
@@ -523,32 +518,30 @@ class EngineState:
         """Bring every light part to its strict partition at the new
         threshold, which also settles the keys minor rebalancing left in the
         relaxed band.  A light part holds all of a key's base tuples or none,
-        so the degree pass of :meth:`_unsettled_parts` gives every key's
-        side, and the keys whose side differs are inserted or evicted one
-        tuple at a time, at O(M^(delta*eps)) each, in key order (the base
-        relation's key index for keys entering the light part, the key set's
-        for keys leaving it): the order in which keys first came in and
-        stayed.  When the k tuples to move would cost more than a rebuild,
-        k * M^(delta*eps) > M^(1+(w-1)*eps), the light parts are loaded and
-        the views that depend on them recomputed instead.  The All trees do
-        not depend on the partition and stay as they are.  A part skipped by
-        :meth:`_unsettled_parts` costs nothing (at eps=1 every part is, and
-        a major costs no ops)."""
+        so the degree pass of :meth:`_unsettled_parts` gives the strict key
+        set (:func:`strict_partition`), and the keys in which it differs
+        from the current one are inserted, then evicted, one tuple at a
+        time, at O(M^(delta*eps)) each, in key order (the strict set's, the
+        base relation's key index order, for keys entering the light part,
+        the current set's for keys leaving it): the order in which keys
+        first came in and stayed.  When the k tuples to move would cost more
+        than a rebuild, k * M^(delta*eps) > M^(1+(w-1)*eps), the light parts
+        are loaded and the views that depend on them recomputed instead.
+        The All trees do not depend on the partition and stay as they are.
+        A part skipped by :meth:`_unsettled_parts` costs nothing (at eps=1
+        every part is, and a major costs no ops)."""
         self.counters.major_rebalances += 1
         theta = self._theta()
         parts, moves = [], []
         tuples = 0
         for triple, lp, degrees in self._unsettled_parts():
-            parts.append((lp, degrees))
+            strict = strict_partition(degrees, theta)
+            parts.append((lp, strict))
             light = lp.content.entries
-            for key, degree in degrees.items():
-                if degree < theta and key not in light:
-                    moves.append((triple, lp, key, True))
-                    tuples += degree
-            for key in light:
-                if degrees[key] >= theta:
-                    moves.append((triple, lp, key, False))
-                    tuples += degrees[key]
+            moved = [(key, True) for key in strict if key not in light]
+            moved += [(key, False) for key in light if key not in strict]
+            moves += [(triple, lp, key, insert) for key, insert in moved]
+            tuples += sum(degrees[key] for key, _ in moved)
         if self._widths is None:
             self._widths = (static_width(self.query), dynamic_width(self.query))
         w, delta = self._widths
@@ -660,13 +653,8 @@ class EngineState:
                 raise InvariantViolationError(
                     f"{atom.name}: occurrence relation diverged from {atom.symbol}")
         for node in self.dag.views:
-            plan = node.plan
-            outer = node.children[plan.start_index]
-            rows = list(outer.content.entries.items())
-            if outer.part is not None:
-                light, key_of = outer.part.content.entries, outer.part.key_of
-                rows = [(row, m) for row, m in rows if key_of(row) in light]
-            expected = run_join(plan, node.children, rows)
+            outer = node.children[node.plan.start_index]
+            expected = run_join(node.plan, node.children, start_rows(outer))
             if node.content.entries != expected:
                 raise InvariantViolationError(
                     f"{node.name}: content diverged from recomputation")
@@ -715,14 +703,32 @@ class EngineState:
         return forest_dot(named, self.triples)
 
 
-def materialize_node(node: ViewNode, plan: JoinPlan, light_rows: dict | None = None) -> None:
+def materialize_node(node: ViewNode, plan: JoinPlan) -> None:
     """Recompute ``node.content`` from the children (leaves untouched) by
-    :func:`run_join`; the full scan of the outer child counts one op per
-    entry.  An outer light leaf's rows are ``light_rows[leaf name]``."""
-    outer = node.children[plan.start_index]
-    rows = outer.content.entries if outer.part is None else light_rows[outer.leaf_name]
-    node.content.counters.storage_ops += len(rows)
-    node.content.load(run_join(plan, node.children, rows.items()))
+    :func:`run_join`, from the :func:`start_rows` of the plan's outer
+    child."""
+    node.content.load(run_join(plan, node.children, start_rows(node.children[plan.start_index])))
+
+
+def start_rows(node: ViewNode):
+    """The ``(row, multiplicity)`` pairs a fold that starts at ``node``
+    reads, counted as :meth:`Relation.scan` counts them: for a light leaf,
+    its key set's buckets of the base relation's key index, in key set
+    order, one op per key and one per row; for any other node, its
+    entries, one op each."""
+    rel, part = node.content, node.part
+    if part is None:
+        rel.counters.storage_ops += len(rel.entries)
+        return rel.entries.items()
+    keys, entries, positions = part.content.entries, part.base.entries, part.key_positions
+    index = part.base.indexes.get(positions)
+    if index is None:  # the key is the whole schema: one get per key
+        rows = [(row, entries[row]) for key in keys for row in (whole_row(positions, key),)]
+        rel.counters.storage_ops += len(keys)
+    else:
+        rows = [(row, entries[row]) for key in keys for row in index[key]]
+        rel.counters.storage_ops += len(keys) + len(rows)
+    return rows
 
 
 def _no_steps(delta: Multiset) -> list[Multiset]:

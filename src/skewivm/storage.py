@@ -27,11 +27,11 @@ with one ``dict.update``, fills each index in one pass and adds ``rows *
 
 A light part is a set of keys over its base relation, not a copy of rows.
 Preprocessing and majors read key degrees as the bucket sizes of a key
-index (:meth:`Relation.degrees`) and take a strict light part's rows
-(:func:`strict_partition`) as a transient copy of the entries less the
-heavy keys' buckets.  Every bulk routine keeps the order of entries, index
-keys and buckets that one-row writes in the same order would give;
-enumeration order depends on it.
+index (:meth:`Relation.degrees`) and take the strict light key set from
+them (:func:`strict_partition`); a fold that starts at a light leaf reads
+the key set's buckets of that index.  Every bulk routine keeps the order of
+entries, index keys and buckets that one-row writes in the same order would
+give; enumeration order depends on it.
 
 Base relations only ever hold strictly positive multiplicities; views may
 go negative transiently while a delta propagates.
@@ -238,35 +238,13 @@ def key_degrees(rows: Iterable[Row], positions: tuple[int, ...]) -> dict[Row, in
     return degrees
 
 
-def strict_partition(rel: Relation, positions: tuple[int, ...], theta: float,
-                     degrees: dict[Row, int]) -> dict[Row, int]:
-    """Entries of the strict light part of ``rel`` on ``positions``, given
-    ``degrees``, the number of distinct rows of ``rel`` per key (see
-    :meth:`Relation.degrees`).
-
-    A key is light iff strictly fewer than ``theta`` distinct tuples of
-    ``rel`` carry it; the returned dict holds exactly those tuples with their
-    multiplicities, in ``rel``'s entry order: a copy of the entries less the
-    rows of each heavy key's index bucket.  A relation with no index on
-    ``positions`` (the key is its whole schema) is filtered row by row.
-    Counted as one pass over ``rel``, one op per entry; the caller counts
-    the pass that gave ``degrees``.  Used at preprocessing time and by the
-    rebuild a major falls back to, which reuse the degrees of their own
-    pass, take the light keys from the rows and fold the views that start
-    at a light leaf from them; no relation keeps the copy.
-    """
-    entries = rel.entries
-    rel.counters.storage_ops += len(entries)
-    index = rel.indexes.get(positions)
-    if index is None:
-        key_of = projection(positions)
-        return {row: m for row, m in entries.items() if degrees[key_of(row)] < theta}
-    light = entries.copy()
-    for key, degree in degrees.items():
-        if degree >= theta:
-            for row in index[key]:
-                del light[row]
-    return light
+def strict_partition(degrees: dict[Row, int], theta: float) -> dict[Row, int]:
+    """The strict light key set ``{key: 1}`` of a relation whose key
+    degrees are ``degrees`` (see :meth:`Relation.degrees`), in their order:
+    a key is light iff strictly fewer than ``theta`` distinct tuples carry
+    it.  The one place that decides a key's side at a threshold; it counts
+    no ops, because the caller counted the pass that gave ``degrees``."""
+    return {key: 1 for key, degree in degrees.items() if degree < theta}
 
 
 def iceil(x: float) -> int:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import re
@@ -84,6 +86,9 @@ def test_update_line_parsing():
         parse_update_line("R, a, b", 5, arities)
     with pytest.raises(MissingRelationError):
         parse_update_line("+ Z, a", 6, arities)
+    # a quoted value keeps its comma, as in a relation CSV
+    assert parse_update_line('+ R, "x,y", 2', 7, arities) == ("R", ("x,y", "2"), 1)
+    assert parse_update_line('- R, "x,y", b, 3', 8, arities) == ("R", ("x,y", "b"), -3)
 
 
 @pytest.mark.parametrize("content, message", [
@@ -148,6 +153,15 @@ def test_analyze_non_hierarchical_exit_2(capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 2
     assert out["hierarchical"] is False and out["violating_pair"] == ["B", "C"]
+
+
+def test_analyze_reads_a_query_longer_than_a_file_name(capsys):
+    # 40 atoms make the spec longer than a path component may be, so
+    # probing it as a file name fails with an OSError
+    query = "Q(A) = " + ", ".join(f"R{i}(A,B{i})" for i in range(40)) + "."
+    assert main(["analyze", "--query", query, "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["hierarchical"] and out["query"].startswith("Q(A) = R0(A,B0)")
 
 
 def test_analyze_syntax_error_exit_1(capsys):
@@ -317,6 +331,16 @@ def test_run_verify_above_oracle_cap_is_skipped(tmp_path, capsys):
     assert rc == 0
     assert captured.err.startswith("verification skipped: ")
     assert json.loads(captured.out)["n"] == 2002
+
+
+def test_run_enumerate_quotes_a_value_with_a_comma(tmp_path, capsys):
+    (tmp_path / "R.csv").write_text('"x,y",1\nplain,1\n')
+    (tmp_path / "S.csv").write_text("1,z\n")
+    rc = main(["run", "--query", QUERY, "--data", str(tmp_path), "--enumerate", "--sorted"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out == 'plain,z,1\n"x,y",z,1\n'
+    assert list(csv.reader(io.StringIO(out))) == [["plain", "z", "1"], ["x,y", "z", "1"]]
 
 
 def test_run_sorted_enumeration_deterministic(demo, capsys):

@@ -391,11 +391,12 @@ def test_major_rebuilds_when_moving_costs_more(monkeypatch):
     assert (st.N, st.M) == (400, 800)
     assert len(rebuilt) == 1 and moved == []
     assert light_part(lp_r).size == 192
-    # the rebuild filters R (192) and S (208) by the degrees of the major's
-    # own pass; computing them again cost |R| + |S| more, 2648 ops.  L
-    # takes R's 8 light keys, where a copy of the light part took its 192
-    # rows and their key index, 384 ops (2248 ops in all)
-    assert ops == [1872]
+    # the rebuild takes the light keys from the degrees of the major's own
+    # pass and copies no rows: filtering R (192) and S (208) cost 400 ops
+    # (1872 in all).  The two views that start at R's light leaf read its 8
+    # keys' buckets, 8 + 192 ops each, where each folded a copy of the 192
+    # rows, so 16 ops come back
+    assert ops == [1488]
     _assert_fresh(st, q, 0.5)
     st.check_invariants(deep=True)
 

@@ -54,18 +54,28 @@ def _counted_degrees(self, positions):
     return degrees
 
 
-def _filtered_partition(rel, positions, theta, degrees):
-    """The strict light part, filtered row by row from the entries."""
-    key_of = projection(positions)
-    rel.counters.storage_ops += len(rel.entries)
-    return {row: m for row, m in rel.entries.items() if degrees[key_of(row)] < theta}
+def _filtered_start_rows(node):
+    """The rows a fold starts from: a light leaf's occurrence entries whose
+    key is in the part's key set, filtered row by row and grouped stably
+    in key set order, one op per key plus one per row unless the key is the
+    whole schema; any other node's entries, one op each."""
+    rel, part = node.content, node.part
+    if part is None:
+        rel.counters.storage_ops += len(rel.entries)
+        return list(rel.entries.items())
+    rank = {key: i for i, key in enumerate(part.content.entries)}
+    rows = sorted(((row, m) for row, m in rel.entries.items() if part.key_of(row) in rank),
+                  key=lambda entry: rank[part.key_of(entry[0])])
+    per_row = len(part.key_positions) < len(rel.schema)
+    rel.counters.storage_ops += len(rank) + per_row * len(rows)
+    return rows
 
 
 def _reference_build(monkeypatch, q, db, eps, mode):
     with monkeypatch.context() as patched:
         patched.setattr(Relation, "load", _per_row_load)
         patched.setattr(Relation, "degrees", _counted_degrees)
-        patched.setattr(engine, "strict_partition", _filtered_partition)
+        patched.setattr(engine, "start_rows", _filtered_start_rows)
         return preprocess(q, db, eps, mode=mode)
 
 

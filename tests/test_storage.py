@@ -134,28 +134,34 @@ def test_strict_partition_threshold():
     degrees = key_degrees(r.entries, pos)
     assert degrees == {("hot",): 4, ("cold",): 1}
     before = r.counters.storage_ops
-    light = strict_partition(r, pos, 2, degrees)
-    assert light == {("y", "cold"): 1}
-    assert r.counters.storage_ops - before == r.size  # one pass; degrees came given
-    everything = strict_partition(r, pos, 100, degrees)
-    assert everything == dict(r.entries)
+    assert strict_partition(degrees, 2) == {("cold",): 1}
+    # strictly fewer than theta tuples: a key of degree theta is heavy
+    assert strict_partition(degrees, 4) == {("cold",): 1}
+    assert strict_partition(degrees, 4.5) == {("hot",): 1, ("cold",): 1}
+    assert strict_partition(degrees, 1) == {}
+    assert r.counters.storage_ops == before  # the degrees came counted
 
 
-def test_strict_partition_keeps_entry_order():
-    # the heavy key's rows are deleted from a copy of the entries, so the
-    # light rows keep their order, though their keys interleave
+def test_strict_partition_keeps_degree_order():
+    # after a delete, the key index keeps "b" in its place, while the
+    # entries first show "a": the key set follows the degrees' order
     r = make_rel(schema=("A", "B"))
     pos = r.positions(["B"])
     r.register_index(pos)
-    rows = [("x0", "hot"), ("y", "b"), ("x1", "hot"), ("z", "a"), ("w", "b"), ("x2", "hot")]
+    rows = [("x0", "hot"), ("y", "b"), ("x1", "hot"), ("z", "a"), ("w", "b"), ("x2", "hot"),
+            ("v", "a")]
     for row in rows:
         r.add({row: 1})
-    light = strict_partition(r, pos, 3, r.degrees(pos))
-    assert list(light) == [("y", "b"), ("z", "a"), ("w", "b")]
-    assert list(strict_partition(r, pos, 4, r.degrees(pos)).items()) == list(r.entries.items())
-    # keyed on the whole schema (no index): every degree is 1
-    assert strict_partition(r, (1, 0), 1, r.degrees((1, 0))) == {}
-    assert list(strict_partition(r, (1, 0), 2, r.degrees((1, 0)))) == rows
+    r.add({("y", "b"): -1})
+    degrees = r.degrees(pos)
+    assert list(key_degrees(r.entries, pos)) == [("hot",), ("a",), ("b",)]
+    assert list(strict_partition(degrees, 3)) == [("b",), ("a",)]
+    assert list(strict_partition(degrees, 4)) == [("hot",), ("b",), ("a",)]
+    # keyed on the whole schema (no index): every degree is 1, and the keys
+    # come in entry order
+    whole = r.degrees((1, 0))
+    assert strict_partition(whole, 1) == {}
+    assert list(strict_partition(whole, 2)) == [(b, a) for a, b in r.entries]
 
 
 def test_strict_partition_heavy_key_count_bound():
@@ -169,9 +175,12 @@ def test_strict_partition_heavy_key_count_bound():
     degrees = key_degrees(r.entries, pos)
     for eps in (0.0, 0.5, 1.0):
         theta = n ** eps
-        light = strict_partition(r, pos, theta, degrees)
-        heavy_keys = {row[1] for row in r.entries} - {row[1] for row in light}
-        assert len(heavy_keys) <= math.ceil(n / theta) if theta else True
+        light = strict_partition(degrees, theta)
+        assert set(light.values()) <= {1}
+        assert all(degrees[key] < theta for key in light)
+        heavy_keys = degrees.keys() - light.keys()
+        assert all(degrees[key] >= theta for key in heavy_keys)
+        assert len(heavy_keys) <= math.ceil(n / theta)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
