@@ -206,6 +206,9 @@ class EngineState:
         # light step (see :func:`skewivm.viewtree.pass_source`)
         self._passes: dict[str, Callable] = {}
         self._light_steps: dict[str, Callable] = {}
+        # a result iterator's step, the product over the components' unions
+        # (:func:`skewivm.enumeration.result_cursor`)
+        self.result_step: Callable | None = None
         # (M, evict_at, reinsert_below): the relaxed partition bounds at M
         self._bounds: tuple[int, int, int] = (0, 0, 0)
         # (static width w, dynamic width delta), computed at the first major
@@ -262,6 +265,8 @@ class EngineState:
         for comp in self.components:
             for tree in comp.trees:
                 enumeration.annotate(tree.root, self.query.free, buckets=buckets)
+        self.result_step = enumeration.result_cursor(
+            q.head_vars, [comp.trees[0].root.enum.out_schema for comp in self.components])
         if self.mode == "dynamic":
             self.dag.compile_triggers(self.counters)
 
@@ -270,7 +275,7 @@ class EngineState:
         if not (self.M // 4 <= self.N < self.M):
             raise EngineError(f"threshold base {self.M} violates the size "
                               f"invariant for N={self.N}")
-        self._materialize(self.dag.stages[0])
+        self._materialize(self.dag.stages[0], {})
         theta = self._theta()
         self._repartition([(lp, strict_partition(degrees, theta))
                            for _, lp, degrees in self._unsettled_parts()])
@@ -395,14 +400,21 @@ class EngineState:
         depend on the partition and stay as they are."""
         for lp, keys in parts:
             lp.content.load(keys)
-        self._materialize(self.dag.stages[1])
+        light: dict[ViewNode, list] = {}
+        self._materialize(self.dag.stages[1], light)
         for triple in self.triples:
             self._rebuild_h(triple)
-        self._materialize(self.dag.stages[2])
+        self._materialize(self.dag.stages[2], light)
 
-    def _materialize(self, views: list[ViewNode]) -> None:
+    def _materialize(self, views: list[ViewNode], light: dict[ViewNode, list]) -> None:
+        """Recompute ``views`` in order.  A light leaf that several of them
+        start at is read once (:func:`start_rows`): ``light`` keeps its rows
+        by leaf, across the calls that share it."""
         for node in views:
-            materialize_node(node, node.plan)
+            start = node.children[node.plan.start_index]
+            if start.part is not None and start not in light:
+                light[start] = start_rows(start)
+            materialize_node(node, node.plan, light.get(start))
 
     def _rebuild_h(self, triple: IndicatorTriple) -> None:
         light_support = triple.light_root.content.entries
@@ -703,11 +715,13 @@ class EngineState:
         return forest_dot(named, self.triples)
 
 
-def materialize_node(node: ViewNode, plan: JoinPlan) -> None:
+def materialize_node(node: ViewNode, plan: JoinPlan, rows=None) -> None:
     """Recompute ``node.content`` from the children (leaves untouched) by
-    :func:`run_join`, from the :func:`start_rows` of the plan's outer
-    child."""
-    node.content.load(run_join(plan, node.children, start_rows(node.children[plan.start_index])))
+    :func:`run_join`, from ``rows``, the plan's outer child's
+    :func:`start_rows` already read, or else from reading them."""
+    if rows is None:
+        rows = start_rows(node.children[plan.start_index])
+    node.content.load(run_join(plan, node.children, rows))
 
 
 def start_rows(node: ViewNode):

@@ -28,9 +28,8 @@ A node's *scope* (``enum.scope``) is the context it ranges its view under:
 the context itself, or for a bucket the context followed by the heavy key.
 A variable may occur more than once in a layout; its values agree, and every
 projection reads its first occurrence.  :func:`annotate` compiles each
-projection once per node into an ``itemgetter``: the range key, the output
-tuple of a covering view and the product's output.  It also compiles a
-lookup at the node into a *probe* (:func:`_compile_plan`): one generated
+node's cursor (:func:`_compile_cursor`, see below), and a lookup at the
+node into a *probe* (:func:`_compile_plan`): one generated
 straight-line ``probe(owner, k, c, t)`` (:func:`probe_source`) that reads
 the views the lookup reads, in preorder, one ``entries.get`` each at a key
 written as a tuple display over the scope ``c`` and the looked-up tuple
@@ -55,11 +54,25 @@ get, so a narrowed lookup never costs more than probing every bucket, and
 any lookup at most the fetch more.  This is the intersection rule of
 worst-case-optimal joins: iterate the smaller side, probe the larger.
 
+A node's cursor is generated code as well: a ``start(it, ctx)`` and a
+``step(it)`` over the fields of a :class:`TreeIter`, which holds only
+cursor state and whose ``next()`` calls its node's step.  Each is compiled
+once per process per cursor shape (:func:`cursor_source`) and bound per
+node.  A covering node walks its range's dict: every entry, the index
+bucket of the range key, or one get of a whole-row key.  It returns each
+row's output as one tuple display, reads the next row one ahead, and
+counts ops where :meth:`~skewivm.storage.Relation.scan` counts them.
 Sibling subtrees under one view row, and the components of the result,
-combine through one product routine: :func:`_odometer` restarts an exhausted
-slot under the shared context and advances the slot before it, and
-:func:`_product_row` composes the output tuple and multiplies the slots'
-multiplicities.  A product slot skips *pass-through* views (:func:`_resolve`):
+combine through one product step, an odometer unrolled over the slots.
+It reopens the first slot without an output under the shared context
+and advances the slot before it, or moves the view row on once the first
+slot is exhausted.  It composes the row and the slots' outputs in one
+tuple display with the product of their multiplicities, then advances
+the last slot, so that each ``next()`` is charged exactly the ops it
+makes.  A slot advances by its own step, or by its ``next()`` where it
+is grounded, whose buckets :func:`union_next` merges.  The result's
+product (:func:`result_cursor`) is compiled once per state.
+A product slot skips *pass-through* views (:func:`_resolve`):
 a view that is not covering, has one child, which is not the heavy
 indicator, and whose schema lies within the slot's context.  Such a view is
 ranged at one point and only passes its context on; at rest it is nonzero
@@ -100,18 +113,19 @@ from .viewtree import HEAVY_REF, ViewNode, _compiled
 
 Row = tuple
 
-# probe shape -> probe factory, compiled once per process
+# probe shape -> probe factory, and cursor shape -> cursor factory,
+# compiled once per process
 _PROBES: dict[tuple, Callable] = {}
+_CURSORS: dict[tuple, Callable] = {}
 
 
 class EnumInfo:
-    """Static per-node facts and compiled projections used by the iterators
-    (computed once)."""
+    """Static per-node facts, and the compiled cursor and probe the
+    iterators run (computed once)."""
 
     __slots__ = ("ctx_order", "scope", "out_schema", "covering", "heavy_idx",
-                 "h_positions", "h_key", "range_positions", "range_key",
-                 "out_of", "slots", "compose", "plan", "probe", "selector",
-                 "selector_rows", "h_varying")
+                 "range_positions", "slots", "start", "step", "heavy", "plan",
+                 "probe", "selector", "selector_rows", "h_varying")
 
     def __init__(self) -> None:
         self.heavy_idx = None
@@ -121,8 +135,9 @@ class EnumInfo:
 
 def annotate(root: ViewNode, free: frozenset[str],
              ctx_order: tuple[str, ...] = (), buckets: bool = True) -> None:
-    """Fill ``node.enum`` for every node reachable during enumeration and
-    register the sigma-range indexes the iterators will use.  A node shared
+    """Fill ``node.enum`` for every node reachable during enumeration,
+    register the sigma-range indexes the iterators will use and compile
+    each node's cursor and probe.  A node shared
     by several trees is annotated once; it must be reached under the same
     context layout every time.  With ``buckets`` false no heavy key can
     exist, a grounded node never holds a bucket, and no bucket selector is
@@ -154,24 +169,21 @@ def annotate(root: ViewNode, free: frozenset[str],
         if root.is_leaf and not pinned:
             raise InvariantViolationError(f"{root.name}: leaf not pinned by context")
         info.covering = True
-        info.out_of = projection(tuple(schema.index(v) for v in info.out_schema))
         root.content.register_index(info.range_positions)
-        info.range_key = _getter(info.scope, schema, info.range_positions)
+        out = tuple(schema.index(v) for v in info.out_schema)
+        _compile_cursor(info, root, None if out == tuple(range(len(schema))) else out)
         _compile_plan(info, root)
         return
 
     for i, c in enumerate(root.children):
         if c.kind == HEAVY_REF:
             info.heavy_idx = i
-            info.h_positions = c.content.positions(ctx_vars & set(c.schema))
-            info.h_key = _getter(ctx_order, c.schema, info.h_positions)
-            c.content.register_index(info.h_positions)
+            c.content.register_index(c.content.positions(ctx_vars & set(c.schema)))
             # a grounded bucket ranges over the context plus the heavy key,
             # and the grounded view itself is never ranged over the context
             info.scope = ctx_order + c.schema
             info.range_positions = root.content.positions(set(info.scope) & set(schema))
     root.content.register_index(info.range_positions)
-    info.range_key = _getter(info.scope, schema, info.range_positions)
     # the product slots: each child but the heavy indicator, resolved
     # through pass-through views
     layout = info.scope + schema
@@ -179,8 +191,8 @@ def annotate(root: ViewNode, free: frozenset[str],
                        for i, c in enumerate(root.children) if i != info.heavy_idx)
     for n in info.slots:
         annotate(n, free, layout, buckets)
-    info.compose = _compose(root.name, info.out_schema, schema,
-                            [n.enum.out_schema for n in info.slots])
+    _compile_cursor(info, root, _compose(root.name, info.out_schema, schema,
+                                         [n.enum.out_schema for n in info.slots]))
     views = _compile_plan(info, root)
     if info.heavy_idx is not None and buckets:
         _compile_selector(info, root.children[info.heavy_idx].schema, views)
@@ -201,11 +213,6 @@ def _resolve(node: ViewNode, free: frozenset[str], ctx_vars: set[str]) -> ViewNo
             break  # covering: the slot enumerates its rows directly
         node = node.children[0]
     return node
-
-
-def _getter(layout: tuple[str, ...], schema: tuple[str, ...], positions: tuple[int, ...]):
-    """Tuple over ``layout`` -> the values of ``schema`` at ``positions``."""
-    return projection(tuple(layout.index(schema[p]) for p in positions))
 
 
 def _compile_plan(info: EnumInfo, node: ViewNode) -> list[tuple[ViewNode, tuple[int, ...]]]:
@@ -269,8 +276,7 @@ def probe_source(shape: tuple) -> str:
     width, plan = shape
 
     def display(positions: tuple[int, ...]) -> str:
-        values = [f"c[{p}]" if p < width else f"t[{p - width}]" for p in positions]
-        return f"({values[0]},)" if len(values) == 1 else f"({', '.join(values)})"
+        return _tuple(f"c[{p}]" if p < width else f"t[{p - width}]" for p in positions)
 
     args, body, factors = [], [], []
     gets = 0
@@ -330,40 +336,206 @@ def _compile_selector(info: EnumInfo, heavy_schema: tuple[str, ...],
 
 
 def _compose(name: str, out_schema: tuple[str, ...], row_schema: tuple,
-             slot_schemas: list[tuple[str, ...]]):
-    """Projection of ``row + out_1 + ... + out_k`` (the view row followed by
-    the slots' output tuples) onto ``out_schema``."""
-    flat = row_schema + sum(slot_schemas, ())
+             slot_schemas: list[tuple[str, ...]]) -> tuple[tuple[int, int], ...]:
+    """Where each variable of ``out_schema`` comes from in a product: ``(-1,
+    p)`` for position ``p`` of the view row over ``row_schema``, ``(j, p)``
+    for position ``p`` of slot ``j``'s output tuple.  The row comes first,
+    then the slots in order."""
+    flat = [(-1, p, v) for p, v in enumerate(row_schema)]
+    flat += [(j, p, v) for j, schema in enumerate(slot_schemas) for p, v in enumerate(schema)]
+    sources = []
     for v in out_schema:
-        if v not in flat:  # pragma: no cover - construction guarantees coverage
+        source = next(((j, p) for j, p, w in flat if w == v), None)
+        if source is None:  # pragma: no cover - construction guarantees coverage
             raise InvariantViolationError(f"{name}: no source for output var {v}")
-    return projection(tuple(flat.index(v) for v in out_schema))
+        sources.append(source)
+    return tuple(sources)
 
 
-def _odometer(slots: list, outs: list, ctx: tuple) -> bool:
-    """Roll the product of ``slots`` forward until every slot has a current
-    output: an exhausted slot is reopened under ``ctx`` and the slot before
-    it advances.  False once the first slot is exhausted."""
-    while None in outs:
-        hole = outs.index(None)
-        if hole == 0:
-            return False
-        slot = slots[hole]
-        slot.open(ctx)
-        outs[hole] = slot.next()
-        outs[hole - 1] = slots[hole - 1].next()
-    return True
+def _read(rel, positions: tuple[int, ...], layout: tuple[str, ...]) -> tuple:
+    """How a cursor reads the entries of ``rel`` whose projection on
+    ``positions`` is given by a tuple over ``layout``: ``(kind, key,
+    index)``.  The kind is ``"all"`` for no positions (every entry),
+    ``"row"`` for every position (one entry, the key), else ``"index"``
+    (the index bucket of the key); the key is a tuple of layout
+    positions."""
+    key = tuple(layout.index(rel.schema[p]) for p in positions)
+    if not positions:
+        return "all", key, None
+    if len(positions) == len(rel.schema):
+        return "row", key, None
+    return "index", key, rel.indexes[positions]
 
 
-def _product_row(slots: list, outs: list, row: Row, compose) -> tuple[Row, int]:
-    """The product tuple of ``row`` and the slots' current outputs, with the
-    product of their multiplicities; then advance the last slot."""
-    m = 1
-    for t, mult in outs:
-        row += t
-        m *= mult
-    outs[-1] = slots[-1].next()
-    return (compose(row), m)
+def _compile_cursor(info: EnumInfo, node: ViewNode, out) -> None:
+    """The node's compiled cursor (see :func:`cursor_source`): ``info.start``
+    and ``info.step``, and for a grounded node ``info.heavy``.  ``out`` is
+    a covering node's output positions in its row (``None`` for the whole
+    row in order), or a product node's output sources
+    (:func:`_compose`)."""
+    rel = node.content
+    read, key, index = _read(rel, info.range_positions, info.scope)
+    heavy, h_args = None, (None, None)
+    if info.heavy_idx is not None:
+        h = node.children[info.heavy_idx].content
+        h_read, h_key, h_index = _read(
+            h, h.positions(set(info.ctx_order) & set(h.schema)), info.ctx_order)
+        heavy, h_args = (h_read, h_key), (h.entries, h_index)
+    slots = () if info.covering else info.slots
+    calls = tuple("next" if n.enum.heavy_idx is not None else "step" for n in slots)
+    shape = ("cover" if info.covering else "product", read, key, out, calls, heavy)
+    factory = _compiled(_CURSORS, shape, cursor_source, "cursor")
+    info.start, info.step, info.heavy = factory(
+        rel.counters, rel.entries, index, *h_args,
+        *(n.enum.step for n, call in zip(slots, calls) if call == "step"))
+
+
+def result_cursor(out_schema: tuple[str, ...], slot_schemas: list[tuple[str, ...]]):
+    """The compiled ``step(it)`` of a :class:`ResultIterator` whose
+    components' output schemas are ``slot_schemas``, composing tuples over
+    ``out_schema`` (see :func:`cursor_source`)."""
+    compose = _compose("result", out_schema, (), slot_schemas)
+    if len(slot_schemas) == 1 and compose == tuple((0, p) for p in range(len(out_schema))):
+        compose = None  # the component's tuples are the result's
+    calls = ("next",) * len(slot_schemas)
+    return _compiled(_CURSORS, ("result", None, (), compose, calls, None),
+                     cursor_source, "cursor")()
+
+
+def _tuple(items) -> str:
+    """A tuple display of the expressions ``items``."""
+    items = list(items)
+    return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+
+
+def _block(lines: list[str]) -> list[str]:
+    """``lines`` indented one level."""
+    return ["    " + line for line in lines]
+
+
+def cursor_source(shape: tuple) -> str:
+    """Python source of a cursor factory for ``shape``, ``(kind, read, key,
+    out, calls, heavy)`` (see :func:`_compile_cursor` and
+    :func:`result_cursor`): code over the iterator's fields with every
+    slot, key and output position written out.  Ops are added to
+    ``counters`` where :meth:`skewivm.storage.Relation.scan` counts them
+    (1 per index-bucket fetch or whole-row get, 1 per row read), and each
+    row is read one ahead, so each ``next()`` is charged the ops it makes.
+
+    - ``"cover"`` and ``"product"``: ``factory(counters, entries, index,
+      h_entries, h_index, step_j...)`` returns ``(start, step, heavy)``.
+      ``start(it, ctx)`` reads the range's first row into ``it.current``
+      (``read`` is ``"all"``, ``"index"`` or ``"row"``, see :func:`_read`,
+      with ``key`` over the scope) and keeps the iterator over the rest in
+      ``it._range``.  A covering node's ``step(it)`` returns the current
+      row's output and multiplicity and reads the next row.  A product
+      node's ``start`` opens the slots ``it.children`` under the scope
+      followed by the first row and takes each slot's first output into
+      ``it.child_outs``; its ``step(it)`` is the odometer over the slots,
+      unrolled: the first slot from the left without an output is reopened
+      and the one before it advances, and an exhausted first slot moves
+      the row on.  It composes the row and the slot outputs into one tuple
+      display with the product of their multiplicities, then advances the
+      last slot.  A slot is advanced by the ``step_j`` it is given, or by
+      its ``next()`` (``calls[j]`` is ``"next"``: a grounded slot, whose
+      buckets :func:`union_next` merges).  ``heavy(ctx)``, for a grounded
+      node only, returns the rows of H under ``ctx`` (``heavy`` is H's
+      ``(read, key)``) and counts them.
+    - ``"result"``: ``factory()`` returns the product ``step(it)`` over
+      ``it.components`` and their outputs ``it._outs``, with no row; ``out``
+      ``None`` returns the one component's tuples as they are."""
+    kind, read, key, out, calls, heavy = shape
+    k = len(calls)
+    slots, outs = [f"s{j}" for j in range(k)], [f"o{j}" for j in range(k)]
+    call = [f"s{j}.next()" if how == "next" else f"step{j}(s{j})"
+            for j, how in enumerate(calls)]
+
+    def display(positions, of: str) -> str:
+        return _tuple(f"{of}[{p}]" for p in positions)
+
+    def odometer(ctx: str, exhausted: list[str], emit: list[str]) -> list[str]:
+        lines = ["while True:", "    if o0 is None:", *_block(_block(exhausted))]
+        for j in range(1, k):
+            lines += [f"    elif o{j} is None:", f"        s{j}.open({ctx})",
+                      f"        o{j} = {call[j]}", f"        o{j - 1} = {call[j - 1]}"]
+        return lines + ["    else:", *_block(_block(emit))]
+
+    def product() -> str:
+        if out is None:
+            return "o0"
+        values = [f"row[{p}]" if j < 0 else f"o{j}[0][{p}]" for j, p in out]
+        return f"({_tuple(values)}, {' * '.join(f'o{j}[1]' for j in range(k))})"
+
+    if kind == "result":
+        body = [f"{_tuple(slots)} = it.components", f"{_tuple(outs)} = it._outs",
+                *odometer("()", [f"it._outs = {_tuple(outs)}", "return None"],
+                          [f"it._outs = {_tuple(outs[:-1] + call[-1:])}",
+                           f"return {product()}"])]
+        return "\n".join(["def factory():", "    def step(it):", *_block(_block(body)),
+                          "    return step", ""])
+
+    # the range: the first row at start, then one ahead per step
+    items = kind == "cover" and read == "all"  # a covering full scan reads (row, m)
+    open_slots = [] if kind == "cover" else [
+        "c = it.child_ctx = ctx + cur", f"{_tuple(slots)} = it.children",
+        *(f"s{j}.open(c)" for j in range(k)), f"it.child_outs = {_tuple(call)}"]
+    if read == "row":
+        start = [f"cur = {display(key, 'ctx')}", "counters.storage_ops += 1",
+                 "if entries.get(cur):", "    it.current = cur", *_block(open_slots),
+                 "else:", "    it.current = None"]
+        after = ["it.current = None"]
+    else:
+        source = ("entries.items()" if items else "entries") if read == "all" else \
+            f"index.get({display(key, 'ctx')}, ())"
+        start = [f"rows = it._range = iter({source})", "cur = it.current = next(rows, None)"]
+        if read == "index":
+            start += ["counters.storage_ops += 1 if cur is None else 2",
+                      *(["if cur is not None:", *_block(open_slots)] if open_slots else [])]
+        else:
+            start += ["if cur is not None:", "    counters.storage_ops += 1", *_block(open_slots)]
+        after = ["after = it.current = next(it._range, None)", "if after is not None:",
+                 "    counters.storage_ops += 1"]
+
+    if kind == "cover":
+        if items:
+            emit = "cur" if out is None else f"({display(out, 'cur[0]')}, cur[1])"
+        else:
+            emit = f"({'cur' if out is None else display(out, 'cur')}, entries[cur])"
+        step = ["cur = it.current", "if cur is None:", "    return None", *after,
+                f"return {emit}"]
+    else:
+        if read == "row":
+            next_row = ["it.current = it.child_outs = None", "return None"]
+        else:
+            next_row = ["row = it.current = next(it._range, None)", "if row is None:",
+                        "    it.child_outs = None", "    return None",
+                        "counters.storage_ops += 1", "c = it.child_ctx = it._ctx + row",
+                        *(f"s{j}.open(c)" for j in range(k)),
+                        *(f"o{j} = {call[j]}" for j in range(k))]
+        step = ["row = it.current", "if row is None:", "    return None",
+                f"{_tuple(slots)} = it.children", f"{_tuple(outs)} = it.child_outs",
+                *(["c = it.child_ctx"] if k > 1 else []),
+                *odometer("c", next_row, [f"it.child_outs = {_tuple(outs[:-1] + call[-1:])}",
+                                          f"return {product()}"])]
+
+    heavy_fn = []
+    if heavy is not None:
+        h_read, h_key = heavy
+        if h_read == "all":
+            rows = ["counters.storage_ops += len(h_entries)", "return h_entries"]
+        elif h_read == "row":
+            rows = [f"row = {display(h_key, 'ctx')}", "counters.storage_ops += 1",
+                    "return (row,) if h_entries.get(row) else ()"]
+        else:
+            rows = [f"rows = h_index.get({display(h_key, 'ctx')}, ())",
+                    "counters.storage_ops += 1 + len(rows)", "return rows"]
+        heavy_fn = ["def heavy(ctx):", *_block(rows)]
+    steps = "".join(f", step{j}" for j, how in enumerate(calls) if how == "step")
+    return "\n".join([f"def factory(counters, entries, index, h_entries, h_index{steps}):",
+                      *_block(["def start(it, ctx):", *_block(start),
+                               "def step(it):", *_block(step), *heavy_fn,
+                               f"return start, step, {'heavy' if heavy_fn else 'None'}"]),
+                      ""])
 
 
 class TreeIter:
@@ -387,7 +559,7 @@ class TreeIter:
         self.spent = 0  # buckets before this position are exhausted
         self.guided = False  # the union of the buckets asks the selector
         self.children: list[TreeIter] | None = None
-        self.child_outs: list | None = None
+        self.child_outs: tuple | None = None
         self.child_ctx: tuple | None = None
         # (plan path, context) -> a descendant grounded under a context
         # the live one is not, kept for the life of the open
@@ -418,12 +590,9 @@ class TreeIter:
             self._range = None
             self._ground(ctx)
             return
-        self._range = self.node.content.scan(info.range_positions, info.range_key(ctx))
-        self.current = next(self._range, None)
-        if info.covering:
-            return
-        self.children = [TreeIter(n) for n in info.slots]
-        self._reopen_children()
+        if not info.covering:
+            self.children = [TreeIter(n) for n in info.slots]
+        info.start(self, ctx)
 
     def _ground(self, ctx: tuple) -> None:
         """One pending bucket, its scope, per heavy key under ``ctx``.
@@ -433,10 +602,9 @@ class TreeIter:
         index buckets hold few enough rows on average for a fetch to
         narrow: ``2 * rows / keys + 1 <= buckets``."""
         info = self.node.enum
-        hleaf = self.node.children[info.heavy_idx]
         self.buckets = buckets = []
         by_key = {} if info.selector is not None else None
-        for hrow, _ in hleaf.content.scan(info.h_positions, info.h_key(ctx)):
+        for hrow in info.heavy(ctx):
             if by_key is not None:
                 by_key[info.h_varying(hrow)] = len(buckets)
             buckets.append(ctx + hrow)
@@ -455,17 +623,6 @@ class TreeIter:
         self.buckets[k] = bucket
         return bucket
 
-    def _reopen_children(self) -> None:
-        """(Re)open the product children under the current view row and
-        position each at its first output."""
-        if self.current is None:
-            self.child_outs = None
-            return
-        self.child_ctx = ctx = self._ctx + self.current[0]
-        for ch in self.children:
-            ch.open(ctx)
-        self.child_outs = [ch.next() for ch in self.children]
-
     def close(self) -> None:
         self.opened = False
         self.buckets = self.by_key = self.foreign = None
@@ -481,23 +638,10 @@ class TreeIter:
         multiplicity), or None when exhausted."""
         if not self.opened:
             raise CallBeforeOpenError(self.node.name)
-        if self.buckets is not None:
-            return union_next(self.buckets, self) if self.buckets else None
-        info = self.node.enum
-        if info.covering:
-            if self.current is None:
-                return None
-            row, m = self.current
-            self.current = next(self._range, None)
-            return (info.out_of(row), m)
-        while self.current is not None:
-            if _odometer(self.children, self.child_outs, self.child_ctx):
-                return _product_row(self.children, self.child_outs,
-                                    self.current[0], info.compose)
-            # product exhausted for this view row: advance the row
-            self.current = next(self._range, None)
-            self._reopen_children()
-        return None
+        buckets = self.buckets
+        if buckets is not None:
+            return union_next(buckets, self) if buckets else None
+        return self.node.enum.step(self)
 
     # -- constant-time membership of an output tuple --------------------------
 
@@ -721,19 +865,22 @@ class ResultIterator:
         self.components = [ComponentIter(c.roots) for c in state.components]
         for c in self.components:
             c.open(())
-        self._outs = [c.next() for c in self.components]
-        self._compose = _compose("result", state.query.head_vars, (),
-                                 [c.out_schema for c in self.components])
+        self._outs = tuple(c.next() for c in self.components)
+        self._step = state.result_step
 
     def next(self):
-        if self.generation != self.state.generation:
+        """The next result tuple with its multiplicity, or None at the end.
+        Records the ops this call made as ``Counters.last_next_ops``, and
+        the largest such count as ``max_next_ops``."""
+        state = self.state
+        if self.generation != state.generation:
             raise IteratorInvalidatedError("engine state changed under an open iterator")
-        counters = self.state.counters
+        counters = state.counters
         before = counters.storage_ops
-        outs = self._outs
-        out = (_product_row(self.components, outs, (), self._compose)
-               if _odometer(self.components, outs, ()) else None)
-        counters.record_next(counters.storage_ops - before)
+        out = self._step(self)
+        ops = counters.last_next_ops = counters.storage_ops - before
+        if ops > counters.max_next_ops:
+            counters.max_next_ops = ops
         return out
 
     def __iter__(self):

@@ -53,10 +53,6 @@ class Counters:
         self.max_update_ops = max(self.max_update_ops, ops)
         self.cumulative_update_ops += ops
 
-    def record_next(self, ops: int) -> None:
-        self.last_next_ops = ops
-        self.max_next_ops = max(self.max_next_ops, ops)
-
     @property
     def amortized_update_ops(self) -> float:
         return self.cumulative_update_ops / self.updates if self.updates else 0.0

@@ -124,13 +124,6 @@ class VariableOrder:
                 return False
         return True
 
-    def is_free_top(self) -> bool:
-        free = self.query.free
-        for v in self.variables():
-            if v not in free and any(b in free for b in self.subtree_vars(v) if b != v):
-                return False
-        return True
-
 
 # ---------------------------------------------------------------------------
 # Canonical and free-top orders

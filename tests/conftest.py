@@ -315,3 +315,118 @@ def use_reference_pass(st):
                         reference_update_pass(state, sym, row, mult, bounds))
                   for sym in st.base}
     st._move_key = MethodType(reference_move_key, st)
+
+
+def _odometer(slots, outs, ctx):
+    """Roll the product of ``slots`` forward until every slot has a current
+    output: an exhausted slot is reopened under ``ctx`` and the slot before
+    it advances.  False once the first slot is exhausted."""
+    while None in outs:
+        hole = outs.index(None)
+        if hole == 0:
+            return False
+        slot = slots[hole]
+        slot.open(ctx)
+        outs[hole] = slot.next()
+        outs[hole - 1] = slots[hole - 1].next()
+    return True
+
+
+def _product_row(slots, outs, row, schema, out_schema):
+    """The product tuple of ``row`` and the slots' current outputs, laid
+    out by ``schema``, projected onto ``out_schema``, with the product of
+    their multiplicities; then advance the last slot."""
+    m = 1
+    for t, mult in outs:
+        row += t
+        m *= mult
+    outs[-1] = slots[-1].next()
+    return (tuple(row[schema.index(v)] for v in out_schema), m)
+
+
+def _reopen_children(it):
+    """(Re)open the product slots under the current view row and position
+    each at its first output."""
+    if it.current is None:
+        it.child_outs = None
+        return
+    it.child_ctx = ctx = it._ctx + it.current[0]
+    for ch in it.children:
+        ch.open(ctx)
+    it.child_outs = [ch.next() for ch in it.children]
+
+
+def reference_start(it, ctx):
+    """The open of a covering or product node's iterator as it was before
+    its cursor was generated (see :func:`skewivm.enumeration.cursor_source`):
+    the range read by the ``Relation.scan`` generator, one row ahead, and
+    a product's slots opened under its first row."""
+    node, info = it.node, it.node.enum
+    key = tuple(ctx[info.scope.index(node.schema[p])] for p in info.range_positions)
+    it._range = node.content.scan(info.range_positions, key)
+    it.current = next(it._range, None)
+    if not info.covering:
+        _reopen_children(it)
+
+
+def reference_step(it):
+    """One ``next()`` of a covering or product node's iterator, interpreted:
+    a covering node returns its current row's output and reads the next
+    row from the scan; a product node rolls its odometer, composes the row
+    and the slots' outputs, and moves the row on once the slots are
+    exhausted."""
+    node, info = it.node, it.node.enum
+    if info.covering:
+        if it.current is None:
+            return None
+        row, m = it.current
+        it.current = next(it._range, None)
+        return (tuple(row[node.schema.index(v)] for v in info.out_schema), m)
+    while it.current is not None:
+        if _odometer(it.children, it.child_outs, it.child_ctx):
+            schema = sum((n.enum.out_schema for n in info.slots), node.schema)
+            return _product_row(it.children, it.child_outs, it.current[0],
+                                schema, info.out_schema)
+        it.current = next(it._range, None)
+        _reopen_children(it)
+    return None
+
+
+def reference_heavy(node):
+    """A grounded node's read of H under a context, by ``Relation.scan``."""
+    info = node.enum
+    h = node.children[info.heavy_idx].content
+    positions = h.positions(set(info.ctx_order) & set(h.schema))
+
+    def heavy(ctx):
+        key = tuple(ctx[info.ctx_order.index(h.schema[p])] for p in positions)
+        return [row for row, _ in h.scan(positions, key)]
+
+    return heavy
+
+
+def reference_result_step(head_vars):
+    """A result iterator's ``next()`` as the odometer over its components."""
+    def step(it):
+        outs = list(it._outs)
+        schema = sum((c.out_schema for c in it.components), ())
+        out = (_product_row(it.components, outs, (), schema, head_vars)
+               if _odometer(it.components, outs, ()) else None)
+        it._outs = tuple(outs)
+        return out
+
+    return step
+
+
+def use_reference_cursor(st):
+    """Make every iterator over ``st`` enumerate through the interpreted
+    cursor: each annotated node's ``start``, ``step`` and ``heavy``, and the
+    state's result step."""
+    for tree in st.trees:
+        for node in tree.nodes:
+            info = node.enum
+            if info is not None:
+                info.start, info.step = reference_start, reference_step
+                if info.heavy_idx is not None:
+                    info.heavy = reference_heavy(node)
+    st.result_step = reference_result_step(st.query.head_vars)

@@ -16,7 +16,15 @@ from skewivm.query import parse_query
 from skewivm.storage import Relation
 from skewivm.viewtree import ATOM, ViewNode
 
-from conftest import EPS_GRID, SUITE, parse, rand_db, random_hierarchical_query
+from conftest import (
+    EPS_GRID,
+    SUITE,
+    parse,
+    rand_db,
+    random_hierarchical_query,
+    run_trace,
+    use_reference_cursor,
+)
 
 DELAY_CONSTANT = 96  # frozen after measuring max ops/(1 + grounded buckets)
 
@@ -892,6 +900,50 @@ def test_first_row_ops_are_pinned(name, eps, rng):
     before = st.counters.storage_ops
     st.enumerate_result().next()
     assert st.counters.storage_ops - before == FIRST_ROW_OPS[name, eps]
+
+
+# ---------------------------------------------------------------------------
+# generated cursors against the interpreted one they replaced
+# ---------------------------------------------------------------------------
+
+
+def _read_all(st) -> tuple[int, list]:
+    """The ops of opening a result iterator over ``st``, and each of its
+    ``next()`` results with the ops that call recorded, to the end."""
+    counters = st.counters
+    before = counters.storage_ops
+    it = st.enumerate_result()
+    opened = counters.storage_ops - before
+    rows = []
+    while True:
+        item = it.next()
+        rows.append((item, counters.last_next_ops))
+        if item is None:
+            return opened, rows
+
+
+CURSOR_CASES = [(name, eps, mode) for name in SUITE for eps in EPS_GRID
+                for mode in ("static", "dynamic")]
+
+
+@pytest.mark.parametrize("name,eps,mode", CURSOR_CASES,
+                         ids=[f"{n}-{e}-{m}" for n, e, m in CURSOR_CASES])
+def test_compiled_cursor_matches_the_interpreted_reference(name, eps, mode):
+    # row by row, the generated cursors emit the interpreted cursor's rows
+    # in its order, and each next() records the ops it did; in dynamic mode
+    # again after a seeded stream of updates on a hot key, which holds
+    # minor and major rebalances on most queries
+    q = parse(name)
+    db = rand_db(q, random.Random(f"cursor/{name}/{eps}"), per_rel=20, dom=6)
+    st, ref = preprocess(q, db, eps, mode=mode), preprocess(q, db, eps, mode=mode)
+    use_reference_cursor(ref)
+    for _ in range(2 if mode == "dynamic" else 1):
+        got = _read_all(st)
+        assert got == _read_all(ref)
+        assert dict(row for row, _ in got[1][:-1]) == brute_force_eval(q, st.db_snapshot())
+        for twin in (st, ref) if mode == "dynamic" else ():
+            run_trace(twin, q, random.Random(f"cursor/{name}/{eps}"), steps=150, dom=6, hot=0.3)
+    assert st.counters.max_next_ops == ref.counters.max_next_ops
 
 
 # ---------------------------------------------------------------------------

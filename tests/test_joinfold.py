@@ -19,7 +19,7 @@ import pytest
 
 from skewivm import enumeration, viewtree
 from skewivm.engine import EngineState, materialize_node, preprocess
-from skewivm.enumeration import TreeIter, probe_source
+from skewivm.enumeration import TreeIter, cursor_source, probe_source
 from skewivm.errors import InvariantViolationError, UnregisteredIndexError
 from skewivm.metrics import Counters
 from skewivm.oracle import brute_force_eval
@@ -349,6 +349,7 @@ def test_values_never_reach_the_generated_source(case):
     assert st.result_multiset() == brute_force_eval(q, st.db_snapshot())
     sources += [pass_source(shape) for shape in viewtree._PASSES]
     sources += [probe_source(shape) for shape in enumeration._PROBES]
+    sources += [cursor_source(shape) for shape in enumeration._CURSORS]
     for source in [kernel_source(plan_shape(plan)) for plan in plans] + sources:
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             assert tok.type != tokenize.STRING, source
@@ -368,12 +369,13 @@ def test_kernels_compile_once_per_shape_and_bind_to_their_own_state(monkeypatch)
 
     def sizes():
         return (len(viewtree._FACTORIES), len(viewtree._TRIGGERS), len(viewtree._PASSES),
-                len(enumeration._PROBES))
+                len(enumeration._PROBES), len(enumeration._CURSORS))
 
     compiled = sizes()
     generated = []
     for module, name in ((viewtree, "kernel_source"), (viewtree, "trigger_source"),
-                         (viewtree, "pass_source"), (enumeration, "probe_source")):
+                         (viewtree, "pass_source"), (enumeration, "probe_source"),
+                         (enumeration, "cursor_source")):
         source = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda shape, source=source: generated.append(shape) or source(shape))
@@ -411,6 +413,18 @@ def test_kernels_compile_once_per_shape_and_bind_to_their_own_state(monkeypatch)
         bound = [{id(getattr(cell.cell_contents, "__self__", cell.cell_contents))
                   for cell in probe.__closure__ if cell.cell_contents is not TreeIter._descend}
                  for probe in (mine, theirs)]
+        assert bound[0].isdisjoint(bound[1])
+    # the enumeration cursors too, the result's step included: one code per
+    # shape, each bound to its own state's counters, relations and slot steps
+    cursors = [(getattr(mine.enum, f), getattr(theirs.enum, f))
+               for tree, their_tree in zip(st.trees, other.trees)
+               for mine, theirs in zip(tree.nodes, their_tree.nodes) if mine.enum is not None
+               for f in ("start", "step", "heavy") if getattr(mine.enum, f) is not None]
+    assert len({mine.__name__ for mine, _ in cursors}) == 3
+    for mine, theirs in [*cursors, (st.result_step, other.result_step)]:
+        assert mine is not theirs and mine.__code__ is theirs.__code__
+        bound = [{id(cell.cell_contents) for cell in fn.__closure__ or ()
+                  if cell.cell_contents is not None} for fn in (mine, theirs)]
         assert bound[0].isdisjoint(bound[1])
     untouched = other.fingerprint()
     rebuilds = []

@@ -393,10 +393,10 @@ def test_major_rebuilds_when_moving_costs_more(monkeypatch):
     assert light_part(lp_r).size == 192
     # the rebuild takes the light keys from the degrees of the major's own
     # pass and copies no rows: filtering R (192) and S (208) cost 400 ops
-    # (1872 in all).  The two views that start at R's light leaf read its 8
-    # keys' buckets, 8 + 192 ops each, where each folded a copy of the 192
-    # rows, so 16 ops come back
-    assert ops == [1488]
+    # (1872 in all).  The two views that start at R's light leaf share one
+    # read of its 8 keys' buckets, 8 + 192 ops, where each folded a copy of
+    # the 192 rows: 184 ops fewer
+    assert ops == [1288]
     _assert_fresh(st, q, 0.5)
     st.check_invariants(deep=True)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -10,7 +11,10 @@ import pytest
 
 from skewivm import engine, enumeration
 from skewivm.metrics import Counters
+from skewivm.oracle import brute_force_eval
 from skewivm.storage import Relation
+
+from conftest import parse, rand_db, run_trace
 
 
 def test_primitives_increment_exactly_once():
@@ -82,9 +86,14 @@ def test_update_and_next_records():
     assert c.last_update_ops == 4
     assert c.cumulative_update_ops == 14
     assert c.amortized_update_ops == 7.0
-    c.record_next(3)
-    c.record_next(9)
-    assert c.max_next_ops == 9 and c.last_next_ops == 9
+    # a next() records its own ops: opening read the first two rows, the
+    # first next() reads the third (one ahead) and the second none
+    st = engine.preprocess("Q(A) = R(A).", {"R": {(1,): 1, (2,): 1, (3,): 1}}, 1.0)
+    it = st.enumerate_result()
+    it.next()
+    assert (st.counters.last_next_ops, st.counters.max_next_ops) == (1, 1)
+    it.next()
+    assert (st.counters.last_next_ops, st.counters.max_next_ops) == (0, 1)
 
 
 def test_cumulative_monotone():
@@ -97,28 +106,64 @@ def test_cumulative_monotone():
     assert seen == sorted(seen)
 
 
+# what perfbench/tracing.py patches
+TRACED = (engine, engine.EngineState, enumeration, enumeration.ResultIterator,
+          enumeration.TreeIter)
+
+
+def _load_tracing(monkeypatch):
+    """``perfbench/tracing.py`` as a module, read only: no bytecode is
+    written."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
 def test_benchmark_tracer_installs_and_restores(monkeypatch):
     # perfbench/tracing.py wraps engine and enumeration functions by name
     # (run_join, materialize_node and strict_partition where skewivm.engine
     # binds them); a refactor that drops one of those names fails here, not
     # only in a traced benchmark run.  No workload runs and no file is
     # written, bytecode included
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    owners = (engine, engine.EngineState, enumeration, enumeration.ResultIterator,
-              enumeration.TreeIter)
-    before = [dict(vars(owner)) for owner in owners]
+    tracing = _load_tracing(monkeypatch)
+    before = [dict(vars(owner)) for owner in TRACED]
     tracer = tracing.Tracer()
     try:
         tracer.install(engine, enumeration)
-        installed = [dict(vars(owner)) for owner in owners]
+        installed = [dict(vars(owner)) for owner in TRACED]
     finally:
         tracer.close()
     assert all(now != then for now, then in zip(installed, before))
-    assert [dict(vars(owner)) for owner in owners] == before
+    assert [dict(vars(owner)) for owner in TRACED] == before
+
+
+def test_tracer_sees_every_enumeration_seam(monkeypatch):
+    # the compiled cursors still call ResultIterator.__init__ and next,
+    # union_next and TreeIter.lookup by name, so a traced run of updates
+    # and a full read records a span of each and counts lookups; closing
+    # the tracer puts back every attribute it patched
+    tracing = _load_tracing(monkeypatch)
+    before = [dict(vars(owner)) for owner in TRACED]
+    q = parse("chain2")
+    db = rand_db(q, random.Random(11), per_rel=40, dom=6)
+    tracer = tracing.Tracer()
+    tracer.counters = counters = Counters()
+    try:
+        tracer.install(engine, enumeration)
+        st = engine.preprocess(q, db, 0.25, counters=counters)
+        run_trace(st, q, random.Random(12), steps=40, dom=6)
+        rows = list(st.enumerate_result())
+    finally:
+        tracer.close()
+    spans, lookups = tracer.take()
+    assert dict(rows) == brute_force_eval(q, st.db_snapshot())
+    names = {span[0] for span in spans}
+    assert {"update", "enumeration.open", "enumeration.next", "enumeration.union"} <= names
+    assert lookups > 0
+    assert [dict(vars(owner)) for owner in TRACED] == before
 
 
 BENCH_WORKLOADS = ("grow-chain2-e1", "churn-fc4-e05", "read-chain2-e025")
