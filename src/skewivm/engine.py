@@ -26,7 +26,10 @@ threshold: one counted degree pass over each base relation and a read of
 each key set find the keys whose side differs, which move through the
 same per-tuple light step as a minor; it rebuilds the partition-dependent
 views from scratch only when moving would cost more than the paper's
-preprocessing bound.
+preprocessing bound.  At epsilon = 1 no key can be heavy: the state is the
+plain view trees over the base relations, one per component, with no
+indicator triple or light part (:func:`skewivm.viewtree.tau`), the full
+materialization of classical IVM, and a major only sets the new M.
 
 A single engine state is strictly single-threaded: updates take exclusive
 access, and any open iterator is invalidated by a generation counter.
@@ -238,7 +241,7 @@ class EngineState:
         table: dict = {}
         tree_counter = itertools.count()
         for comp, root in zip(comps, self.vo.roots):
-            ctx = make_context(q, self.vo, q.free, self.mode)
+            ctx = make_context(q, self.vo, q.free, self.mode, self.epsilon)
             trees = []
             for r in tau(ctx, root):
                 tag = f"t{next(tree_counter)}"
@@ -259,12 +262,8 @@ class EngineState:
 
         self._attach_relations(db)
         self._register_plans()
-        # at eps = 1 every degree is at most N < M, the threshold, so no key
-        # is ever heavy and no tree grounds a bucket
-        buckets = self.epsilon < 1
-        for comp in self.components:
-            for tree in comp.trees:
-                enumeration.annotate(tree.root, self.query.free, buckets=buckets)
+        for tree in self.trees:
+            enumeration.annotate(tree.root, self.query.free)
         self.result_step = enumeration.result_cursor(
             q.head_vars, [comp.trees[0].root.enum.out_schema for comp in self.components])
         if self.mode == "dynamic":
@@ -368,36 +367,28 @@ class EngineState:
         return float(self.M) ** self.epsilon
 
     def _unsettled_parts(self) -> Iterator[tuple[IndicatorTriple, LightPart, dict]]:
-        """Each light part that may differ from its strict partition at the
-        current threshold, with the key degrees of its base relation
+        """Each light part, which may differ from its strict partition at
+        the current threshold, with the key degrees of its base relation
         (:meth:`Relation.degrees`: the bucket sizes of its key index, in its
         key order), which give the part's own degrees of the keys in its key
         set too; the caller takes the strict key set from them
         (:func:`strict_partition`).  Counted as one pass over the base
-        relation and one over the key set, one op per entry.  A part whose
-        key set holds every key of a base relation smaller than the
-        threshold is skipped in O(1): every key is light, so the part is
-        its own strict partition.  (At preprocessing the key set is still
-        empty, so only a part of an empty relation is skipped, and the pass
-        reads the base relation alone.)"""
-        theta = self._theta()
+        relation and one over the key set, one op per entry.  (At
+        preprocessing the key set is still empty, so the pass reads the
+        base relation alone.)"""
         for triple in self.triples:
             for lp in triple.light_parts:
-                rel, light = lp.base, lp.content.entries
-                keys = len(rel.indexes.get(lp.key_positions, rel.entries))
-                if len(rel.entries) >= theta or len(light) != keys:
-                    self.counters.storage_ops += len(rel.entries) + len(light)
-                    yield triple, lp, rel.degrees(lp.key_positions)
+                rel = lp.base
+                self.counters.storage_ops += len(rel.entries) + len(lp.content.entries)
+                yield triple, lp, rel.degrees(lp.key_positions)
 
     def _repartition(self, parts: list[tuple[LightPart, dict]]) -> None:
         """Load each of ``parts``, a light part with its strict key set
         (:func:`strict_partition`), with that key set, and recompute from
         the leaves every view that reads a light part or H, H in between.
         A view that starts from a light leaf reads its part's rows through
-        the key set (:func:`start_rows`), so a part left out of ``parts``
-        (every key of it light, see :meth:`_unsettled_parts`) gives all
-        rows of its occurrence.  The views over base relations alone do not
-        depend on the partition and stay as they are."""
+        the key set (:func:`start_rows`).  The views over base relations
+        alone do not depend on the partition and stay as they are."""
         for lp, keys in parts:
             lp.content.load(keys)
         light: dict[ViewNode, list] = {}
@@ -540,8 +531,9 @@ class EngineState:
         than a rebuild, k * M^(delta*eps) > M^(1+(w-1)*eps), the light parts
         are loaded and the views that depend on them recomputed instead.
         The All trees do not depend on the partition and stay as they are.
-        A part skipped by :meth:`_unsettled_parts` costs nothing (at eps=1
-        every part is, and a major costs no ops)."""
+        At eps=1 the state has no light part
+        (:func:`skewivm.viewtree.tau`), so a major only sets the new M and
+        costs no ops."""
         self.counters.major_rebalances += 1
         theta = self._theta()
         parts, moves = [], []
@@ -607,7 +599,7 @@ class EngineState:
         return {sym: dict(rel.entries) for sym, rel in self.base.items()}
 
     # ------------------------------------------------------------------
-    # invariants + state comparison (used by tests and --verify)
+    # invariants (used by tests and --verify)
     # ------------------------------------------------------------------
 
     def check_invariants(self, deep: bool = False) -> None:
@@ -670,17 +662,6 @@ class EngineState:
             if node.content.entries != expected:
                 raise InvariantViolationError(
                     f"{node.name}: content diverged from recomputation")
-
-    def fingerprint(self) -> dict:
-        """Exact content map for state-equality comparisons."""
-        out: dict = {"M": self.M, "N": self.N}
-        for triple in self.triples:
-            out[triple.h_content.name] = _freeze(triple.h_content.entries)
-            for lp in triple.light_parts:
-                out[lp.content.name] = _freeze(lp.content.entries)
-        for node in self.dag.nodes:
-            out[node.name] = _freeze(node.content.entries)
-        return out
 
     # ------------------------------------------------------------------
     # exports
@@ -771,10 +752,6 @@ def _check_row(symbol: str, row: object, arity: int) -> None:
     """Reject a row that is not a tuple of ``arity`` values."""
     if not isinstance(row, tuple) or len(row) != arity:
         raise ArityMismatchError(f"{symbol}: {row!r} is not a tuple of arity {arity}")
-
-
-def _freeze(entries: Multiset) -> tuple:
-    return tuple(sorted(entries.items(), key=repr))
 
 
 def preprocess(query: ConjunctiveQuery | str, db: dict[str, Multiset],

@@ -134,16 +134,14 @@ class EnumInfo:
 
 
 def annotate(root: ViewNode, free: frozenset[str],
-             ctx_order: tuple[str, ...] = (), buckets: bool = True) -> None:
+             ctx_order: tuple[str, ...] = ()) -> None:
     """Fill ``node.enum`` for every node reachable during enumeration,
     register the sigma-range indexes the iterators will use and compile
     each node's cursor and probe.  A node shared
     by several trees is annotated once; it must be reached under the same
-    context layout every time.  With ``buckets`` false no heavy key can
-    exist, a grounded node never holds a bucket, and no bucket selector is
-    compiled (nor its index registered).  No light leaf is reached: only
-    the join folds read a light leaf's rows, through its part's key set
-    (see :func:`skewivm.viewtree.light_key`)."""
+    context layout every time.  No light leaf is reached: only the join
+    folds read a light leaf's rows, through its part's key set (see
+    :func:`skewivm.viewtree.light_key`)."""
     if root.part is not None:
         raise InvariantViolationError(f"{root.name}: a light leaf is enumerated")
     if root.enum is not None:
@@ -190,11 +188,11 @@ def annotate(root: ViewNode, free: frozenset[str],
     info.slots = tuple(_resolve(c, free, set(layout))
                        for i, c in enumerate(root.children) if i != info.heavy_idx)
     for n in info.slots:
-        annotate(n, free, layout, buckets)
+        annotate(n, free, layout)
     _compile_cursor(info, root, _compose(root.name, info.out_schema, schema,
                                          [n.enum.out_schema for n in info.slots]))
     views = _compile_plan(info, root)
-    if info.heavy_idx is not None and buckets:
+    if info.heavy_idx is not None:
         _compile_selector(info, root.children[info.heavy_idx].schema, views)
 
 
@@ -564,14 +562,6 @@ class TreeIter:
         # (plan path, context) -> a descendant grounded under a context
         # the live one is not, kept for the life of the open
         self.foreign: dict[tuple, TreeIter] | None = None
-
-    @property
-    def ctx(self) -> dict | None:
-        """The context as a variable -> value map (for inspection)."""
-        if self._ctx is None:
-            return None
-        info = self.node.enum
-        return dict(zip(info.scope if self.skip_heavy else info.ctx_order, self._ctx))
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -5,7 +5,9 @@ canonical variable order, single-node creation with the same-schema collapse
 rule, auxiliary aggregation views for dynamic maintenance, indicator triples
 (All / L / H) for bound join variables, and the top-level skew-aware
 splitter that forks into a light strategy over partitioned relations and
-heavy strategies gated by the H indicators, sets of heavy keys.
+heavy strategies gated by the H indicators, sets of heavy keys (at
+epsilon = 1, where no key can be heavy, the light strategy alone, over the
+base relations).
 
 Nodes built here carry no data.  The builders may return one node object in
 several places; :func:`intern` then turns a forest into a DAG with one node
@@ -30,7 +32,7 @@ from typing import Callable
 
 from .errors import InvariantViolationError, UnregisteredIndexError
 from .query import Atom, ConjunctiveQuery, is_free_connex, is_q_hierarchical, min_cover
-from .storage import Relation, projection
+from .storage import Relation
 from .vorder import VariableOrder
 
 # node kinds
@@ -101,11 +103,6 @@ class LightPart:
     content: Relation | None = None
     base: Relation | None = None  # the base relation it partitions
     occurrence: Relation | None = None  # the relation its leaves read
-    # atom row -> its key, resolved from the positions
-    key_of: Callable = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.key_of = projection(self.key_positions)
 
 
 @dataclass
@@ -133,15 +130,18 @@ class BuildContext:
     free: frozenset[str]
     mode: str  # 'static' | 'dynamic'
     depth: dict[str, int]
+    epsilon: float  # the state's; only eps = 1 changes the forest (:func:`tau`)
     triples: list[IndicatorTriple] = field(default_factory=list)
 
     def order(self, varset) -> tuple[str, ...]:
         return tuple(sorted(varset, key=lambda v: (self.depth[v], v)))
 
 
-def make_context(q: ConjunctiveQuery, vo: VariableOrder, free, mode: str) -> BuildContext:
+def make_context(q: ConjunctiveQuery, vo: VariableOrder, free, mode: str,
+                 epsilon: float = 0.0) -> BuildContext:
     depth = {v: vo.depth(v) for v in vo.variables()}
-    return BuildContext(query=q, vo=vo, free=frozenset(free), mode=mode, depth=depth)
+    return BuildContext(query=q, vo=vo, free=frozenset(free), mode=mode, depth=depth,
+                        epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +251,13 @@ def tau(ctx: BuildContext, node) -> list[ViewNode]:
     Returns the forest roots, light strategy first.  Indicator triples
     created anywhere in the recursion accumulate on the context.  The
     combinations share their children's node objects.
+
+    At eps = 1 every residual counts as easy, and the forest is the plain
+    view tree over the base relations: a key's degree is at most N, and
+    N < M = M^eps, the threshold, at preprocessing and after every major,
+    so no key is ever heavy.  The light strategy over parts that hold every
+    row is that tree, and every heavy tree and indicator triple would stay
+    empty.
     """
     if isinstance(node, Atom):
         return [base_leaf(node)]
@@ -260,8 +267,8 @@ def tau(ctx: BuildContext, node) -> list[ViewNode]:
     f_x = set(vo.anc(x)) | (set(ctx.free) & set(vo.subtree_vars(x)))
     residual = ConjunctiveQuery(
         "Qx", ctx.order(f_x), tuple(a for a in vo.subtree_atoms(x)))
-    easy = (is_free_connex(residual) if ctx.mode == "static"
-            else is_q_hierarchical(residual))
+    easy = ctx.epsilon == 1 or (is_free_connex(residual) if ctx.mode == "static"
+                                else is_q_hierarchical(residual))
     if easy:
         return [build_vt(ctx, "V", x, frozenset(f_x))]
 

@@ -10,7 +10,7 @@ import pytest
 
 from skewivm.metrics import Counters
 from skewivm.query import Atom, ConjunctiveQuery, parse_query
-from skewivm.storage import Relation, iceil
+from skewivm.storage import Relation, iceil, projection
 
 SUITE = {
     "chain2": "Q(A,C) = R(A,B), S(B,C).",
@@ -141,6 +141,28 @@ def parse(name: str) -> ConjunctiveQuery:
     return parse_query(SUITE[name])
 
 
+def fingerprint(st) -> dict:
+    """Exact content map of engine state ``st`` for state-equality
+    comparisons: M, N, every H, key set and view."""
+    out: dict = {"M": st.M, "N": st.N}
+    for triple in st.triples:
+        out[triple.h_content.name] = _freeze(triple.h_content.entries)
+        for lp in triple.light_parts:
+            out[lp.content.name] = _freeze(lp.content.entries)
+    for node in st.dag.nodes:
+        out[node.name] = _freeze(node.content.entries)
+    return out
+
+
+def _freeze(entries: dict) -> tuple:
+    return tuple(sorted(entries.items(), key=repr))
+
+
+def part_key(lp, row):
+    """The key of ``row``, a row of light part ``lp``'s atom, in the part."""
+    return projection(lp.key_positions)(row)
+
+
 def light_part(lp):
     """The rows of light part ``lp`` as a relation of their own: the rows
     of its occurrence relation whose key is in its key set L, in entry
@@ -149,8 +171,9 @@ def light_part(lp):
     rel = Relation(lp.name, lp.atom.schema, Counters())
     for positions in (lp.key_positions, *lp.occurrence.indexes):
         rel.register_index(positions)
+    key_of = projection(lp.key_positions)
     rel.load({row: m for row, m in lp.occurrence.entries.items()
-              if lp.key_of(row) in lp.content.entries})
+              if key_of(row) in lp.content.entries})
     rel.counters = lp.occurrence.counters
     return rel
 
@@ -217,7 +240,7 @@ def reference_update_pass(st, symbol, row, mult, bounds):
         pre = []
         for _, _, pairs in routes:
             for _, lp in pairs:
-                key = lp.key_of(row)
+                key = part_key(lp, row)
                 fresh.append(lp.base.count(lp.key_positions, key) == 0)
                 in_light = lp.content.get(key) > 0
                 pre.append(fresh[-1] or in_light)
@@ -248,7 +271,7 @@ def _update_trees(st, leaf_name, pairs, row, mult, light):
     delta = {row: mult}
     keys, before = [], []
     for triple, lp in pairs:
-        key = lp.key_of(row)
+        key = part_key(lp, row)
         keys.append(key)
         before.append(triple.all_root.content.get(key))
     st._apply(st.dag, leaf_name, delta)
@@ -289,7 +312,7 @@ def _minor_checks(st, routes, row):
     reinsert_below = iceil(0.5 * m_eps)
     for _, _, pairs in routes:
         for triple, lp in pairs:
-            key = lp.key_of(row)
+            key = part_key(lp, row)
             # the light part's degree at one op, as a count of a light copy
             # was: one get of L, then the key's degree in the part's rows
             in_light = lp.content.get(key) and light_part(lp).degrees(lp.key_positions)[key]

@@ -131,14 +131,27 @@ def test_analyze_report(capsys):
     assert out["plan"][0]["trees"]
 
 
+FC4 = "Q(A,C,F) = R(A,B,C), S(A,B,D), T(A,E,F), U(A,E,G)."
+
+
 @pytest.mark.parametrize("query,positions,distinct", [
     (QUERY, 10, 8),
-    ("Q(A,C,F) = R(A,B,C), S(A,B,D), T(A,E,F), U(A,E,G).", 44, 24),
+    (FC4, 44, 24),
 ])
 def test_analyze_reports_shared_views(capsys, query, positions, distinct):
     assert main(["analyze", "--query", query, "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["views"] == {"positions": positions, "distinct": distinct}
+
+
+@pytest.mark.parametrize("query,positions,distinct", [(QUERY, 1, 1), (FC4, 7, 7)],
+                         ids=["chain2", "fc4"])
+def test_analyze_at_eps_one_plans_the_plain_view_tree(capsys, query, positions, distinct):
+    # no key can be heavy at eps 1: one tree per component and no indicator
+    assert main(["analyze", "--query", query, "--epsilon", "1", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["views"] == {"positions": positions, "distinct": distinct}
+    assert all(len(c["trees"]) == 1 and c["indicators"] == [] for c in out["plan"])
 
 
 def test_analyze_full_single_atom(capsys):

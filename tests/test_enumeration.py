@@ -351,10 +351,12 @@ def test_view_key_outside_the_scope_raises_invariant_violation():
 
 
 def test_grounded_tree_without_buckets_looks_up_nothing(monkeypatch):
-    # eps=1 leaves every key light, so the heavy tree grounds no bucket: a
-    # lookup is 0 at no cost and never reaches the probe
+    # at eps=0.5 (M = 5) every degree is below the threshold 2.24, so H is
+    # empty and the heavy tree grounds no bucket: a lookup is 0 at no cost
+    # and never reaches the probe
     q = parse("chain2")
-    st = preprocess(q, {"R": {(1, 2): 1}, "S": {(2, 3): 1}}, 1.0, mode="dynamic")
+    st = preprocess(q, {"R": {(1, 2): 1}, "S": {(2, 3): 1}}, 0.5, mode="dynamic")
+    assert st.triples[0].h_content.entries == {}
     heavy = next(t for t in st.trees if "xH_B" in t.leaves)
     it = TreeIter(heavy.root)
     it.open(())
@@ -375,6 +377,14 @@ def test_forest_with_differing_output_schemas_raises_invariant_violation():
 # ---------------------------------------------------------------------------
 # compiled lookup against the dict-merge lookup it replaced
 # ---------------------------------------------------------------------------
+
+
+def _ctx(it: TreeIter) -> dict | None:
+    """The iterator's context as a variable -> value map."""
+    if it._ctx is None:
+        return None
+    info = it.node.enum
+    return dict(zip(info.scope if it.skip_heavy else info.ctx_order, it._ctx))
 
 
 def _started(owner: TreeIter, k: int) -> TreeIter:
@@ -406,7 +416,7 @@ def _reference_lookup(it: TreeIter, assign: dict) -> tuple[int, int, int]:
     only the buckets they name; every other bucket's term must be 0.
     Otherwise it probes every bucket.  Either way it costs at most 1 op
     more than probing every bucket."""
-    ctx = it.ctx
+    ctx = _ctx(it)
     merged = {**ctx, **assign} if ctx else assign
     info = it.node.enum
     if it.buckets is not None:
@@ -427,7 +437,7 @@ def _reference_lookup(it: TreeIter, assign: dict) -> tuple[int, int, int]:
             if info.h_varying(b._ctx[len(it._ctx):]) in named:
                 ops += c
             else:
-                assert bm == 0, (it.node.name, merged, b.ctx)
+                assert bm == 0, (it.node.name, merged, _ctx(b))
         assert ops <= every
         return m, ref_ops, ops
     key = tuple(merged[v] for v in it.node.schema)
@@ -710,6 +720,9 @@ def test_union_lookups_keep_the_lookup_contract(name, eps, fixed, monkeypatch):
         checked_probes(st)
         held.clear()
         assert st.result_multiset() == brute_force_eval(q, db)
+    if eps == 1.0:  # no key can be heavy: one tree per component, no union
+        assert found == [] and all(len(c.trees) == 1 for c in st.components)
+        return
     assert found
     if eps == 0.0:  # every key heavy: the trees overlap
         assert any(found), "no union lookup found a tuple"
@@ -838,7 +851,10 @@ def test_component_union_never_finds_a_member_exhausted():
 # fetches that do not narrow.  The union of V_A@t1's buckets in deep4-0.25
 # asks its selector too, and skips the buckets a tuple cannot be in:
 # (2540, 40) -> (2016, 42); the other unions' selector indexes are too full
-# for a fetch to pay, so they look up every bucket as before.
+# for a fetch to pay, so they look up every bucket as before.  At eps 1 the
+# state holds one tree per component, over the base relations, so fc3 and
+# fc4 no longer open and look up into heavy trees that ground no bucket:
+# fc3-1.0 (216, 12) -> (142, 11), fc4-1.0 (290, 14) -> (125, 11).
 ENUM_OPS = {
     ('chain2', 0.0): (961, 55),
     ('chain2', 0.25): (961, 55),
@@ -851,11 +867,11 @@ ENUM_OPS = {
     ('fc3', 0.0): (487, 44),
     ('fc3', 0.25): (216, 12),
     ('fc3', 0.5): (216, 12),
-    ('fc3', 1.0): (216, 12),
+    ('fc3', 1.0): (142, 11),
     ('fc4', 0.0): (1238, 87),
     ('fc4', 0.25): (290, 14),
     ('fc4', 0.5): (290, 14),
-    ('fc4', 1.0): (290, 14),
+    ('fc4', 1.0): (125, 11),
     ('deep4', 0.0): (4277, 72),
     ('deep4', 0.25): (2016, 42),
     ('deep4', 0.5): (105, 1),
@@ -881,12 +897,13 @@ def test_enumeration_ops_are_pinned(name, eps, rng):
 # elided they were chain2 137 at eps 0 and 0.25, semi 202 and 194, fc3-0.0
 # 35, fc3 13 at eps >= 0.25, fc4-0.0 56, fc4 15 at eps >= 0.25, deep4 470
 # and 139, star3 89 at eps 0 and 0.25, the others equal; deep4-0.25 was 98
-# before its bucket union asked the selector
+# before its bucket union asked the selector; fc3-1.0 was 10 and fc4-1.0
+# 13 while eps 1 kept empty heavy trees
 FIRST_ROW_OPS = {
     ('chain2', 0.0): 85, ('chain2', 0.25): 85, ('chain2', 0.5): 3, ('chain2', 1.0): 3,
     ('semi', 0.0): 105, ('semi', 0.25): 117, ('semi', 0.5): 3, ('semi', 1.0): 3,
-    ('fc3', 0.0): 22, ('fc3', 0.25): 10, ('fc3', 0.5): 10, ('fc3', 1.0): 10,
-    ('fc4', 0.0): 34, ('fc4', 0.25): 13, ('fc4', 0.5): 13, ('fc4', 1.0): 13,
+    ('fc3', 0.0): 22, ('fc3', 0.25): 10, ('fc3', 0.5): 10, ('fc3', 1.0): 8,
+    ('fc4', 0.0): 34, ('fc4', 0.25): 13, ('fc4', 0.5): 13, ('fc4', 1.0): 7,
     ('deep4', 0.0): 270, ('deep4', 0.25): 95, ('deep4', 0.5): 3, ('deep4', 1.0): 3,
     ('star3', 0.0): 61, ('star3', 0.25): 61, ('star3', 0.5): 3, ('star3', 1.0): 3,
 }
@@ -1175,7 +1192,7 @@ def test_selector_narrows_a_lookup_to_the_buckets_its_tuple_names():
         out = []
         for b in map(twin._bucket, range(len(twin.buckets))):
             before = st.counters.storage_ops
-            out.append((b.ctx["B"], b.lookup(t), st.counters.storage_ops - before))
+            out.append((_ctx(b)["B"], b.lookup(t), st.counters.storage_ops - before))
         return out
 
     r_rows = st.base["R"].entries

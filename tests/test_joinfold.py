@@ -43,7 +43,7 @@ from skewivm.viewtree import (
     trigger_source,
 )
 
-from conftest import parse, reference_run_join
+from conftest import fingerprint, parse, reference_run_join
 
 
 def reference_materialize(node, plan):
@@ -426,7 +426,7 @@ def test_kernels_compile_once_per_shape_and_bind_to_their_own_state(monkeypatch)
         bound = [{id(cell.cell_contents) for cell in fn.__closure__ or ()
                   if cell.cell_contents is not None} for fn in (mine, theirs)]
         assert bound[0].isdisjoint(bound[1])
-    untouched = other.fingerprint()
+    untouched = fingerprint(other)
     rebuilds = []
     repartition = EngineState._repartition
 
@@ -441,6 +441,6 @@ def test_kernels_compile_once_per_shape_and_bind_to_their_own_state(monkeypatch)
         i += 1
     assert rebuilds == [compiled]
     st.check_invariants(deep=True)
-    assert other.fingerprint() == untouched
+    assert fingerprint(other) == untouched
     other.check_invariants(deep=True)
     assert sizes() == compiled and generated == []

@@ -31,10 +31,10 @@ from skewivm.errors import (
 from skewivm.oracle import brute_force_eval
 from skewivm.query import parse_query
 from skewivm.storage import iceil, key_degrees
-from skewivm.viewtree import ATOM, JOIN, ViewNode
+from skewivm.viewtree import ATOM, HEAVY_REF, JOIN, LIGHT, ViewNode
 
-from conftest import (EPS_GRID, SUITE, light_part, parse, reference_run_join, run_trace,
-                      use_reference_pass)
+from conftest import (EPS_GRID, SUITE, fingerprint, light_part, parse, rand_db,
+                      reference_run_join, run_trace, use_reference_pass)
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +74,7 @@ def test_apply_to_tree_without_the_leaf_is_a_noop():
 
 def test_update_ind_tree_support_transitions():
     q = parse("chain2")
-    st = preprocess(q, {"R": {}, "S": {}}, 1.0, mode="dynamic")
+    st = preprocess(q, {"R": {}, "S": {}}, 0.5, mode="dynamic")
     (triple,) = st.triples
 
     def update(leaf_name, delta):
@@ -156,11 +156,11 @@ def test_rejected_delete_leaves_state_untouched():
     q = parse("chain2")
     db = {"R": {(1, 2): 1}, "S": {(2, 3): 1}}
     st = preprocess(q, db, 0.5, mode="dynamic")
-    fp = st.fingerprint()
+    fp = fingerprint(st)
     gen = st.generation
     with pytest.raises(RejectedDeleteError):
         st.on_update("R", (1, 2), -2)
-    assert st.fingerprint() == fp
+    assert fingerprint(st) == fp
     assert st.generation == gen
 
 
@@ -225,16 +225,15 @@ def _light_part(st, symbol):
 
 def _assert_fresh(st, q, eps):
     fresh = preprocess(q, st.db_snapshot(), eps, mode="dynamic", m_override=st.M)
-    assert st.fingerprint() == fresh.fingerprint()
+    assert fingerprint(st) == fingerprint(fresh)
 
 
 def test_major_at_eps_one_moves_nothing_and_costs_linear_ops(monkeypatch):
     # at eps=1 every degree is at most N < M, the threshold, so no key can
-    # change side: every light part already holds all of a base relation
-    # below the threshold and is skipped, so the major itself costs no ops
-    # (the update's ops are its propagation), not a rebuild of the light
-    # join's 2 * 100 * 100 rows; the bound is kept from when the major
-    # still ran the two strict-partition passes
+    # be heavy and the state has no light part: the major moves nothing
+    # and costs no ops (the update's ops are its propagation), not a
+    # rebuild of the join's 2 * 100 * 100 rows; the bound is kept from when
+    # the major still ran the two strict-partition passes
     q = parse("chain2")
     db = {"R": {(i, i % 2): 1 for i in range(200)},
           "S": {(i % 2, i): 1 for i in range(200)}}
@@ -305,9 +304,9 @@ def _major_ops(monkeypatch, state) -> list[int]:
 
 
 def test_major_at_eps_one_costs_no_ops_at_any_size(monkeypatch):
-    # at eps=1 every base relation is smaller than the threshold M and every
-    # light part holds all of it, so a major skips each part without a
-    # partition pass, whatever N is
+    # at eps=1 every base relation is smaller than the threshold M, so the
+    # state has no light part and a major has no partition pass to make,
+    # whatever N is
     q = parse("chain2")
     for n in (100, 400):
         db = {"R": {(i, i % 2): 1 for i in range(n)},
@@ -323,11 +322,54 @@ def test_major_at_eps_one_costs_no_ops_at_any_size(monkeypatch):
         _assert_fresh(st, q, 1.0)
 
 
+@pytest.mark.parametrize("mode", ("static", "dynamic"))
+@pytest.mark.parametrize("name", SUITE)
+def test_eps_one_is_the_plain_view_tree(name, mode):
+    # at eps=1 a key's degree is at most N < M, the threshold, before and
+    # after every major, so no key is ever heavy: the state is one view
+    # tree per component over the base relations, with no indicator
+    # triple, light leaf or H leaf, through doublings and a halving of M
+    q = parse(name)
+    rng = random.Random(f"eps-one/{name}/{mode}")
+    st = preprocess(q, rand_db(q, rng, per_rel=5, dom=12), 1.0, mode=mode)
+    assert st.triples == []
+    assert all(len(comp.trees) == 1 for comp in st.components)
+    assert not any(node.kind in (LIGHT, HEAVY_REF) for node in st.dag.nodes)
+    assert st.result_multiset() == brute_force_eval(q, st.db_snapshot())
+    if mode == "static":
+        return
+
+    def replay(updates, majors):
+        while st.counters.major_rebalances < majors:
+            before = st.counters.major_rebalances
+            st.on_update(*updates())
+            if st.counters.major_rebalances > before:
+                assert st.result_multiset() == brute_force_eval(q, st.db_snapshot())
+                st.check_invariants(deep=True)
+
+    def insert():
+        sym = rng.choice(q.symbols())
+        arity = len(q.occurrences(sym)[0].schema)
+        return sym, tuple(rng.randrange(12) for _ in range(arity)), 1
+
+    def delete():
+        sym = rng.choice([s for s in q.symbols() if st.base[s].entries])
+        row = rng.choice(list(st.base[sym].entries))
+        return sym, row, -st.base[sym].entries[row]
+
+    m0 = st.M
+    replay(insert, 2)  # two doublings of M
+    assert st.M == 4 * m0
+    replay(delete, 3)  # one halving
+    assert st.M == 2 * m0 - 1
+    assert st.triples == []
+
+
 def test_major_that_moves_nothing_costs_one_pass_per_unsettled_part(monkeypatch):
     # at eps=0.5 R keeps its heavy key 7 (degree 20 against thresholds 10.05
     # and 14.2) and every other key stays light, so the major moves nothing;
-    # it reads R and R's light part once each, and S's part, which holds all
-    # of an S smaller than the threshold, not at all
+    # it reads each base relation and each light part's key set once: R's
+    # 98 rows and 78 keys, S's 3 rows and its one key
     q = parse("chain2")
     fillers = [(100 + i, 200 + i) for i in range(78)]
     db = {"R": {**{(i, 7): 1 for i in range(20)}, **{row: 1 for row in fillers[:27]}},
@@ -344,13 +386,13 @@ def test_major_that_moves_nothing_costs_one_pass_per_unsettled_part(monkeypatch)
     assert moved == [] and rebuilt == []
     assert (st.base["R"].size, light_part(lp_r).size) == (98, 78)
     assert light_part(lp_s).size == st.base["S"].size == 3
-    assert ops == [98 + 78]
+    assert ops == [98 + 78 + 3 + 1]
     _assert_fresh(st, q, 0.5)
 
 
 def test_major_readmits_a_heavy_key_of_a_relation_below_the_threshold(monkeypatch):
     # S is smaller than the new threshold, but its light part lacks the
-    # heavy key 7: the part is not skipped, and the doubling re-admits 7
+    # heavy key 7: the doubling re-admits 7
     q = parse("chain2")
     fillers = [(100 + i, 200 + i) for i in range(80)]
     db = {"R": {**{(i, 7): 1 for i in range(9)}, **{row: 1 for row in fillers[:29]}},
@@ -609,7 +651,7 @@ def _pinned_replay(q, eps, db, replay, reference, m_override=None):
     replay(st, lambda _: ops.append(st.counters.last_update_ops))
     assert _dict_ids(st) == ids
     minors = st.counters.minor_rebalances
-    return ops, st.fingerprint(), minors, moved[0] - minors
+    return ops, fingerprint(st), minors, moved[0] - minors
 
 
 def test_compiled_propagation_matches_the_unbound_path():
@@ -688,7 +730,7 @@ class _Twins:
         self.ref.on_update(sym, row, mult)
         st, ref = self.st, self.ref
         assert st.counters.last_update_ops == ref.counters.last_update_ops, (sym, row, mult)
-        assert st.fingerprint() == ref.fingerprint(), (sym, row, mult)
+        assert fingerprint(st) == fingerprint(ref), (sym, row, mult)
         assert _ordered(st) == _ordered(ref), (sym, row, mult)
 
 
@@ -810,7 +852,7 @@ def _chain2_state():
 
 
 def _observable(st):
-    return st.N, st.db_snapshot(), st.generation, st.fingerprint()
+    return st.N, st.db_snapshot(), st.generation, fingerprint(st)
 
 
 @pytest.mark.parametrize("symbol,row,mult,error", [

@@ -17,7 +17,7 @@ from skewivm.oracle import brute_force_eval
 from skewivm.query import parse_query
 from skewivm.storage import Relation, projection
 
-from conftest import EPS_GRID, SUITE, light_part, parse
+from conftest import EPS_GRID, SUITE, fingerprint, light_part, parse, part_key
 
 # a self-join, and keys that are the whole schema of a relation, in schema
 # order and permuted (R(B,A) keyed on (A,B)); semi's S(B) is one too
@@ -64,8 +64,8 @@ def _filtered_start_rows(node):
         rel.counters.storage_ops += len(rel.entries)
         return list(rel.entries.items())
     rank = {key: i for i, key in enumerate(part.content.entries)}
-    rows = sorted(((row, m) for row, m in rel.entries.items() if part.key_of(row) in rank),
-                  key=lambda entry: rank[part.key_of(entry[0])])
+    rows = sorted(((row, m) for row, m in rel.entries.items() if part_key(part, row) in rank),
+                  key=lambda entry: rank[part_key(part, entry[0])])
     per_row = len(part.key_positions) < len(rel.schema)
     rel.counters.storage_ops += len(rank) + per_row * len(rows)
     return rows
@@ -124,7 +124,7 @@ def test_bulk_preprocessing_equals_the_per_row_build(name, text, eps, mode, monk
     ref = _reference_build(monkeypatch, q, db, eps, mode)
     st = preprocess(q, db, eps, mode=mode)
     assert st.counters.storage_ops == ref.counters.storage_ops
-    assert st.fingerprint() == ref.fingerprint()
+    assert fingerprint(st) == fingerprint(ref)
     assert _layout(st) == _layout(ref)
     for leaf in (n for n in st.dag.nodes if n.is_leaf):
         assert type(leaf.content) is Relation, leaf.name
